@@ -490,7 +490,7 @@ fn conflict_model(i: usize) -> Model {
     for j in 0..FUNCTIONS {
         // Model-unique ids and bodies (the trailing constant differs per
         // model), so pairs neither id- nor content-match: pure insert
-        // work, runnable in the pipeline's first wave.
+        // work.
         m.function_definitions.push(FunctionDefinition::new(
             format!("f{i}_{j}"),
             vec!["x".into(), "y".into()],
@@ -816,20 +816,17 @@ mod tests {
     }
 
     #[test]
-    fn conflict_corpus_pipelined_equals_serial() {
+    fn conflict_corpus_key_rename_equals_full_recompute() {
         let models = corpus_conflict(2);
-        let serial_opts = sbml_compose::ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let pipelined_opts = sbml_compose::ComposeOptions::default()
+        let full_opts = sbml_compose::ComposeOptions::default()
             .with_parallel_push_threshold(0)
-            .with_pipeline_threads(4);
-        let serial = sbml_compose::Composer::new(serial_opts).compose(&models[0], &models[1]);
-        let pipelined =
-            sbml_compose::Composer::new(pipelined_opts).compose(&models[0], &models[1]);
-        assert_eq!(pipelined.model, serial.model);
-        assert_eq!(pipelined.log.events, serial.log.events);
-        assert_eq!(pipelined.mappings, serial.mappings);
+            .with_incremental_key_rename(false);
+        let rename_opts = sbml_compose::ComposeOptions::default().with_parallel_push_threshold(0);
+        let full = sbml_compose::Composer::new(full_opts).compose(&models[0], &models[1]);
+        let renamed = sbml_compose::Composer::new(rename_opts).compose(&models[0], &models[1]);
+        assert_eq!(renamed.model, full.model);
+        assert_eq!(renamed.log.events, full.log.events);
+        assert_eq!(renamed.mappings, full.mappings);
     }
 
     #[test]

@@ -1,36 +1,29 @@
-//! Conflict-heavy composition: pipelined merge passes + incremental
-//! mapped-key renaming vs the serial/full-recompute engine.
+//! Conflict-heavy composition: incremental mapped-key renaming vs the
+//! full-recompute engine.
 //!
 //! The workload is [`biomodels_corpus::corpus_conflict`]: every push
 //! renames every shared parameter (value conflicts) and maps every alias
 //! species by name, so the in-flight mapping table is hot from the
 //! species pass onwards and **every** math-bearing component must
-//! revalidate its cached content key under live mappings. That isolates
-//! exactly the two costs this PR removes:
+//! revalidate its cached content key under live mappings. Both engines run
+//! the Fig. 4 passes in one serial order; they differ only in how a dirty
+//! key is revalidated:
 //!
-//! * the **serial** engine (`merge_pipeline=false`,
-//!   `incremental_key_rename=false`) runs the Fig. 4 passes strictly in
-//!   order and rebuilds each dirty key by full re-canonicalisation of the
-//!   formula (the pre-PR behaviour);
-//! * the **pipelined** engine (the default path, pinned to
-//!   `pipeline_threads = 4`) executes the passes as a dependency DAG on
-//!   scoped workers and revalidates dirty keys by incremental rename of
-//!   the cached canonical text (O(touched leaves), dirty commutative
-//!   groups only). `pipeline_threads` is an upper bound — the engine caps
-//!   workers at the host's parallelism, so on a single-core host the DAG
-//!   executes its cost-priority schedule on the calling thread and the
-//!   gate is carried by the rename path; on multicore hosts the two
-//!   compound.
+//! * the **serial** engine (`incremental_key_rename=false`) rebuilds each
+//!   dirty key by full re-canonicalisation of the formula (O(formula));
+//! * the **default** engine ([`ComposeOptions::default`]) revalidates
+//!   dirty keys by incremental rename of the cached canonical text
+//!   (O(touched leaves), dirty commutative groups only).
 //!
 //! The gated metric is the **chain** composition of the whole corpus
 //! (one `compose_many_prepared` session — the shape where per-push merge
 //! cost, not per-pair base adoption, dominates); the all-pairs sweep is
-//! reported alongside. Both engines share one prepared corpus
-//! (pipeline/key-rename knobs are fingerprint-neutral) and are asserted
-//! bit-for-bit identical before any timing. Writes `BENCH_pipeline.json`
-//! at the workspace root with the pinned `threads` and the
-//! `host_parallelism` it actually ran under; `ci.sh` gates the chain
-//! speedup at ≥ 1.5x.
+//! reported alongside. Both engines share one prepared corpus (the
+//! key-rename knob is fingerprint-neutral) and are asserted bit-for-bit
+//! identical before any timing. Writes `BENCH_pipeline.json` at the
+//! workspace root with the `host_parallelism` it ran under; `ci.sh` gates
+//! the chain speedup at ≥ 1.5x. (The file and JSON key names predate the
+//! removal of the merge-pass DAG executor and are kept for continuity.)
 //!
 //! Run with: `cargo run --release -p compose-bench --bin pipeline_conflict`
 
@@ -45,9 +38,6 @@ use sbml_compose::{compose_many_prepared, ComposeOptions, Composer, PreparedMode
 
 /// Models in the conflict corpus.
 const MODELS: usize = 12;
-/// Pipeline worker threads the pipelined engine is pinned to (upper
-/// bound; capped at host parallelism by the engine).
-const THREADS: usize = 4;
 
 fn workspace_root() -> PathBuf {
     option_env!("CARGO_MANIFEST_DIR")
@@ -77,19 +67,15 @@ fn main() {
     let models = corpus_conflict(if quick { 5 } else { MODELS });
     let n = models.len();
 
-    // Shared analysis fingerprint: the two engines differ only in
-    // execution-detail knobs, so one prepared corpus serves both.
-    let serial_options = ComposeOptions::default()
-        .with_parallel_push_threshold(0)
-        .with_merge_pipeline(false)
-        .with_incremental_key_rename(false);
-    let pipelined_options = ComposeOptions::default()
-        .with_parallel_push_threshold(0)
-        .with_pipeline_threads(THREADS);
-    assert_eq!(serial_options.fingerprint(), pipelined_options.fingerprint());
+    // Shared analysis fingerprint: the two engines differ only in the
+    // fingerprint-neutral key-rename knob, so one prepared corpus serves
+    // both.
+    let serial_options = ComposeOptions::default().with_incremental_key_rename(false);
+    let default_options = ComposeOptions::default();
+    assert_eq!(serial_options.fingerprint(), default_options.fingerprint());
 
     let serial = Composer::new(serial_options);
-    let pipelined = Composer::new(pipelined_options);
+    let fast = Composer::new(default_options);
     let prepared: Vec<Arc<PreparedModel>> =
         models.iter().map(|m| Arc::new(serial.prepare(m))).collect();
 
@@ -97,13 +83,13 @@ fn main() {
     // representative pairs.
     {
         let a = compose_many_prepared(&serial, prepared.iter().map(Arc::as_ref));
-        let b = compose_many_prepared(&pipelined, prepared.iter().map(Arc::as_ref));
+        let b = compose_many_prepared(&fast, prepared.iter().map(Arc::as_ref));
         assert_eq!(a.model, b.model, "chain model diverged");
         assert_eq!(a.log.events, b.log.events, "chain log diverged");
         assert_eq!(a.mappings, b.mappings, "chain mappings diverged");
         for (i, j) in [(0usize, 1usize), (0, n - 1), (n / 2, n / 2 + 1)] {
             let a = serial.compose_prepared(&prepared[i], &prepared[j]);
-            let b = pipelined.compose_prepared(&prepared[i], &prepared[j]);
+            let b = fast.compose_prepared(&prepared[i], &prepared[j]);
             assert_eq!(a.model, b.model, "pair ({i},{j}) diverged");
             assert_eq!(a.log.events, b.log.events, "pair ({i},{j}) log diverged");
             assert_eq!(a.mappings, b.mappings, "pair ({i},{j}) mappings diverged");
@@ -114,7 +100,7 @@ fn main() {
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     println!(
-        "conflict corpus: {n} models, {} keyed components each; host parallelism {host_parallelism}, pipeline threads {THREADS}",
+        "conflict corpus: {n} models, {} keyed components each; host parallelism {host_parallelism}",
         models[0].species.len()
             + models[0].reactions.len()
             + models[0].rules.len()
@@ -128,24 +114,24 @@ fn main() {
     let chain_serial = time_median(runs, || {
         std::hint::black_box(chain(&serial, &prepared));
     });
-    let chain_pipelined = time_median(runs, || {
-        std::hint::black_box(chain(&pipelined, &prepared));
+    let chain_default = time_median(runs, || {
+        std::hint::black_box(chain(&fast, &prepared));
     });
-    let chain_speedup = chain_serial / chain_pipelined.max(1e-12);
+    let chain_speedup = chain_serial / chain_default.max(1e-12);
     println!(
-        "chain ({n} pushes):   serial {chain_serial:.4}s  pipelined {chain_pipelined:.4}s  speedup {chain_speedup:.2}x"
+        "chain ({n} pushes):   serial {chain_serial:.4}s  default {chain_default:.4}s  speedup {chain_speedup:.2}x"
     );
 
     let pair_runs = if quick { 1 } else { 3 };
     let pairs_serial = time_median(pair_runs, || {
         std::hint::black_box(pairs(&serial, &prepared));
     });
-    let pairs_pipelined = time_median(pair_runs, || {
-        std::hint::black_box(pairs(&pipelined, &prepared));
+    let pairs_default = time_median(pair_runs, || {
+        std::hint::black_box(pairs(&fast, &prepared));
     });
-    let pairs_speedup = pairs_serial / pairs_pipelined.max(1e-12);
+    let pairs_speedup = pairs_serial / pairs_default.max(1e-12);
     println!(
-        "all-pairs ({} pairs): serial {pairs_serial:.4}s  pipelined {pairs_pipelined:.4}s  speedup {pairs_speedup:.2}x",
+        "all-pairs ({} pairs): serial {pairs_serial:.4}s  default {pairs_default:.4}s  speedup {pairs_speedup:.2}x",
         n * (n - 1) / 2
     );
 
@@ -163,18 +149,17 @@ fn main() {
     json.push_str(&format!("  \"models\": {n},\n"));
     json.push_str("  \"engines\": {\n");
     json.push_str(
-        "    \"serial\": \"merge_pipeline=false, incremental_key_rename=false: Fig. 4 passes strictly in order, dirty cached keys rebuilt by full re-canonicalisation (pre-PR behaviour)\",\n",
+        "    \"serial\": \"incremental_key_rename=false: Fig. 4 passes in order, dirty cached keys rebuilt by full re-canonicalisation\",\n",
     );
     json.push_str(
-        "    \"pipelined\": \"merge-pass dependency DAG (pipeline_threads=4, capped at host parallelism) + cached keys revalidated by incremental rename of canonical text (dirty commutative groups only)\"\n",
+        "    \"pipelined\": \"ComposeOptions::default(): Fig. 4 passes in order, dirty cached keys revalidated by incremental rename of canonical text (dirty commutative groups only); key name kept from the removed merge-pass DAG executor\"\n",
     );
     json.push_str("  },\n");
-    json.push_str(&format!("  \"threads\": {THREADS},\n"));
     json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
     json.push_str(&format!("  \"chain_serial_seconds\": {chain_serial:.6},\n"));
-    json.push_str(&format!("  \"chain_pipelined_seconds\": {chain_pipelined:.6},\n"));
+    json.push_str(&format!("  \"chain_pipelined_seconds\": {chain_default:.6},\n"));
     json.push_str(&format!("  \"pairs_serial_seconds\": {pairs_serial:.6},\n"));
-    json.push_str(&format!("  \"pairs_pipelined_seconds\": {pairs_pipelined:.6},\n"));
+    json.push_str(&format!("  \"pairs_pipelined_seconds\": {pairs_default:.6},\n"));
     json.push_str(&format!("  \"speedup_pairs\": {pairs_speedup:.2},\n"));
     json.push_str(&format!("  \"speedup_pipelined_vs_serial\": {chain_speedup:.2}\n"));
     json.push_str("}\n");

@@ -2,8 +2,7 @@
 //!
 //! The copy-on-write base adoption
 //! ([`CompositionSession::with_shared_base`], [`Composer::compose_shared`])
-//! and the session-lifetime [`WorkerPool`](sbml_compose::WorkerPool)
-//! are *execution details*: for
+//! and the session-lifetime [`WorkerPool`] are *execution details*: for
 //! every input and every knob setting they must produce output
 //! bit-identical to the eager clone-on-adopt path. This module is the
 //! shared engine behind that claim — `tests/cow_differential.rs` drives it
@@ -12,23 +11,24 @@
 //!
 //! The oracle composes the same `(base, pushes)` scenario twice:
 //!
-//! * **reference** — [`ComposeOptions::adopt_base`] off: adopting the
-//!   shared base falls back to the eager path (clone the model, clone the
-//!   indexes), the behaviour of every release before the COW refactor;
-//! * **candidate** — `adopt_base` on, with a caller-chosen
-//!   [`ComposeOptions::pool_threads`]: the copy-on-write path under the
+//! * **reference** — [`CompositionSession::with_prepared_base`]: the
+//!   eager path (clone the model, clone the indexes), the behaviour of
+//!   every release before the COW refactor;
+//! * **candidate** — [`CompositionSession::with_shared_base`] with a
+//!   caller-sized [`WorkerPool`] injected through
+//!   [`CompositionSession::set_pool`]: the copy-on-write path under the
 //!   worker pool.
 //!
 //! and asserts the composed model, the decision log, the ID mappings and
 //! the collected initial values are equal. Both runs share one
-//! [`PreparedModel`] (the knobs are fingerprint-neutral), so any
-//! divergence is attributable to the COW/pool machinery alone.
+//! [`PreparedModel`] under one options value, so any divergence is
+//! attributable to the COW/pool machinery alone.
 
 use std::sync::Arc;
 
 use sbml_compose::{
     Budget, ComposeOptions, ComposeResult, Composer, CompositionSession, InitialValues,
-    PreparedModel, SharedModel,
+    PreparedModel, SharedModel, WorkerPool,
 };
 use sbml_model::builder::ModelBuilder;
 use sbml_model::Model;
@@ -41,7 +41,7 @@ pub enum PushMode {
     /// parallel at or above the threshold).
     Raw,
     /// [`CompositionSession::push_prepared`] (precomputed incoming keys;
-    /// the pipeline-eligible path).
+    /// no in-push key computation).
     Prepared,
     /// [`CompositionSession::push_guarded`] under an unlimited
     /// [`Budget`] (the daemon's entry point).
@@ -160,8 +160,7 @@ fn run_pushes(
 /// Run one scenario through the clone oracle and the COW candidate and
 /// assert bit-identity of model, log, mappings and initial values.
 ///
-/// `options` supplies the knob ablation under test (`adopt_base` and
-/// `pool_threads` are overridden per side); `pool_threads` sizes the
+/// `options` supplies the knob ablation under test; `workers` sizes the
 /// candidate's worker pool. Panics with a labelled message on any
 /// divergence.
 pub fn assert_cow_matches_clone(
@@ -169,39 +168,30 @@ pub fn assert_cow_matches_clone(
     base: &Model,
     pushes: &[Model],
     mode: PushMode,
-    pool_threads: usize,
+    workers: usize,
 ) -> DifferentialOutcome {
     let label = format!(
-        "mode={mode:?} pool_threads={pool_threads} semantics={:?} pushes={}",
+        "mode={mode:?} workers={workers} semantics={:?} pushes={}",
         options.semantics,
         pushes.len()
     );
 
-    let reference_options = options.clone().with_adopt_base(false);
-    let candidate_options =
-        options.clone().with_adopt_base(true).with_pool_threads(pool_threads);
-
-    // One preparation serves both sides: the knobs that differ are
-    // fingerprint-neutral by contract.
+    // One preparation serves both sides.
     let composer = Composer::new(options.clone());
     let shared_base = Arc::new(composer.prepare(base));
     let prepared_pushes: Vec<Arc<PreparedModel>> =
         pushes.iter().map(|m| Arc::new(composer.prepare(m))).collect();
 
     let (reference, reference_values) = {
-        let mut session =
-            CompositionSession::with_shared_base(&reference_options, Arc::clone(&shared_base));
-        assert!(
-            !session.is_base_shared(),
-            "adopt_base=false must take the eager clone path ({label})"
-        );
+        let mut session = CompositionSession::with_prepared_base(options, &shared_base);
+        assert!(!session.is_base_shared(), "the reference must clone the base ({label})");
         run_pushes(&mut session, &prepared_pushes, mode);
         let values = session.current_initial_values();
         (session.finish(), values)
     };
 
-    let mut session =
-        CompositionSession::with_shared_base(&candidate_options, Arc::clone(&shared_base));
+    let mut session = CompositionSession::with_shared_base(options, Arc::clone(&shared_base));
+    session.set_pool(Arc::new(WorkerPool::new(workers)));
     run_pushes(&mut session, &prepared_pushes, mode);
     let candidate_values = session.current_initial_values();
     let base_stayed_shared = session.is_base_shared();
@@ -233,7 +223,7 @@ pub fn assert_cow_matches_clone(
 /// The clone-path reference composition of a pair, for callers that need
 /// the oracle result itself (e.g. comparing a daemon response).
 pub fn reference_compose(options: &ComposeOptions, a: &Model, b: &Model) -> ComposeResult {
-    Composer::new(options.clone().with_adopt_base(false)).compose(a, b)
+    Composer::new(options.clone()).compose(a, b)
 }
 
 /// The reference's collected initial values for a finished model.

@@ -261,10 +261,7 @@ impl Coordinator {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let threads = resolve_threads(config.threads);
-        let compose_pool = Arc::new(match options.pool_threads {
-            0 => WorkerPool::for_host(),
-            t => WorkerPool::new(t),
-        });
+        let compose_pool = Arc::new(WorkerPool::for_host());
         let state = Arc::new(CoordState {
             pool: WorkerPool::new(n),
             compose_pool,

@@ -35,7 +35,7 @@
 //! [`sbml_match::MatchIndex`] shards by: global slot `s` lives on shard
 //! `s % n`. Each shard daemon runs an ordinary single-shard index over
 //! *its* residue class, remapped to a dense local slot space
-//! ([`carve`], or [`sbml_serve::Snapshot::load_shard`] from disk), plus
+//! ([`carve()`], or [`sbml_serve::Snapshot::load_shard`] from disk), plus
 //! a positional table mapping local ranks back to global slots. Because
 //! slots are allocated monotonically and each residue class preserves
 //! order, local rank order *is* global slot order — which is what makes

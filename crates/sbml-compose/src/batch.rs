@@ -119,9 +119,8 @@ impl BatchComposer {
         &self.composer
     }
 
-    /// The batch-lifetime worker pool, spawned on first use and sized by
-    /// the composer's [`pool_threads`](crate::ComposeOptions::pool_threads)
-    /// knob (`0` = host parallelism). Every fan-out on this composer —
+    /// The batch-lifetime worker pool, spawned on first use and sized to
+    /// the host's available parallelism. Every fan-out on this composer —
     /// pair grids, corpus sweeps, and the per-pair session internals —
     /// runs on this one pool, and callers layering their own fan-out on
     /// top (e.g. `sbml-match`'s shard scatter) should reuse it via
@@ -129,12 +128,7 @@ impl BatchComposer {
     /// `run_scoped` calls on the same pool are deadlock-free by
     /// construction.
     pub fn shared_pool(&self) -> Arc<WorkerPool> {
-        Arc::clone(self.pool.get_or_init(|| {
-            Arc::new(match self.composer.options().pool_threads {
-                0 => WorkerPool::for_host(),
-                n => WorkerPool::new(n),
-            })
-        }))
+        Arc::clone(self.pool.get_or_init(|| Arc::new(WorkerPool::for_host())))
     }
 
     fn worker_count(&self, jobs: usize) -> usize {

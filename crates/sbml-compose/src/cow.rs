@@ -239,8 +239,7 @@ impl CowKeys {
 }
 
 /// Everything one push's merge passes mutate, taken out of the session
-/// for the duration of the push (both the serial pass order and the
-/// pipelined DAG executor run over this) and restored afterwards by
+/// for the duration of the push and restored afterwards by
 /// `CompositionSession::restore_cow_state`. The per-push delta indexes
 /// stay plain [`ComponentIndex`] — they start empty every push and are
 /// never shared with a base.

@@ -39,10 +39,9 @@ impl Resolver for NoMap {
 
 // ---------------------------------------------------------------------
 // Canonical key derivation, generic over the mapping lookup. The merge
-// passes hand in whatever mapping structure they run over — the single
-// per-push table on the serial path, a sharded per-pass view on the
-// pipelined path, [`NoMap`] for merged-side content — and every path
-// produces byte-identical keys.
+// passes hand in whatever mapping structure they run over — the per-push
+// table, a view of it with kinetic-law locals hidden, [`NoMap`] for
+// merged-side content — and every path produces byte-identical keys.
 // ---------------------------------------------------------------------
 
 /// Map an id through the resolver (identity when unmapped).

@@ -11,8 +11,8 @@
 //!   ceiling and an optional wall-clock deadline. [`Budget::start`] turns
 //!   it into a running [`Meter`].
 //! * [`Meter`] — the running counterpart, shared by reference across
-//!   worker threads; charged at *push* granularity and checked at *pass*
-//!   granularity by the merge pipeline.
+//!   worker threads; charged at *push* granularity and checked before
+//!   each of a push's twelve merge passes.
 //! * [`ExecError`] — the structured failure vocabulary: a contained panic,
 //!   an exceeded deadline, or an exhausted step ceiling, each tagged with
 //!   the [`Site`] where it surfaced.
@@ -20,10 +20,6 @@
 //!   fan-out ([`crate::BatchComposer::try_all_pairs`] and friends): every
 //!   item is `Ok`, `Degraded` (completed on a fallback rung), or `Failed`,
 //!   and surviving items are bit-identical to a fault-free run.
-//! * [`PushOutcome`] — result of one guarded session push
-//!   ([`crate::CompositionSession::push_guarded`]); records whether the
-//!   degradation ladder fell back from the pipelined DAG executor to the
-//!   serial reference path.
 //! * [`fail_point`] — deterministic fault-injection hook, compiled to a
 //!   no-op unless the crate's `fault-injection` feature is enabled. Tests
 //!   arm a `injection::FailPlan` naming the [`Site`]s that must panic.
@@ -42,8 +38,9 @@ use std::time::{Duration, Instant};
 /// across scheduling orders.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Site {
-    /// One merge pass (Fig. 4 pass index, 0–11) inside a push's DAG
-    /// execution.
+    /// One merge pass (Fig. 4 pass index, 0–11) of a session push: the
+    /// deadline check and fault-injection point before the pass runs, and
+    /// the attribution of a panic inside it.
     Pass(usize),
     /// One session push as a whole (ordinal of the push in the session).
     Push(usize),
@@ -329,21 +326,6 @@ impl<T> BatchReport<T> {
     /// `(item index, fault)` for every failed or degraded item.
     pub fn errors(&self) -> impl Iterator<Item = (usize, &ExecError)> {
         self.items.iter().enumerate().filter_map(|(k, i)| i.error().map(|e| (k, e)))
-    }
-}
-
-/// Result of one guarded session push that completed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PushOutcome {
-    /// `None` when the primary rung succeeded; `Some(fault)` when the
-    /// pipelined DAG execution faulted and the serial reference path
-    /// produced the (identical) result instead.
-    pub degraded: Option<ExecError>,
-}
-
-impl PushOutcome {
-    pub(crate) fn clean() -> PushOutcome {
-        PushOutcome { degraded: None }
     }
 }
 

@@ -151,49 +151,33 @@
 //!   functions, so thread count and threshold never change output
 //!   (property-tested).
 //!
-//! # Pipelined merge passes & incremental key renaming
+//! # Incremental key renaming
 //!
-//! Two further execution-detail knobs remove the last *serial* per-push
-//! costs (output is bit-for-bit identical with either switched off —
-//! both are therefore excluded from [`ComposeOptions::fingerprint`]):
-//!
-//! * [`ComposeOptions::merge_pipeline`] (default on): the Fig. 4 merge
-//!   passes of one push run as a **dependency DAG** on a small
-//!   scoped-thread scheduler instead of strictly in sequence. Each
-//!   per-kind pass declares which mapping-table kinds it reads and
-//!   writes; per push the scheduler narrows those sets with the actual
-//!   ids involved, splits the mapping table into per-kind shards so
-//!   writers never contend, and runs every pass whose dependencies are
-//!   satisfied concurrently. [`ComposeOptions::pipeline_threads`] bounds
-//!   the workers (`0` = host parallelism; values above the host's cores
-//!   are capped). The pipeline engages when the push's content keys were
-//!   precomputed **and** the push has at least
-//!   [`ComposeOptions::parallel_push_threshold`] keyed components —
-//!   pushes below the threshold (prepared or raw) keep the serial pass
-//!   order.
-//! * [`ComposeOptions::incremental_key_rename`] (default on, heavy
-//!   semantics): when a push's ID mappings touch a component's
-//!   references, its cached canonical key is revalidated by
-//!   **incremental rename** ([`sbml_math::pattern::Pattern::rename_mapped`])
-//!   — identifier leaves rewritten in the cached canonical text, only
-//!   the commutative operand groups whose members changed re-sorted —
-//!   instead of re-canonicalising the whole formula, O(touched leaves)
-//!   instead of O(formula).
+//! [`ComposeOptions::incremental_key_rename`] (default on, heavy
+//! semantics) removes the last O(formula) per-push cost: when a push's ID
+//! mappings touch a component's references, its cached canonical key is
+//! revalidated by **incremental rename**
+//! ([`sbml_math::pattern::Pattern::rename_mapped`]) — identifier leaves
+//! rewritten in the cached canonical text, only the commutative operand
+//! groups whose members changed re-sorted — instead of re-canonicalising
+//! the whole formula, O(touched leaves) instead of O(formula). Output is
+//! bit-for-bit identical with it switched off, so it is excluded from
+//! [`ComposeOptions::fingerprint`].
 //!
 //! On the conflict-heavy corpus (`biomodels_corpus::corpus_conflict`,
 //! where every push renames parameters and maps species so every cached
-//! key goes stale) the combined engine is ≳1.5x the serial
-//! full-recompute path (see `BENCH_pipeline.json`, regenerated by the
-//! `pipeline_conflict` binary and gated by `ci.sh`).
+//! key goes stale) the default engine is ≳1.5x the full-recompute path
+//! (see `BENCH_pipeline.json`, regenerated by the `pipeline_conflict`
+//! binary and gated by `ci.sh`). The Fig. 4 passes themselves always run
+//! in one serial order.
 //!
 //! # Zero-copy sessions: COW base adoption & the worker pool
 //!
 //! The serving workload — one hot base composed against a stream of
 //! small incoming models — is dominated by per-session *fixed* cost,
-//! not merge cost. Two further fingerprint-neutral knobs remove it:
+//! not merge cost. Two mechanisms remove it:
 //!
-//! * [`ComposeOptions::adopt_base`] (default on): a session created by
-//!   [`CompositionSession::with_shared_base`] adopts an
+//! * [`CompositionSession::with_shared_base`] adopts an
 //!   `Arc<`[`PreparedModel`]`>` **copy-on-write** — component lists,
 //!   per-kind indexes, the interned content-key cache and the
 //!   incremental initial-value store all start as shared references
@@ -204,22 +188,20 @@
 //!   and [`BatchComposer::all_pairs`] rides the same path across the
 //!   Fig. 8 grid. A failed guarded push on a still-shared session rolls
 //!   back by re-adopting the untouched base.
-//! * [`ComposeOptions::pool_threads`] (default `0` = host parallelism):
-//!   the merge-pass DAG and the within-push parallel key build run on a
-//!   persistent [`WorkerPool`] — parked threads owned by the session
-//!   (or shared by a [`BatchComposer`] batch / the `sbml-serve` daemon)
-//!   — instead of spawning fresh scoped threads on every push.
+//!   [`CompositionSession::with_prepared_base`] is the eager
+//!   clone-on-adopt engine.
+//! * the within-push parallel key build runs on a persistent
+//!   [`WorkerPool`] sized to the host — parked threads owned by the
+//!   session (or shared by a [`BatchComposer`] batch / the `sbml-serve`
+//!   daemon) — instead of spawning fresh scoped threads on every push.
 //!
-//! Both are execution details excluded from
-//! [`ComposeOptions::fingerprint`]: one [`PreparedModel`] serves eager
-//! and COW sessions alike, and the differential harness
-//! (`tests/cow_differential.rs` at the workspace root, driving the
-//! `compose_bench::oracle` module) holds COW-vs-clone sessions
-//! bit-identical — model, log, mappings, initial values — across
-//! semantics levels, knob ablations, worker counts 1..8 and every push
-//! entry point. `BENCH_fig8.json` records the per-pair fixed cost:
-//! clone-on-adopt grows linearly with base size, COW adoption stays
-//! flat (gated ≥ 1.5x by `ci.sh`).
+//! The differential harness (`tests/cow_differential.rs` at the
+//! workspace root, driving the `compose_bench::oracle` module) holds
+//! COW sessions bit-identical to the eager clone engine — model, log,
+//! mappings, initial values — across semantics levels, knob ablations,
+//! pool sizes 1..8 and every push entry point. `BENCH_fig8.json`
+//! records the per-pair fixed cost: clone-on-adopt grows linearly with
+//! base size, COW adoption stays flat (gated ≥ 1.5x by `ci.sh`).
 //!
 //! # Command-line interface
 //!
@@ -229,8 +211,7 @@
 //!
 //! ```text
 //! sbmlcompose compose a.xml b.xml c.xml -o merged.xml --log merge.log \
-//!             [--semantics heavy|light|none] [--index hash|btree|linear] \
-//!             [--pipeline on|off] [--pipeline-threads N]
+//!             [--semantics heavy|light|none] [--index hash|btree|linear]
 //! ```
 //!
 //! * two files run one [`Composer::compose`] pair;
@@ -243,10 +224,7 @@
 //!   ([`ComposeOptions::heavy`]/[`ComposeOptions::light`]/
 //!   [`ComposeOptions::none`]) and `--index` the lookup structure
 //!   ([`IndexKind`]);
-//! * `--pipeline on|off` toggles the merge-pass dependency-DAG pipeline
-//!   ([`ComposeOptions::merge_pipeline`]) and `--pipeline-threads N`
-//!   bounds its workers ([`ComposeOptions::pipeline_threads`]; `0` =
-//!   host parallelism) — output is identical in every configuration;
+//! * any other `--` argument is a usage error (exit 2);
 //! * `-o` writes the merged SBML (stdout otherwise), `--log` the
 //!   decision log (stderr otherwise);
 //! * `--deadline-ms N` / `--max-steps N` bound the run with a
@@ -263,22 +241,20 @@
 //! change *what* is computed, only how failure surfaces:
 //!
 //! * [`CompositionSession::push_guarded`] /
-//!   [`CompositionSession::push_prepared_guarded`] — contained pushes: a
-//!   panicking or budget-exhausted pipelined merge is retried once on
-//!   the serial reference path ([`PushOutcome`] records the
-//!   degradation); if that also fails the accumulator is rolled back to
-//!   its exact pre-push state and a structured [`ExecError`] is
-//!   returned.
+//!   [`CompositionSession::push_prepared_guarded`] — contained pushes:
+//!   the deadline is checked before each of the twelve merge passes, and
+//!   a panicking or budget-exhausted push rolls the accumulator back to
+//!   its exact pre-push state and returns a structured [`ExecError`].
 //! * [`BatchComposer::try_all_pairs`] /
 //!   [`BatchComposer::try_map_corpus`] — per-item containment: one
 //!   poisoned pair becomes one [`ItemOutcome::Failed`] entry in a
 //!   [`BatchReport`] while every surviving item completes bit-identical
 //!   to a fault-free run.
 //!
-//! Like the pipeline knobs, budgets are fingerprint-neutral execution
-//! details. The crate's `fault-injection` cargo feature (test-only)
-//! compiles [`guard::fail_point`] hooks into the pass/shard/query sites
-//! so the property suite can inject deterministic panics via
+//! Budgets are fingerprint-neutral execution details. The crate's
+//! `fault-injection` cargo feature (test-only) compiles
+//! [`guard::fail_point`] hooks into the pass/shard/query sites so the
+//! property suite can inject deterministic panics via
 //! `guard::injection::FailPlan`; without the feature the hooks are
 //! no-ops.
 
@@ -294,7 +270,6 @@ pub mod log;
 pub mod options;
 pub(crate) mod keyrename;
 pub(crate) mod passes;
-pub(crate) mod pipeline;
 pub mod pool;
 pub mod prepared;
 pub mod rename;
@@ -307,7 +282,7 @@ pub use composer::{
 };
 pub use pool::WorkerPool;
 pub use decompose::{extract_submodel, split_components};
-pub use guard::{BatchReport, Budget, ExecError, ItemOutcome, Meter, PushOutcome, Site};
+pub use guard::{BatchReport, Budget, ExecError, ItemOutcome, Meter, Site};
 pub use index::IndexKind;
 pub use initial_values::{IncrementalValues, InitialValues};
 pub use log::{EventKind, MergeEvent, MergeLog, MergeStats};

@@ -56,37 +56,13 @@ pub struct ComposeOptions {
     /// Keyed-component count (components that carry a canonical content
     /// or name key — everything except parameters and initial
     /// assignments) at or above which a *raw* (unprepared) pushed model
-    /// gets its keys computed on a scoped thread pool before the serial
+    /// gets its keys computed on the session's worker pool before the serial
     /// merge pass consumes them — the per-model analogue of
     /// [`crate::BatchComposer::prepare_corpus`]'s across-model fan-out
     /// (default: 256). Output never depends on this knob or on the thread
     /// count; `usize::MAX` disables the parallel path, `0` forces it for
     /// every non-empty push.
     pub parallel_push_threshold: usize,
-    /// Run the Fig. 4 merge passes of one push as a **dependency DAG** on a
-    /// small scoped-thread pipeline instead of strictly in sequence
-    /// (default: true). Each per-kind pass declares the mapping-table kinds
-    /// it reads and writes; passes whose dependencies are satisfied run
-    /// concurrently, with the push's mapping table split into per-kind
-    /// shards so writers never contend. The pipeline only engages when the
-    /// push's content keys were precomputed **and** the push has at least
-    /// [`ComposeOptions::parallel_push_threshold`] keyed components —
-    /// pushes below the threshold (prepared or raw) keep the plain serial
-    /// pass order, which they cannot lose from. Output is
-    /// bit-for-bit identical to the serial passes either way
-    /// (property-tested across thread counts), so this knob — like
-    /// [`ComposeOptions::pipeline_threads`] — is an *execution detail*
-    /// deliberately excluded from [`ComposeOptions::fingerprint`].
-    pub merge_pipeline: bool,
-    /// Worker threads for the merge-pass pipeline; `0` (the default) uses
-    /// the host's available parallelism. The value is an **upper bound**
-    /// — a push's workers are CPU-bound, so the resolved count is capped
-    /// at the host parallelism (oversubscribing adds context-switch churn
-    /// and can never overlap work). An explicit value engages the
-    /// dependency-DAG executor even when the cap resolves to one worker;
-    /// the automatic `0` keeps single-core hosts on the plain serial pass
-    /// order. Never affects output.
-    pub pipeline_threads: usize,
     /// Revalidate cached content keys by **incremental renaming** when a
     /// push's ID mappings touch a component's references (default: true,
     /// heavy semantics only). Instead of re-canonicalising the whole
@@ -100,30 +76,6 @@ pub struct ComposeOptions {
     /// full-recompute ablation the `pipeline_conflict` bench measures
     /// against.
     pub incremental_key_rename: bool,
-    /// Adopt an `Arc`-shared prepared base **copy-on-write** (default:
-    /// true): [`crate::session::CompositionSession::with_shared_base`]
-    /// and [`crate::Composer::compose_shared`] then start with no owned
-    /// copy of the base — component lists, per-kind indexes, the interned
-    /// key cache and the initial-value store stay shared with the
-    /// [`crate::PreparedModel`] until a push actually appends something,
-    /// so a Duplicate-only composition never clones the base at all.
-    /// Turning this off makes the shared entry points fall back to the
-    /// eager clone-on-adopt path (the differential harness's oracle
-    /// engine). Output is bit-for-bit identical either way
-    /// (property-tested), so this knob — like the pipeline knobs — is an
-    /// execution detail excluded from [`ComposeOptions::fingerprint`].
-    pub adopt_base: bool,
-    /// Size of the session-lifetime [`crate::WorkerPool`] that replaces
-    /// per-push scoped thread spawns in the merge-pass pipeline and the
-    /// within-push key fan-out; `0` (the default) sizes it to the host's
-    /// available parallelism. A session creates its pool lazily on the
-    /// first push that goes parallel and parks it between pushes;
-    /// [`crate::BatchComposer`] and the `sbml-serve` daemon inject one
-    /// shared batch-lifetime pool instead so hot serving reuses warm
-    /// workers. `1` means no background workers (all lanes run on the
-    /// calling thread). Never affects output, hence
-    /// fingerprint-neutral.
-    pub pool_threads: usize,
 }
 
 impl Default for ComposeOptions {
@@ -137,11 +89,7 @@ impl Default for ComposeOptions {
             collect_initial_values: true,
             incremental_initial_values: true,
             parallel_push_threshold: 256,
-            merge_pipeline: true,
-            pipeline_threads: 0,
             incremental_key_rename: true,
-            adopt_base: true,
-            pool_threads: 0,
         }
     }
 }
@@ -227,43 +175,11 @@ impl ComposeOptions {
         self
     }
 
-    /// Builder: toggle the merge-pass pipeline (serial Fig. 4 order when
-    /// off — the pipeline ablation).
-    #[must_use]
-    pub fn with_merge_pipeline(mut self, on: bool) -> ComposeOptions {
-        self.merge_pipeline = on;
-        self
-    }
-
-    /// Builder: set the pipeline worker count (`0` = host parallelism,
-    /// `1` = serial).
-    #[must_use]
-    pub fn with_pipeline_threads(mut self, threads: usize) -> ComposeOptions {
-        self.pipeline_threads = threads;
-        self
-    }
-
     /// Builder: toggle incremental cached-key renaming (the
     /// full-recompute ablation when off).
     #[must_use]
     pub fn with_incremental_key_rename(mut self, on: bool) -> ComposeOptions {
         self.incremental_key_rename = on;
-        self
-    }
-
-    /// Builder: toggle copy-on-write base adoption (eager clone-on-adopt
-    /// when off — the differential harness's oracle engine).
-    #[must_use]
-    pub fn with_adopt_base(mut self, on: bool) -> ComposeOptions {
-        self.adopt_base = on;
-        self
-    }
-
-    /// Builder: set the session worker-pool size (`0` = host
-    /// parallelism, `1` = no background workers).
-    #[must_use]
-    pub fn with_pool_threads(mut self, threads: usize) -> ComposeOptions {
-        self.pool_threads = threads;
         self
     }
 
@@ -273,11 +189,10 @@ impl ComposeOptions {
     /// different fingerprint is rejected, since the cached analysis would
     /// silently diverge from what the raw path computes.
     ///
-    /// [`ComposeOptions::merge_pipeline`] and
-    /// [`ComposeOptions::pipeline_threads`] are deliberately **not** part
-    /// of the fingerprint: pipeline scheduling is an execution detail with
-    /// property-tested bit-for-bit identical output, so a preparation built
-    /// under one pipeline setting stays valid under any other.
+    /// [`ComposeOptions::incremental_key_rename`] is deliberately **not**
+    /// part of the fingerprint: it is an execution detail with
+    /// property-tested bit-for-bit identical keys, so a preparation built
+    /// under one setting stays valid under the other.
     pub fn fingerprint(&self) -> OptionsFingerprint {
         OptionsFingerprint {
             semantics: self.semantics,
@@ -433,56 +348,30 @@ mod tests {
             heavy.stable_hash(),
             ComposeOptions::default().with_pattern_cache(false).fingerprint().stable_hash()
         );
-        // Pipeline knobs are fingerprint-neutral, hence digest-neutral.
+        // The key-rename knob is fingerprint-neutral, hence digest-neutral.
         assert_eq!(
             heavy.stable_hash(),
-            ComposeOptions::default().with_merge_pipeline(false).fingerprint().stable_hash()
+            ComposeOptions::default().with_incremental_key_rename(false).fingerprint().stable_hash()
         );
     }
 
     #[test]
-    fn pipeline_knobs_do_not_change_the_fingerprint() {
-        // Regression: the merge-pass pipeline is an execution detail — a
-        // PreparedModel built under one pipeline setting must be accepted
-        // under any other, so these knobs stay out of the fingerprint.
-        let base = ComposeOptions::default();
+    fn stable_hashes_of_the_presets_are_pinned() {
+        // Snapshot headers record these digests; a change here makes every
+        // previously written snapshot unloadable.
+        assert_eq!(ComposeOptions::heavy().fingerprint().stable_hash(), 0xccaa_fa17_90d4_addd);
+        assert_eq!(ComposeOptions::light().fingerprint().stable_hash(), 0xa641_b933_b30e_d6b0);
+        assert_eq!(ComposeOptions::none().fingerprint().stable_hash(), 0xa594_8849_8209_a5b5);
+    }
+
+    #[test]
+    fn key_rename_knob_does_not_change_the_fingerprint() {
+        // Regression: incremental key renaming is an execution detail — a
+        // PreparedModel built under either setting must be accepted under
+        // the other, so the knob stays out of the fingerprint.
         assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_merge_pipeline(false).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_pipeline_threads(4).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default()
-                .with_merge_pipeline(false)
-                .with_pipeline_threads(1)
-                .fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
+            ComposeOptions::default().fingerprint(),
             ComposeOptions::default().with_incremental_key_rename(false).fingerprint()
-        );
-        // The zero-copy knobs are execution details too: a preparation
-        // built under either engine or any pool size stays valid — and
-        // digest-equal — under every other.
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_adopt_base(false).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint(),
-            ComposeOptions::default().with_pool_threads(3).fingerprint()
-        );
-        assert_eq!(
-            base.fingerprint().stable_hash(),
-            ComposeOptions::default()
-                .with_adopt_base(false)
-                .with_pool_threads(1)
-                .fingerprint()
-                .stable_hash()
         );
     }
 }

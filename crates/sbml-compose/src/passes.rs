@@ -1,48 +1,19 @@
 //! The Fig. 4 merge passes as standalone functions over *split* state.
 //!
-//! Historically each pass was a method on [`crate::session::CompositionSession`],
-//! reading and writing the session's fields directly — which pinned the
-//! twelve-pass pipeline to strictly serial execution. This module is the
-//! restructuring that unpins it: every pass is a function over
+//! Every pass is a function over
 //!
 //! * a [`PassEnv`] — the cross-cutting state a pass touches (options, the
-//!   in-flight ID mappings, the taken-id registry, the merge log, the two
-//!   sides' evaluated initial values), each behind an enum that is either
-//!   the session's single shared instance (serial path) or a per-pass
-//!   shard/view (pipelined path, see [`crate::pipeline`]);
+//!   push's in-flight ID mappings, the taken-id registry, the merge log,
+//!   the two sides' evaluated initial values);
 //! * a per-kind `*Mut` view bundling exactly the component list, indexes,
 //!   delta indexes and cached keys that pass owns;
 //! * read-only views of the at-most-two other kinds a pass consults
 //!   ([`UnitsRead`] for unit resolution in conflict checks,
 //!   [`CompartmentsRead`] for the species amount/concentration bridge).
 //!
-//! The serial path wires every pass to the same underlying state the old
-//! methods used, so behaviour is unchanged; the pipelined path hands each
-//! pass its own shard and a view of completed upstream shards. Both paths
-//! run *this* code — there is one implementation of the paper's merge.
-//!
-//! What each pass reads and writes (the contract the
-//! [`crate::pipeline`] scheduler's dependency DAG is built from):
-//!
-//! | pass | mapping shards read | shard written | other state read |
-//! |---|---|---|---|
-//! | functions | own | functions | — |
-//! | units | — | units | — |
-//! | compartmentTypes | — | compartmentTypes | — |
-//! | speciesTypes | — | speciesTypes | — |
-//! | compartments | upstream* + own | compartments | units |
-//! | species | upstream* + own | species | units, compartments |
-//! | parameters | upstream* + own | parameters | units |
-//! | initialAssignments | upstream* + own | — | — |
-//! | rules | upstream* + own | — | — |
-//! | constraints | upstream* + own | — | — |
-//! | reactions | upstream* + own | reactions | units |
-//! | events | upstream* + own | events | — |
-//!
-//! \* "upstream" is the *declared* superset; per push the scheduler narrows
-//! it to the shards whose **sources** (incoming ids of that kind) intersect
-//! the pass's **lookups** (ids it feeds to the mapping table), which is
-//! what makes the DAG wide in practice.
+//! [`crate::session::CompositionSession`] runs the twelve passes in
+//! Fig. 4 order over its own state; the split keeps each pass's reads and
+//! writes explicit in its signature.
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -81,10 +52,6 @@ pub(crate) struct Incoming<'m> {
     pub(crate) keys: Option<&'m IncomingKeys>,
     pub(crate) idx: Option<&'m Indexes>,
     pub(crate) ivs: Option<&'m Arc<InitialValues>>,
-    /// Cached pipeline plan slot of a prepared model (the plan is a pure
-    /// function of the incoming side, so it is computed at most once per
-    /// preparation).
-    pub(crate) plan: Option<&'m std::sync::OnceLock<crate::pipeline::Plan>>,
 }
 
 impl<'m> Incoming<'m> {
@@ -94,7 +61,7 @@ impl<'m> Incoming<'m> {
     /// cached while the referenced ids are unmapped and recomputed
     /// otherwise.
     pub(crate) fn raw_with_keys(model: &'m Model, keys: Option<&'m IncomingKeys>) -> Incoming<'m> {
-        Incoming { model, keys, idx: None, ivs: None, plan: None }
+        Incoming { model, keys, idx: None, ivs: None }
     }
 
     pub(crate) fn prepared(p: &'m PreparedModel) -> Incoming<'m> {
@@ -103,7 +70,6 @@ impl<'m> Incoming<'m> {
             keys: Some(&p.incoming),
             idx: Some(&p.analysis().idx),
             ivs: Some(&p.initial_values),
-            plan: Some(&p.plan),
         }
     }
 
@@ -171,57 +137,21 @@ impl PrefixMask {
     pub(crate) fn clear(&mut self) {
         self.0 = [0; 4];
     }
-
-    pub(crate) fn of_tables<'a>(tables: impl Iterator<Item = &'a MappingTable>) -> PrefixMask {
-        let mut mask = PrefixMask::default();
-        for t in tables {
-            for key in t.keys() {
-                mask.insert(key);
-            }
-        }
-        mask
-    }
 }
 
-/// The in-flight ID mapping state a pass runs over: the session's single
-/// per-push table (serial), or this pass's own shard plus read-only views
-/// of the upstream shards its dependencies produced (pipelined). Upstream
-/// shards are ordered **latest pass first**, so a source id written by two
-/// upstream passes resolves to the later write — exactly the overwrite the
-/// single table would have seen at this pass's position in serial order.
-/// Both variants carry a [`PrefixMask`] over their sources.
-pub(crate) enum MapStore<'a> {
-    Single { table: &'a mut MappingTable, mask: &'a mut PrefixMask },
-    Sharded { own: &'a mut MappingTable, upstream: Vec<&'a MappingTable>, mask: PrefixMask },
+/// The in-flight ID mapping state a pass runs over: the session's
+/// per-push table plus the [`PrefixMask`] over its sources.
+pub(crate) struct MapStore<'a> {
+    pub(crate) table: &'a mut MappingTable,
+    pub(crate) mask: &'a mut PrefixMask,
 }
 
 impl MapStore<'_> {
     pub(crate) fn get(&self, id: &str) -> Option<&str> {
-        match self {
-            MapStore::Single { table, mask } => {
-                if !mask.may_contain(id) {
-                    return None;
-                }
-                table.get(id).map(String::as_str)
-            }
-            MapStore::Sharded { own, upstream, mask } => {
-                if !mask.may_contain(id) {
-                    return None;
-                }
-                // Empty-table guards: a pass whose kind writes no
-                // mappings probes its own shard for every identifier of
-                // every formula — skip the hash when there is nothing.
-                if !own.is_empty() {
-                    if let Some(hit) = own.get(id) {
-                        return Some(hit);
-                    }
-                }
-                upstream
-                    .iter()
-                    .filter(|s| !s.is_empty())
-                    .find_map(|s| s.get(id).map(String::as_str))
-            }
+        if !self.mask.may_contain(id) {
+            return None;
         }
+        self.table.get(id).map(String::as_str)
     }
 
     pub(crate) fn contains(&self, id: &str) -> bool {
@@ -229,28 +159,15 @@ impl MapStore<'_> {
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        match self {
-            MapStore::Single { table, .. } => table.is_empty(),
-            MapStore::Sharded { own, upstream, .. } => {
-                own.is_empty() && upstream.iter().all(|s| s.is_empty())
-            }
-        }
+        self.table.is_empty()
     }
 
     fn add(&mut self, from: String, to: String) {
         if from == to {
             return;
         }
-        match self {
-            MapStore::Single { table, mask } => {
-                mask.insert(&from);
-                table.insert(from, to);
-            }
-            MapStore::Sharded { own, mask, .. } => {
-                mask.insert(&from);
-                own.insert(from, to);
-            }
-        }
+        self.mask.insert(&from);
+        self.table.insert(from, to);
     }
 }
 
@@ -265,9 +182,8 @@ impl Resolver for MapStore<'_> {
 }
 
 /// A mapping view with a set of ids hidden — kinetic-law local parameters
-/// shadow the global mapping table inside their law. (The serial engine
-/// used to remove/restore the entries; an overlay needs no mutation and
-/// works over sharded views whose upstream entries cannot be removed.)
+/// shadow the global mapping table inside their law. (An overlay needs no
+/// remove/restore of the table's entries.)
 struct HideIds<'a, 'b> {
     inner: &'a MapStore<'b>,
     hidden: &'a [&'a str],
@@ -293,8 +209,8 @@ impl Resolver for HideIds<'_, '_> {
 /// prepared base a refcount bump instead of a clone of every id string.
 #[derive(Debug, Clone)]
 pub(crate) struct IdRegistry {
-    pub(crate) base: Arc<FastSet<String>>,
-    pub(crate) added: FastSet<String>,
+    base: Arc<FastSet<String>>,
+    added: FastSet<String>,
 }
 
 impl IdRegistry {
@@ -321,41 +237,6 @@ impl IdRegistry {
     /// nothing.
     pub(crate) fn has_additions(&self) -> bool {
         !self.added.is_empty()
-    }
-}
-
-/// The taken-id state a pass probes and extends: the session registry
-/// (serial), or the shared pre-push registry plus the additions of the
-/// passes in this pass's dependency closure plus an own additions set
-/// (pipelined). Passes outside the closure are guaranteed (by the
-/// root-family analysis in [`crate::pipeline`]) never to add an id this
-/// pass could probe, so hiding their additions cannot change an answer.
-pub(crate) enum TakenStore<'a> {
-    Single(&'a mut IdRegistry),
-    Sharded {
-        base: &'a IdRegistry,
-        visible: Vec<&'a FastSet<String>>,
-        own: &'a mut FastSet<String>,
-    },
-}
-
-impl TakenStore<'_> {
-    fn contains(&self, id: &str) -> bool {
-        match self {
-            TakenStore::Single(reg) => reg.contains(id),
-            TakenStore::Sharded { base, visible, own } => {
-                base.contains(id) || own.contains(id) || visible.iter().any(|s| s.contains(id))
-            }
-        }
-    }
-
-    fn insert(&mut self, id: String) {
-        match self {
-            TakenStore::Single(reg) => reg.insert(id),
-            TakenStore::Sharded { own, .. } => {
-                own.insert(id);
-            }
-        }
     }
 }
 
@@ -510,7 +391,7 @@ pub(crate) struct EventsMut<'a> {
 pub(crate) struct PassEnv<'a> {
     pub(crate) options: &'a ComposeOptions,
     pub(crate) maps: MapStore<'a>,
-    pub(crate) taken: TakenStore<'a>,
+    pub(crate) taken: &'a mut IdRegistry,
     pub(crate) log: &'a mut MergeLog,
     pub(crate) iv_a: IvA<'a>,
     pub(crate) iv_b: &'a InitialValues,
@@ -1640,9 +1521,7 @@ pub(crate) fn reactions(
             }
             if let Some(kl) = &mut nr.kinetic_law {
                 // The law's local parameters shadow the mapping table:
-                // rename through an overlay that hides them (the serial
-                // engine used to remove/restore table entries, which a
-                // sharded view cannot do — the overlay is equivalent).
+                // rename through an overlay that hides them.
                 if !env.maps.is_empty() {
                     let locals: Vec<&str> =
                         kl.parameters.iter().map(|p| p.id.as_str()).collect();

@@ -1,8 +1,7 @@
 //! A session-/batch-lifetime worker pool for the compose fan-outs.
 //!
-//! Every parallel stage in the engine — the merge-pass pipeline's DAG
-//! workers (the `pipeline` module), within-push content-key computation
-//! ([`crate::prepared`]), and the corpus stripes of
+//! Every parallel stage in the engine — within-push content-key
+//! computation ([`crate::prepared`]) and the corpus stripes of
 //! [`crate::BatchComposer`] — used to spawn fresh scoped threads per
 //! call. That is fine for one composition and ruinous for the Fig. 8
 //! serving shape (thousands of small pushes against one hot base), where
@@ -201,7 +200,13 @@ impl WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        // Set the flag under the queue lock: a worker checks it and parks
+        // while holding that lock, so the wake-up below cannot fall
+        // between its check and its wait.
+        {
+            let _queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.shutdown.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
@@ -381,5 +386,24 @@ mod tests {
             pool.run_scoped(|| {}, tasks);
         }
         assert_eq!(hits.load(Ordering::SeqCst), 200);
+    }
+
+    #[test]
+    fn dropping_a_fresh_pool_never_strands_a_worker() {
+        // A worker that has just checked `shutdown` but not yet parked
+        // must still see the drop's wake-up, or `join` blocks forever.
+        // Build and drop pools back to back, racing spawn against drop,
+        // on a watchdog so a lost wake-up fails instead of hanging.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..2000 {
+                drop(WorkerPool::new(4));
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(std::time::Duration::from_secs(120)).is_ok(),
+            "a pool drop hung joining a parked worker"
+        );
     }
 }

@@ -293,7 +293,7 @@ pub fn model_content_keys(model: &Model, options: &ComposeOptions) -> Vec<String
 /// binary encoding of exactly this struct per corpus model.
 ///
 /// Everything *not* here — the taken-id set, the per-kind lookup indexes,
-/// the key cache, the free-reference sets, the pipeline plan — is cheap
+/// the key cache, the free-reference sets — is cheap
 /// derived state that the preparation rebuilds on demand from these parts,
 /// with no canonicalisation, synonym closure or math evaluation. (The
 /// reference sets in particular are a pure function of the model, so
@@ -760,10 +760,6 @@ pub struct PreparedModel {
     analysis_config: AnalysisConfig,
     pub(crate) incoming: IncomingKeys,
     pub(crate) initial_values: Arc<InitialValues>,
-    /// Lazily-computed merge-pipeline plan (see [`crate::pipeline`]) — a
-    /// pure function of this model's ids and reference sets, shared (via
-    /// `Arc`) across clones and filled on the first pipelined push.
-    pub(crate) plan: Arc<std::sync::OnceLock<crate::pipeline::Plan>>,
 }
 
 /// The slice of [`ComposeOptions`] that shapes a [`ModelAnalysis`] built
@@ -816,7 +812,6 @@ impl PreparedModel {
             analysis_config: AnalysisConfig::of(options),
             incoming,
             initial_values,
-            plan: Arc::new(std::sync::OnceLock::new()),
         }
     }
 
@@ -982,7 +977,6 @@ impl PreparedModel {
             analysis_config: AnalysisConfig::of(options),
             incoming,
             initial_values,
-            plan: Arc::new(std::sync::OnceLock::new()),
         })
     }
 }

@@ -31,12 +31,6 @@
 //!   with per-job **size-weighted chunking** so one giant kinetic law
 //!   cannot serialise a chunk; below the threshold, keys are computed
 //!   inline as before,
-//! * **pipelined merge passes** — with [`ComposeOptions::merge_pipeline`]
-//!   (default on) the Fig. 4 passes of one push execute as a
-//!   **dependency DAG** on a scoped-thread scheduler (the crate-internal
-//!   `pipeline` module): per-kind mapping shards, taken-id family
-//!   analysis and fixed cross-kind data edges decide which passes may
-//!   overlap; output is bit-for-bit identical to the serial pass order,
 //! * **incremental mapped-key renaming** — with
 //!   [`ComposeOptions::incremental_key_rename`] (default on, heavy
 //!   semantics) a cached content key whose referenced ids were remapped
@@ -50,23 +44,22 @@
 //! A push runs the paper's Fig. 4 pipeline over the incoming model `b`
 //! against the accumulator `A` (sizes `|b|`, `|A|`):
 //!
-//! | phase | work | serial cost | pipelined |
-//! |---|---|---|---|
-//! | per-push reset | clear mapping table + delta indexes | O(1) amortised | same |
-//! | initial values | incremental store lookup (seeded once) | O(1) per push (O(&#124;A&#124;) once); O(&#124;A&#124;) per push with the store ablated | same |
-//! | incoming keys | serial inline, or precomputed on the pool at/above the threshold (size-weighted chunks) | O(&#124;b&#124;) work, ÷ cores wall-clock when parallel | same |
-//! | merge passes | functions → units → compartment/species types → compartments → species → parameters → initial assignments → rules → constraints → reactions → events; each component is an O(1) expected index probe (by id, then by content/name) plus a conflict check; stale cached keys revalidated by incremental rename (O(touched leaves)) instead of re-canonicalisation (O(formula)) | O(&#124;b&#124;) | independent passes overlap on the scheduler — wall-clock ≈ critical path of the per-push dependency DAG, ÷ min(workers, DAG width) |
-//! | finish | fold per-pass logs/shards in Fig. 4 order (pipelined only), fold delta indexes under canonical merged-side keys, extend the key cache and the value store with the push's additions | O(additions) | same |
+//! | phase | work | cost |
+//! |---|---|---|
+//! | per-push reset | clear mapping table + delta indexes | O(1) amortised |
+//! | initial values | incremental store lookup (seeded once) | O(1) per push (O(&#124;A&#124;) once); O(&#124;A&#124;) per push with the store ablated |
+//! | incoming keys | serial inline, or precomputed on the pool at/above the threshold (size-weighted chunks) | O(&#124;b&#124;) work, ÷ cores wall-clock when parallel |
+//! | merge passes | functions → units → compartment/species types → compartments → species → parameters → initial assignments → rules → constraints → reactions → events, in that order; each component is an O(1) expected index probe (by id, then by content/name) plus a conflict check; stale cached keys revalidated by incremental rename (O(touched leaves)) instead of re-canonicalisation (O(formula)) | O(&#124;b&#124;) |
+//! | finish | fold delta indexes under canonical merged-side keys, extend the key cache and the value store with the push's additions | O(additions) |
 //!
 //! Nothing in a push scales with `|A|` (the two O(n)-per-push costs the
 //! ROADMAP listed — whole-accumulator value re-collection and serial key
 //! computation — were removed by the incremental store and the parallel
 //! key path respectively), so an n-model chain is O(total components)
-//! plus index-probe constants, not O(n²). The remaining *serial* per-pair
-//! costs — strictly ordered merge passes and O(formula) recomputation of
-//! mapped keys — are what the pipeline and the incremental rename remove;
-//! `BENCH_pipeline.json` (gated ≥ 1.5x by `ci.sh`) tracks their combined
-//! win on the conflict-heavy corpus.
+//! plus index-probe constants, not O(n²). The O(formula) recomputation of
+//! mapped keys is what the incremental rename removes;
+//! `BENCH_pipeline.json` (gated ≥ 1.5x by `ci.sh`) tracks its win on the
+//! conflict-heavy corpus.
 //!
 //! The output is bit-for-bit identical to a left fold of pairwise
 //! [`Composer::compose`] calls — `tests/properties.rs` proves model, log
@@ -81,7 +74,6 @@
 //!
 //! [`Composer::compose`]: crate::composer::Composer::compose
 //! [`ComposeOptions::parallel_push_threshold`]: crate::options::ComposeOptions::parallel_push_threshold
-//! [`ComposeOptions::merge_pipeline`]: crate::options::ComposeOptions::merge_pipeline
 //! [`ComposeOptions::incremental_key_rename`]: crate::options::ComposeOptions::incremental_key_rename
 
 use std::collections::HashMap;
@@ -92,7 +84,7 @@ use sbml_model::Model;
 use crate::composer::{ComposeResult, SharedComposeResult, SharedModel};
 use crate::cow::{Accum, CowState};
 use crate::equality::{self, MappingTable, NoMap};
-use crate::guard::{self, ExecError, Meter, PushOutcome, Site};
+use crate::guard::{self, ExecError, Meter, Site};
 use crate::index::ComponentIndex;
 use crate::initial_values::{collect, IncrementalValues, InitialValues, ValueDelta};
 use crate::log::MergeLog;
@@ -101,10 +93,8 @@ use crate::pool::WorkerPool;
 use crate::passes::{
     self, AssignmentsMut, CompartmentTypesMut, CompartmentsMut, CompartmentsRead, ConstraintsMut,
     EventsMut, FunctionsMut, IdRegistry, Incoming, IvA, MapStore, ParametersMut, PassEnv,
-    PrefixMask, ReactionsMut, RulesMut, SpeciesMut, SpeciesTypesMut, TakenStore, UnitsMut,
-    UnitsRead,
+    PrefixMask, ReactionsMut, RulesMut, SpeciesMut, SpeciesTypesMut, UnitsMut, UnitsRead,
 };
-use crate::pipeline;
 use crate::prepared::{IncomingKeys, Indexes, KeyCache, ModelAnalysis, PreparedModel};
 
 /// Per-push staging indexes for components added during the current push,
@@ -155,7 +145,7 @@ impl DeltaIndexes {
 /// Keyed-component count of a model: the components that carry a canonical
 /// content or name key (everything except parameters and initial
 /// assignments). This is what [`ComposeOptions::parallel_push_threshold`]
-/// gates — both the within-push key fan-out and the merge-pass pipeline.
+/// gates: the within-push key fan-out.
 ///
 /// [`ComposeOptions::parallel_push_threshold`]: crate::options::ComposeOptions::parallel_push_threshold
 pub(crate) fn keyed_components(model: &Model) -> usize {
@@ -229,9 +219,7 @@ impl PushStart {
 pub struct CompositionSession<'o> {
     pub(crate) options: &'o ComposeOptions,
     /// The current push's ID mappings (second-model id → merged id) —
-    /// cleared per push, drained into `mappings` at push end. On the
-    /// pipelined path the passes write per-kind shards that are folded in
-    /// here in pass order before `finish_push`.
+    /// cleared per push, drained into `mappings` at push end.
     pub(crate) push_maps: MappingTable,
     /// First-byte index over `push_maps` sources (see
     /// [`PrefixMask`]); cleared with it per push.
@@ -242,13 +230,12 @@ pub struct CompositionSession<'o> {
     /// The adopted COW base, kept (sticky) so a failed push that
     /// materialised mid-pass can roll all the way back to the fully
     /// shared state. `Some` only for sessions created through
-    /// [`CompositionSession::with_shared_base`] with
-    /// [`ComposeOptions::adopt_base`] on.
+    /// [`CompositionSession::with_shared_base`].
     base: Option<Arc<PreparedModel>>,
-    /// Session-lifetime worker pool backing the merge-pass pipeline and
-    /// the within-push key fan-out; created lazily on the first parallel
-    /// push ([`ComposeOptions::pool_threads`] sizes it) or injected by
-    /// [`CompositionSession::set_pool`] for batch-/daemon-lifetime reuse.
+    /// Session-lifetime worker pool backing the within-push key fan-out;
+    /// created lazily (sized to the host) on the first parallel push or
+    /// injected by [`CompositionSession::set_pool`] for
+    /// batch-/daemon-lifetime reuse.
     pool: Option<Arc<WorkerPool>>,
     pub(crate) log: MergeLog,
     pub(crate) mappings: HashMap<String, String>,
@@ -322,19 +309,18 @@ impl<'o> CompositionSession<'o> {
         session
     }
 
-    /// A session whose accumulator *is* `base`, adopted by reference: with
-    /// [`ComposeOptions::adopt_base`] on (the default) nothing is cloned —
-    /// component lists, indexes, key cache and evaluated initial values
-    /// all stay shared with the `Arc` until a push actually mutates the
-    /// accumulator (see the `cow` module). A composition whose every
-    /// incoming component matches the base (Duplicate-only) finishes with
-    /// the base still fully shared; [`CompositionSession::finish_shared`]
-    /// then hands the `Arc` back instead of a copy.
+    /// A session whose accumulator *is* `base`, adopted by reference:
+    /// nothing is cloned — component lists, indexes, key cache and
+    /// evaluated initial values all stay shared with the `Arc` until a push
+    /// actually mutates the accumulator (see the `cow` module). A
+    /// composition whose every incoming component matches the base
+    /// (Duplicate-only) finishes with the base still fully shared;
+    /// [`CompositionSession::finish_shared`] then hands the `Arc` back
+    /// instead of a copy.
     ///
-    /// With `adopt_base` off this falls back to the eager clone of
-    /// [`CompositionSession::with_prepared_base`] — the oracle engine the
-    /// differential tests compare against. Output is bit-for-bit
-    /// identical either way.
+    /// Output is bit-for-bit identical to the eager clone of
+    /// [`CompositionSession::with_prepared_base`], which the differential
+    /// tests use as their reference engine.
     ///
     /// Panics if `base` was prepared under options with a different
     /// [fingerprint](ComposeOptions::fingerprint).
@@ -344,16 +330,11 @@ impl<'o> CompositionSession<'o> {
     ) -> CompositionSession<'o> {
         base.check_options(options);
         let mut session = CompositionSession::new(options);
-        if options.adopt_base {
-            session.taken.reset(Arc::clone(&base.analysis().taken));
-            session.base_ivs =
-                options.collect_initial_values.then(|| Arc::clone(&base.initial_values));
-            session.incremental = None;
-            session.base = Some(Arc::clone(&base));
-            session.accum = Accum::Shared(base);
-        } else {
-            session.adopt_prepared(&base);
-        }
+        session.taken.reset(Arc::clone(&base.analysis().taken));
+        session.base_ivs =
+            options.collect_initial_values.then(|| Arc::clone(&base.initial_values));
+        session.base = Some(Arc::clone(&base));
+        session.accum = Accum::Shared(base);
         session
     }
 
@@ -370,9 +351,8 @@ impl<'o> CompositionSession<'o> {
     }
 
     /// Install a caller-owned worker pool for this session's parallel
-    /// work (merge-pass pipeline, within-push key fan-out). Without one
-    /// the session lazily creates its own, sized by
-    /// [`ComposeOptions::pool_threads`]; batch and daemon callers inject
+    /// work (the within-push key fan-out). Without one the session lazily
+    /// creates its own, sized to the host; batch and daemon callers inject
     /// a shared pool here so hot paths reuse warm, parked workers instead
     /// of spawning per push.
     pub fn set_pool(&mut self, pool: Arc<WorkerPool>) {
@@ -385,16 +365,9 @@ impl<'o> CompositionSession<'o> {
         self
     }
 
-    /// The session's pool, creating it on first use. Sized by
-    /// [`ComposeOptions::pool_threads`] (`0` = host parallelism).
-    pub(crate) fn ensure_pool(&mut self) -> Arc<WorkerPool> {
-        if self.pool.is_none() {
-            self.pool = Some(Arc::new(match self.options.pool_threads {
-                0 => WorkerPool::for_host(),
-                n => WorkerPool::new(n),
-            }));
-        }
-        Arc::clone(self.pool.as_ref().expect("pool installed above"))
+    /// The session's pool, creating it (sized to the host) on first use.
+    fn ensure_pool(&mut self) -> Arc<WorkerPool> {
+        Arc::clone(self.pool.get_or_insert_with(|| Arc::new(WorkerPool::for_host())))
     }
 
     /// The cumulative merge log across all pushes.
@@ -515,18 +488,14 @@ impl<'o> CompositionSession<'o> {
     /// [`CompositionSession::push`] with fault containment and budget
     /// governance (see [`crate::guard`]). `meter` is charged one step per
     /// incoming component *before* the accumulator is touched, so an
-    /// exhausted budget fails the push cleanly; a fault inside the merge
-    /// walks the degradation ladder — pipelined attempt, one serial
-    /// retry, rollback — and `Err` guarantees the accumulator, log and
-    /// mappings are exactly their pre-push state.
+    /// exhausted budget fails the push cleanly, and its deadline is
+    /// checked before each of the twelve merge passes. A deadline overrun
+    /// or a panic inside a pass rolls the push back: `Err` guarantees the
+    /// accumulator, log and mappings are exactly their pre-push state.
     ///
     /// Output on success is bit-for-bit identical to
-    /// [`CompositionSession::push`] on the same model, degraded or not.
-    pub fn push_guarded(
-        &mut self,
-        b: &Model,
-        meter: Option<&Meter>,
-    ) -> Result<PushOutcome, ExecError> {
+    /// [`CompositionSession::push`] on the same model.
+    pub fn push_guarded(&mut self, b: &Model, meter: Option<&Meter>) -> Result<(), ExecError> {
         if let Some(m) = meter {
             m.charge(b.component_count() as u64, Site::Push(self.pushes))?;
         }
@@ -534,10 +503,10 @@ impl<'o> CompositionSession<'o> {
         if self.accum.model().is_empty() {
             self.accum = Accum::Owned(b.clone());
             self.reindex();
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
         if b.is_empty() {
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
         let keys = self.precomputed_push_keys(b);
         self.merge_model_guarded(&Incoming::raw_with_keys(b, keys.as_ref()), meter)
@@ -553,7 +522,7 @@ impl<'o> CompositionSession<'o> {
         &mut self,
         p: &PreparedModel,
         meter: Option<&Meter>,
-    ) -> Result<PushOutcome, ExecError> {
+    ) -> Result<(), ExecError> {
         p.check_options(self.options());
         if let Some(m) = meter {
             m.charge(p.model().component_count() as u64, Site::Push(self.pushes))?;
@@ -561,10 +530,10 @@ impl<'o> CompositionSession<'o> {
         self.pushes += 1;
         if self.accum.model().is_empty() {
             self.adopt_prepared(p);
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
         if p.model().is_empty() {
-            return Ok(PushOutcome::clean());
+            return Ok(());
         }
         self.merge_model_guarded(&Incoming::prepared(p), meter)
     }
@@ -681,34 +650,18 @@ impl<'o> CompositionSession<'o> {
     /// `final_push`, skip the end-of-push index and key-cache maintenance
     /// that only a subsequent push would consume (the merged model, log
     /// and mappings are unaffected) — used by the one-shot entry points.
+    /// A pass panic propagates, as it always has;
+    /// [`CompositionSession::push_guarded`] is the containing variant.
     fn merge_model(&mut self, inc: &Incoming<'_>, final_push: bool) {
         let start = self.begin_push(inc);
-
-        // The Fig. 4 passes: as a dependency-DAG pipeline on scoped worker
-        // threads when the knobs and the push shape allow it, else in
-        // strict serial order. Output is bit-for-bit identical either way
-        // (property-tested across thread counts).
-        match self.pipeline_workers(inc) {
-            Some(workers) => {
-                let pool = self.ensure_pool();
-                if let Err(fault) = pipeline::run(self, inc, workers, &pool, None) {
-                    // Unguarded entry point: keep the historical contract
-                    // (a pass panic aborts the push) rather than silently
-                    // degrading. push_guarded is the containing variant.
-                    panic!("a merge pass panicked: {fault}");
-                }
-            }
-            None => self.merge_passes_serial(inc),
-        }
-
+        self.merge_passes(inc, None, &mut 0).expect("an unmetered push has no deadline to miss");
         self.finish_push(start, final_push);
     }
 
     /// Everything a push does before the merge passes run: reset the
     /// per-push state, seed both sides' initial values, snapshot the
     /// accumulator's component-list lengths and pre-size for the incoming
-    /// model. Shared by the plain and guarded merge paths (the guarded
-    /// path re-runs it for the serial retry after a rollback).
+    /// model. Shared by the plain and guarded merge paths.
     fn begin_push(&mut self, inc: &Incoming<'_>) -> PushStart {
         // Per-push state: fresh mappings and initial values, clean deltas
         // (exactly what a pairwise `compose` would start from).
@@ -823,18 +776,15 @@ impl<'o> CompositionSession<'o> {
     }
 
     /// The contained merge behind the guarded push entry points: the
-    /// degradation ladder of ISSUE 6. Rung one is the pipelined DAG
-    /// executor (when the push engages it) with per-pass deadline checks
-    /// and contained worker panics; on a fault the push is rolled back
-    /// and retried once on the serial reference path, which produces the
-    /// identical result ([`crate::guard::PushOutcome::degraded`] records
-    /// the fault). A serial-path panic is contained too: the accumulator
-    /// is rolled back to its exact pre-push state and the fault returned.
+    /// passes run in order with `meter`'s deadline checked before each
+    /// one; a deadline overrun or a pass panic (contained here and
+    /// attributed to its pass) rolls the accumulator back to its exact
+    /// pre-push state and returns the fault.
     fn merge_model_guarded(
         &mut self,
         inc: &Incoming<'_>,
         meter: Option<&Meter>,
-    ) -> Result<PushOutcome, ExecError> {
+    ) -> Result<(), ExecError> {
         let log_start = self.log.events.len();
         // Captured before the push runs: a fault must roll a COW session
         // all the way back to the fully shared base, not to a half-cloned
@@ -842,76 +792,21 @@ impl<'o> CompositionSession<'o> {
         let was_shared = self.accum.is_shared();
         let start = self.begin_push(inc);
 
-        let mut degraded = None;
-        if let Some(workers) = self.pipeline_workers(inc) {
-            let pool = self.ensure_pool();
-            match pipeline::run(self, inc, workers, &pool, meter) {
-                Ok(()) => {
-                    self.finish_push(start, false);
-                    return Ok(PushOutcome::clean());
-                }
-                Err(fault) => {
-                    self.rollback_push(start, log_start, was_shared);
-                    degraded = Some(fault);
-                    // Re-seed the per-push state the rollback discarded
-                    // before the serial retry.
-                    self.begin_push(inc);
-                }
-            }
-        }
-
+        let mut pass = 0;
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.merge_passes_serial(inc)
+            self.merge_passes(inc, meter, &mut pass)
         }));
-        match attempt {
-            Ok(()) => {
-                self.finish_push(start, false);
-                Ok(PushOutcome { degraded })
-            }
-            Err(payload) => {
-                self.rollback_push(start, log_start, was_shared);
-                Err(ExecError::Panicked {
-                    site: Site::Push(self.pushes - 1),
-                    detail: crate::guard::panic_detail(payload.as_ref()),
-                })
-            }
+        let outcome = attempt.unwrap_or_else(|payload| {
+            Err(ExecError::Panicked {
+                site: Site::Pass(pass),
+                detail: guard::panic_detail(payload.as_ref()),
+            })
+        });
+        match outcome {
+            Ok(()) => self.finish_push(start, false),
+            Err(_) => self.rollback_push(start, log_start, was_shared),
         }
-    }
-
-    /// Should this push run the pipelined merge, and with how many
-    /// workers? The pipeline needs precomputed incoming keys (their
-    /// free-reference sets feed the dependency analysis) and a push big
-    /// enough to be worth scheduling — the same
-    /// [`ComposeOptions::parallel_push_threshold`] gate the within-push
-    /// key fan-out uses.
-    ///
-    /// [`ComposeOptions::pipeline_threads`] is an **upper bound**: the
-    /// resolved worker count is capped at the host's available
-    /// parallelism, because a push's scoped workers are CPU-bound — extra
-    /// threads beyond the cores can only add context-switch churn, never
-    /// overlap. An *explicit* setting engages the pipelined executor even
-    /// when the cap resolves to one worker (the dependency-DAG executor
-    /// then runs its cost-priority schedule on the calling thread, no
-    /// spawns); the automatic setting (`0`) falls back to the plain
-    /// serial pass order on single-core hosts instead.
-    ///
-    /// [`ComposeOptions::parallel_push_threshold`]: crate::options::ComposeOptions::parallel_push_threshold
-    /// [`ComposeOptions::pipeline_threads`]: crate::options::ComposeOptions::pipeline_threads
-    fn pipeline_workers(&self, inc: &Incoming<'_>) -> Option<usize> {
-        if !self.options.merge_pipeline || inc.keys.is_none() {
-            return None;
-        }
-        if keyed_components(inc.model) < self.options.parallel_push_threshold {
-            return None;
-        }
-        let host = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        match self.options.pipeline_threads {
-            0 if host >= 2 => Some(host),
-            0 => None,
-            n => Some(n.min(host).max(1)),
-        }
+        outcome
     }
 
     /// Take everything the merge passes mutate out of the session for the
@@ -920,7 +815,7 @@ impl<'o> CompositionSession<'o> {
     /// otherwise. Must be paired with
     /// [`CompositionSession::restore_cow_state`] on every exit path
     /// (including unwinds), or the accumulator is left empty.
-    pub(crate) fn take_cow_state(&mut self) -> CowState {
+    fn take_cow_state(&mut self) -> CowState {
         match &mut self.accum {
             Accum::Shared(base) => CowState::from_shared(base, &mut self.delta),
             Accum::Owned(model) => {
@@ -936,7 +831,7 @@ impl<'o> CompositionSession<'o> {
     /// owned (untouched kinds clone from the base here, once) and flip to
     /// [`Accum::Owned`]; accumulator already owned — move the parts back
     /// verbatim.
-    pub(crate) fn restore_cow_state(&mut self, st: CowState) {
+    fn restore_cow_state(&mut self, st: CowState) {
         if self.accum.is_shared() && !st.any_materialised() {
             debug_assert!(
                 !self.taken.has_additions(),
@@ -959,34 +854,51 @@ impl<'o> CompositionSession<'o> {
         }
     }
 
-    /// Run the twelve passes in Fig. 4 order over the session's own state
-    /// — the serial schedule, and the reference the pipelined path is
-    /// property-tested against. The pass state is taken out as a
-    /// [`CowState`] and restored on both the success and unwind paths, so
-    /// a pass panic never strands a half-taken session (the guarded
-    /// caller's rollback then sees a structurally whole accumulator).
-    fn merge_passes_serial(&mut self, inc: &Incoming<'_>) {
-        guard::fail_point(Site::Push(self.pushes.saturating_sub(1)));
+    /// Run the twelve passes in Fig. 4 order over the session's own state.
+    /// Before each pass `i` the `Site::Pass(i)` fail point fires and, when
+    /// a `meter` is given, its deadline is checked; an overrun stops the
+    /// push and comes back as `Err` (the caller rolls back). `pass` tracks
+    /// the pass currently running, so a caller that contains a panic can
+    /// attribute it. The pass state is taken out as a [`CowState`] and
+    /// restored on the success, overrun and unwind paths alike, so a pass
+    /// panic never strands a half-taken session (the guarded caller's
+    /// rollback then sees a structurally whole accumulator).
+    fn merge_passes(
+        &mut self,
+        inc: &Incoming<'_>,
+        meter: Option<&Meter>,
+        pass: &mut usize,
+    ) -> Result<(), ExecError> {
         let mut st = self.take_cow_state();
         let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_passes_serial(&mut st, inc)
+            self.run_passes(&mut st, inc, meter, pass)
         }));
         self.restore_cow_state(st);
-        if let Err(payload) = attempt {
-            std::panic::resume_unwind(payload);
-        }
+        attempt.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     }
 
-    fn run_passes_serial(&mut self, st: &mut CowState, inc: &Incoming<'_>) {
+    fn run_passes(
+        &mut self,
+        st: &mut CowState,
+        inc: &Incoming<'_>,
+        meter: Option<&Meter>,
+        pass: &mut usize,
+    ) -> Result<(), ExecError> {
+        macro_rules! step {
+            ($i:expr) => {
+                *pass = $i;
+                guard::fail_point(Site::Pass($i));
+                if let Some(m) = meter {
+                    m.check_deadline(Site::Pass($i))?;
+                }
+            };
+        }
         macro_rules! env {
             () => {
                 &mut PassEnv {
                     options: self.options,
-                    maps: MapStore::Single {
-                        table: &mut self.push_maps,
-                        mask: &mut self.push_mask,
-                    },
-                    taken: TakenStore::Single(&mut self.taken),
+                    maps: MapStore { table: &mut self.push_maps, mask: &mut self.push_mask },
+                    taken: &mut self.taken,
                     log: &mut self.log,
                     iv_a: match &self.incremental {
                         Some(store) => IvA::Store(store),
@@ -996,6 +908,7 @@ impl<'o> CompositionSession<'o> {
                 }
             };
         }
+        step!(0);
         passes::functions(
             env!(),
             &mut FunctionsMut {
@@ -1007,6 +920,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        step!(1);
         passes::units(
             env!(),
             &mut UnitsMut {
@@ -1017,6 +931,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        step!(2);
         passes::compartment_types(
             env!(),
             &mut CompartmentTypesMut {
@@ -1027,6 +942,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        step!(3);
         passes::species_types(
             env!(),
             &mut SpeciesTypesMut {
@@ -1037,6 +953,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        step!(4);
         passes::compartments(
             env!(),
             &mut CompartmentsMut {
@@ -1048,6 +965,7 @@ impl<'o> CompositionSession<'o> {
             &UnitsRead { list: &st.units, by_id: &st.units_by_id },
             inc,
         );
+        step!(5);
         passes::species(
             env!(),
             &mut SpeciesMut {
@@ -1060,12 +978,14 @@ impl<'o> CompositionSession<'o> {
             &CompartmentsRead { list: &st.compartments, by_id: &st.compartments_by_id },
             inc,
         );
+        step!(6);
         passes::parameters(
             env!(),
             &mut ParametersMut { list: &mut st.parameters, by_id: &mut st.parameters_by_id },
             &UnitsRead { list: &st.units, by_id: &st.units_by_id },
             inc,
         );
+        step!(7);
         passes::initial_assignments(
             env!(),
             &mut AssignmentsMut {
@@ -1074,6 +994,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        step!(8);
         passes::rules(
             env!(),
             &mut RulesMut {
@@ -1084,6 +1005,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        step!(9);
         passes::constraints(
             env!(),
             &mut ConstraintsMut {
@@ -1093,6 +1015,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        step!(10);
         passes::reactions(
             env!(),
             &mut ReactionsMut {
@@ -1105,6 +1028,7 @@ impl<'o> CompositionSession<'o> {
             &UnitsRead { list: &st.units, by_id: &st.units_by_id },
             inc,
         );
+        step!(11);
         passes::events(
             env!(),
             &mut EventsMut {
@@ -1116,6 +1040,7 @@ impl<'o> CompositionSession<'o> {
             },
             inc,
         );
+        Ok(())
     }
 
     /// Fold this push's additions into the persistent indexes under their
@@ -1595,109 +1520,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_merge_equals_serial_across_thread_counts() {
-        // Conflict-heavy pushes: species mapped by name, parameters
-        // renamed on value conflicts, every later pass revalidating keys
-        // under those mappings — the shape the dependency DAG must get
-        // exactly right.
-        let models: Vec<Model> = (0..4).map(conflict_model).collect();
-        let serial_opts = ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let run = |options: &ComposeOptions| {
-            let mut session = CompositionSession::new(options);
-            for m in &models {
-                session.push(m);
-            }
-            session.finish()
-        };
-        let serial = run(&serial_opts);
-        assert!(
-            serial.log.events.iter().any(|e| e.kind == crate::EventKind::Mapped),
-            "conflict corpus must actually produce mappings"
-        );
-        for threads in [1, 2, 3, 4, 8] {
-            let opts = ComposeOptions::default()
-                .with_parallel_push_threshold(0)
-                .with_pipeline_threads(threads);
-            let out = run(&opts);
-            assert_eq!(out.model, serial.model, "threads={threads}");
-            assert_eq!(out.log.events, serial.log.events, "threads={threads}");
-            assert_eq!(out.mappings, serial.mappings, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pipelined_merge_handles_cross_kind_id_families() {
-        // Adversarial id overlaps across kinds: an incoming parameter and
-        // an incoming species fighting over one id family, a function id
-        // colliding with a pre-existing species id, and references to the
-        // winners from math-bearing kinds. These force the taken-registry
-        // family edges and the cross-kind mapping-shard edges.
-        use sbml_math::infix;
-        use sbml_model::{FunctionDefinition, Rule};
-
-        let mut a = ModelBuilder::new("a")
-            .compartment("cell", 1.0)
-            .species("x", 1.0)
-            .species("x_1", 2.0)
-            .parameter("k", 1.0)
-            .build();
-        a.function_definitions.push(FunctionDefinition::new(
-            "f",
-            vec!["p".into()],
-            infix::parse("p*2").unwrap(),
-        ));
-
-        let mut b = ModelBuilder::new("b")
-            .compartment("cell", 1.0)
-            // Species `x` id-hits A's; `x_2` is fresh but probes the same
-            // family; parameter `x_9` claims into the family from a later
-            // pass.
-            .species("x", 9.0) // conflicting value -> Conflict, first wins
-            .species("x_2", 3.0)
-            .parameter("x_9", 5.0)
-            .parameter("k", 7.0) // value conflict -> renamed k_1, mapping k->k_1
-            .build();
-        // Function under A's species id: claim_id must rename it.
-        b.function_definitions.push(FunctionDefinition::new(
-            "x_1",
-            vec!["p".into()],
-            infix::parse("p+3").unwrap(),
-        ));
-        b.rules.push(Rule::Assignment {
-            variable: "x_9".into(),
-            math: infix::parse("k * x + x_2").unwrap(),
-        });
-        let mut r = sbml_model::Reaction::new("rx");
-        r.reactants.push(sbml_model::SpeciesReference::new("x"));
-        r.products.push(sbml_model::SpeciesReference::new("x_2"));
-        r.kinetic_law =
-            Some(sbml_model::KineticLaw::new(infix::parse("x_1(k) * x").unwrap()));
-        b.reactions.push(r);
-
-        let serial_opts = ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let run = |options: &ComposeOptions| {
-            let mut session = CompositionSession::new(options);
-            session.push(&a);
-            session.push(&b);
-            session.finish()
-        };
-        let serial = run(&serial_opts);
-        for threads in [2, 4, 8] {
-            let opts = ComposeOptions::default()
-                .with_parallel_push_threshold(0)
-                .with_pipeline_threads(threads);
-            let out = run(&opts);
-            assert_eq!(out.model, serial.model, "threads={threads}");
-            assert_eq!(out.log.events, serial.log.events, "threads={threads}");
-            assert_eq!(out.mappings, serial.mappings, "threads={threads}");
-        }
-    }
-
-    #[test]
     fn key_rename_ablation_does_not_change_output() {
         let models: Vec<Model> = (0..4).map(conflict_model).collect();
         let run = |options: &ComposeOptions| {
@@ -1716,35 +1538,6 @@ mod tests {
         assert_eq!(fast.model, slow.model);
         assert_eq!(fast.log.events, slow.log.events);
         assert_eq!(fast.mappings, slow.mappings);
-    }
-
-    #[test]
-    fn prepared_models_survive_pipeline_setting_changes() {
-        // Pipeline knobs are execution details: a preparation built under
-        // pipeline-off options must be accepted (and produce identical
-        // output) under pipeline-on options and vice versa.
-        let off = ComposeOptions::default()
-            .with_merge_pipeline(false)
-            .with_parallel_push_threshold(0);
-        let on = ComposeOptions::default()
-            .with_parallel_push_threshold(0)
-            .with_pipeline_threads(4);
-        let models: Vec<Model> = (0..3).map(conflict_model).collect();
-        let prepared_off: Vec<PreparedModel> =
-            models.iter().map(|m| PreparedModel::new(m, &off)).collect();
-
-        let run = |options: &ComposeOptions, prepared: &[PreparedModel]| {
-            let mut session = CompositionSession::new(options);
-            for p in prepared {
-                session.push_prepared(p);
-            }
-            session.finish()
-        };
-        let serial = run(&off, &prepared_off);
-        let pipelined = run(&on, &prepared_off); // cross-setting acceptance
-        assert_eq!(pipelined.model, serial.model);
-        assert_eq!(pipelined.log.events, serial.log.events);
-        assert_eq!(pipelined.mappings, serial.mappings);
     }
 
     #[test]

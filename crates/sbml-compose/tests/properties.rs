@@ -485,65 +485,45 @@ mod incremental_value_props {
             }
         }
 
-        /// The merge-pass pipeline and the incremental cached-key rename
-        /// are output-invisible: for every semantics level, pipelined
-        /// sessions (any worker count, raw and prepared pushes) and the
-        /// full-recompute ablation all produce the model, log event
-        /// sequence and mappings of the serial pass order.
+        /// Incremental cached-key renaming is output-invisible: for every
+        /// semantics level, raw and prepared pushes with the rename on
+        /// produce the model, log event sequence and mappings of the
+        /// full-recompute ablation.
         #[test]
-        fn merge_pipeline_and_key_rename_never_change_output(
+        fn key_rename_never_changes_output(
             models in proptest::collection::vec(rich_model_strategy(), 0..4),
-            threads in 1usize..5,
         ) {
             use sbml_compose::PreparedModel;
             for base in [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()] {
-                // Serial reference: pipeline off, keys still precomputed
-                // (threshold 0) so the cached-key paths are exercised.
-                let reference = base
+                // Keys precomputed (threshold 0) on both sides, so the
+                // cached-key paths are exercised.
+                let full = base
                     .clone()
-                    .with_merge_pipeline(false)
-                    .with_parallel_push_threshold(0);
-                let mut serial = CompositionSession::new(&reference);
+                    .with_parallel_push_threshold(0)
+                    .with_incremental_key_rename(false);
+                let mut reference = CompositionSession::new(&full);
                 for m in &models {
-                    serial.push(m);
+                    reference.push(m);
                 }
-                let serial = serial.finish();
+                let reference = reference.finish();
 
-                for options in [
-                    base.clone().with_parallel_push_threshold(0).with_pipeline_threads(threads),
-                    base.clone()
-                        .with_parallel_push_threshold(0)
-                        .with_pipeline_threads(threads)
-                        .with_incremental_key_rename(false),
-                    base.clone()
-                        .with_merge_pipeline(false)
-                        .with_parallel_push_threshold(0)
-                        .with_incremental_key_rename(false),
-                ] {
-                    let mut session = CompositionSession::new(&options);
-                    for m in &models {
-                        session.push(m);
-                    }
-                    let out = session.finish();
-                    prop_assert_eq!(&out.model, &serial.model, "threads={}", threads);
-                    prop_assert_eq!(&out.log.events, &serial.log.events, "threads={}", threads);
-                    prop_assert_eq!(&out.mappings, &serial.mappings, "threads={}", threads);
-                }
-
-                // Prepared pushes ride the pipeline too — and a prepared
-                // model built under the serial options must be accepted by
-                // the pipelined session (pipeline knobs are fingerprint-
-                // neutral).
-                let pipelined =
-                    base.clone().with_parallel_push_threshold(0).with_pipeline_threads(threads);
-                let mut session = CompositionSession::new(&pipelined);
+                let renaming = base.clone().with_parallel_push_threshold(0);
+                let mut raw = CompositionSession::new(&renaming);
                 for m in &models {
-                    session.push_prepared(&PreparedModel::new(m, &reference));
+                    raw.push(m);
                 }
-                let out = session.finish();
-                prop_assert_eq!(&out.model, &serial.model);
-                prop_assert_eq!(&out.log.events, &serial.log.events);
-                prop_assert_eq!(&out.mappings, &serial.mappings);
+                // A preparation built under the full-recompute options is
+                // accepted by the renaming session (the knob is
+                // fingerprint-neutral).
+                let mut prepared = CompositionSession::new(&renaming);
+                for m in &models {
+                    prepared.push_prepared(&PreparedModel::new(m, &full));
+                }
+                for (entry, out) in [("raw", raw.finish()), ("prepared", prepared.finish())] {
+                    prop_assert_eq!(&out.model, &reference.model, "{}", entry);
+                    prop_assert_eq!(&out.log.events, &reference.log.events, "{}", entry);
+                    prop_assert_eq!(&out.mappings, &reference.mappings, "{}", entry);
+                }
             }
         }
     }

@@ -272,7 +272,6 @@ impl Server {
                 )
             }
         };
-        let options_pool_threads = options.pool_threads;
         let state = Arc::new(ServeState {
             cache: Mutex::new(QueryCache::new(config.cache_capacity)),
             metrics: Metrics::new(),
@@ -283,10 +282,7 @@ impl Server {
             addr: local,
             shard,
             shards,
-            compose_pool: Arc::new(match options_pool_threads {
-                0 => WorkerPool::for_host(),
-                n => WorkerPool::new(n),
-            }),
+            compose_pool: Arc::new(WorkerPool::for_host()),
         });
         Ok(Server { listener, state })
     }

@@ -3,7 +3,6 @@
 //! ```text
 //! sbmlcompose compose  <a.xml> <b.xml> [<c.xml>...] [-o merged.xml] [--log log.txt]
 //!                      [--semantics heavy|light|none] [--index hash|btree|linear]
-//!                      [--pipeline on|off] [--pipeline-threads N]
 //!                      [--deadline-ms N] [--max-steps N]
 //! sbmlcompose match    <query.xml> <corpus.xml>... [--semantics heavy|light|none]
 //!                      [--top K] [--threads N] [--deadline-ms N] [--max-steps N]
@@ -47,18 +46,15 @@
 //! to the pairwise fold either way. `--semantics` picks the §5 matching
 //! level (default `heavy`: synonyms, commutative math patterns, unit
 //! conversion, initial-value evaluation); `--index` the lookup structure
-//! (default `hash`). `--pipeline` toggles the merge-pass dependency-DAG
-//! pipeline (default `on`; output is bit-for-bit identical either way)
-//! and `--pipeline-threads` bounds its workers (default `0` = host
-//! parallelism; the engine caps at the machine's cores). Without `-o` the
-//! merged SBML goes to stdout; without `--log` the decision log
+//! (default `hash`). Any other `--` argument is a usage error. Without
+//! `-o` the merged SBML goes to stdout; without `--log` the decision log
 //! (duplicates, mappings, renames, conflicts) goes to stderr.
 //!
 //! `--deadline-ms` / `--max-steps` put the whole compose run under a
-//! [`Budget`]: pushes are merged through a guarded session ([the
-//! degradation ladder](sbmlcompose::compose::guard)), and if the budget
-//! runs out (or a push fails on both the pipelined and serial paths) the
-//! models merged so far are still written, flagged partial via exit 4.
+//! [`Budget`]: pushes are merged through a guarded session ([fault
+//! containment and rollback](sbmlcompose::compose::guard)), and if the
+//! budget runs out (or a push panics) the models merged so far are still
+//! written, flagged partial via exit 4.
 //!
 //! `snapshot build` prepares every `.xml` model in a directory once,
 //! builds the match index (`--shards` partitions its posting lists for
@@ -175,16 +171,14 @@ fn print_usage() {
          usage:\n\
          \x20 sbmlcompose compose  <a.xml> <b.xml> [<c.xml>...] [-o merged.xml] [--log log.txt]\n\
          \x20                      [--semantics heavy|light|none] [--index hash|btree|linear]\n\
-         \x20                      [--pipeline on|off] [--pipeline-threads N]\n\
          \x20                      [--deadline-ms N] [--max-steps N]\n\
          \x20        composes two or more models left to right (first file is the base).\n\
          \x20        3+ files are analysed once each (prepared models) and folded through\n\
          \x20        one composition session; output is identical to the pairwise fold.\n\
          \x20        -o: merged SBML (default stdout); --log: decision log (default stderr)\n\
-         \x20        --pipeline: merge-pass dependency-DAG pipeline (default on; output\n\
-         \x20        identical either way); --pipeline-threads: worker bound (0 = cores)\n\
          \x20        --deadline-ms/--max-steps: wall-clock/work budget; when it runs out\n\
-         \x20        the models merged so far are written and the exit code is 4\n\
+         \x20        (or a push panics) the models merged so far are written and the\n\
+         \x20        exit code is 4; any other --flag is a usage error (exit 2)\n\
          \x20 sbmlcompose match    <query.xml> <corpus.xml>... [--semantics heavy|light|none]\n\
          \x20                      [--top K] [--threads N] [--deadline-ms N] [--max-steps N]\n\
          \x20        (alias: query) searches the corpus for the query subnetwork: exact\n\
@@ -295,15 +289,9 @@ fn cmd_compose(args: &[String]) -> Result<ExitCode, CliError> {
         Some("linear") => IndexKind::LinearScan,
         Some(other) => return Err(format!("unknown index kind {other:?}").into()),
     };
-    let merge_pipeline = match take_flag(&mut args, "--pipeline").as_deref() {
-        None | Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("--pipeline takes on|off, not {other:?}").into()),
-    };
-    let pipeline_threads = match take_flag(&mut args, "--pipeline-threads") {
-        None => 0,
-        Some(v) => v.parse::<usize>().map_err(|_| format!("bad --pipeline-threads {v:?}"))?,
-    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("compose: unknown flag {flag}").into());
+    }
     if args.len() < 2 {
         return Err("compose needs at least two input files".into());
     }
@@ -315,13 +303,11 @@ fn cmd_compose(args: &[String]) -> Result<ExitCode, CliError> {
         SemanticsLevel::None => ComposeOptions::none(),
     };
     options.index = index;
-    options.merge_pipeline = merge_pipeline;
-    options.pipeline_threads = pipeline_threads;
     let (result, guard_fault) = if deadline_ms.is_some() || max_steps.is_some() {
         // Budgeted run: fold through a guarded session. A push that
-        // exhausts the budget (or panics on both the pipelined and the
-        // serial path) stops the fold; everything merged before it is
-        // still written out, flagged as partial via exit code 4.
+        // exhausts the budget (or panics) is rolled back and stops the
+        // fold; everything merged before it is still written out, flagged
+        // as partial via exit code 4.
         let mut budget = Budget::unlimited();
         if let Some(ms) = deadline_ms {
             budget = budget.with_deadline_ms(ms);
@@ -332,21 +318,11 @@ fn cmd_compose(args: &[String]) -> Result<ExitCode, CliError> {
         let meter = budget.start();
         let mut session = CompositionSession::new(&options);
         let mut fault: Option<ExecError> = None;
-        for (i, model) in models.iter().enumerate() {
-            match session.push_guarded(model, Some(&meter)) {
-                Ok(outcome) => {
-                    if let Some(degraded) = outcome.degraded {
-                        eprintln!(
-                            "warning: {} merged on the serial fallback path: {degraded}",
-                            args[i]
-                        );
-                    }
-                }
-                Err(error) => {
-                    eprintln!("warning: stopped before {}: {error}", args[i]);
-                    fault = Some(error);
-                    break;
-                }
+        for (path, model) in args.iter().zip(&models) {
+            if let Err(error) = session.push_guarded(model, Some(&meter)) {
+                eprintln!("warning: stopped before {path}: {error}");
+                fault = Some(error);
+                break;
             }
         }
         (session.finish(), fault)

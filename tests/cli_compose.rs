@@ -96,39 +96,25 @@ fn compose_chains_more_than_two_files() {
 }
 
 #[test]
-fn compose_pipeline_flags_do_not_change_output() {
-    // The merge-pass pipeline is an execution detail: --pipeline off and
-    // an explicit --pipeline-threads bound must produce byte-identical
-    // merged SBML.
-    let dir = scratch("pipeline");
-    let models: Vec<Model> = (0..3).map(chain_model).collect();
+fn compose_rejects_unknown_flags_as_usage_errors() {
+    // A leftover `--` argument is a usage error naming the flag, not an
+    // input file to open (which would exit 3). The retired merge-pipeline
+    // flags fall under the same rule.
+    let dir = scratch("flags");
+    let models: Vec<Model> = (0..2).map(chain_model).collect();
     let inputs = write_inputs(&dir, &models);
-
-    let run = |extra: &[&str], out: &std::path::Path| {
-        let status = Command::new(env!("CARGO_BIN_EXE_sbmlcompose"))
+    for extra in [&["--bogus"][..], &["--pipeline", "off"], &["--pipeline-threads", "4"]] {
+        let output = Command::new(env!("CARGO_BIN_EXE_sbmlcompose"))
             .arg("compose")
             .args(&inputs)
-            .args(["-o", &out.to_string_lossy(), "--log", &dir.join("p.log").to_string_lossy()])
             .args(extra)
-            .status()
+            .output()
             .expect("run sbmlcompose");
-        assert!(status.success());
-        fs::read_to_string(out).expect("read merged output")
-    };
-    let default = run(&[], &dir.join("default.xml"));
-    let off = run(&["--pipeline", "off"], &dir.join("off.xml"));
-    let threaded = run(&["--pipeline-threads", "4"], &dir.join("threads.xml"));
-    assert_eq!(default, off);
-    assert_eq!(default, threaded);
-
-    // Bad values are usage errors.
-    let output = Command::new(env!("CARGO_BIN_EXE_sbmlcompose"))
-        .arg("compose")
-        .args(&inputs)
-        .args(["--pipeline", "sideways"])
-        .output()
-        .expect("run sbmlcompose");
-    assert_eq!(output.status.code(), Some(2));
+        assert_eq!(output.status.code(), Some(2), "{extra:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(extra[0]), "{extra:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{extra:?}: nothing composed");
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

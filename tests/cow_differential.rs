@@ -6,8 +6,9 @@
 //! clone-on-adopt reference across:
 //!
 //! * all three semantics levels × the knob ablations (content-key cache,
-//!   incremental initial values, merge pipeline, forced-parallel pushes),
-//! * worker counts 1..8,
+//!   incremental initial values, forced-parallel pushes, no initial
+//!   values),
+//! * worker-pool sizes 1..8,
 //! * every push entry point (raw / prepared / guarded),
 //! * rollback: a failed guarded push must leave the shared base
 //!   untouched (covered against injected faults in
@@ -36,7 +37,6 @@ fn ablations(options: &ComposeOptions) -> Vec<(&'static str, ComposeOptions)> {
         ("default", options.clone()),
         ("no-content-key-cache", options.clone().with_content_key_cache(false)),
         ("no-incremental-ivs", options.clone().with_incremental_initial_values(false)),
-        ("no-merge-pipeline", options.clone().with_merge_pipeline(false)),
         ("forced-parallel-push", options.clone().with_parallel_push_threshold(0)),
         ("no-initial-values", options.clone().with_initial_values(false)),
     ]

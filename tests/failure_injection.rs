@@ -3,10 +3,11 @@
 //! pathological but well-formed models.
 
 use sbmlcompose::compose::{
-    Budget, ComposeOptions, Composer, CompositionSession, ExecError, Site,
+    Budget, ComposeOptions, Composer, CompositionSession, ExecError, SharedModel, Site,
 };
 use sbmlcompose::model::builder::ModelBuilder;
-use sbmlcompose::model::{parse_sbml, write_sbml, ModelError};
+use sbmlcompose::model::{parse_sbml, write_sbml, Model, ModelError};
+use std::sync::Arc;
 
 #[test]
 fn malformed_xml_rejected_cleanly() {
@@ -307,4 +308,85 @@ fn deeply_nested_math_round_trips() {
     let xml_el = sbmlcompose::math::to_mathml(&expr);
     let back = sbmlcompose::math::parse_mathml(&xml_el).unwrap();
     assert_eq!(back, expr);
+}
+
+#[test]
+fn push_past_its_deadline_fails_and_rolls_back() {
+    // Regression: a push that overran its deadline used to be rolled back
+    // and retried without a deadline check, returning Ok late. The
+    // deadline is checked before every merge pass; merging the largest
+    // Fig. 8 model into its synonym twin takes well over 1 ms.
+    let (largest, twin) = largest_and_synonym_twin();
+    let options = ComposeOptions::default();
+    let mut session = CompositionSession::new(&options);
+    session.push_guarded(&twin, None).expect("base push");
+    let model_before = write_sbml(session.model());
+    let log_before = session.log().to_text();
+
+    let meter = Budget::unlimited().with_deadline_ms(1).start();
+    let err = session.push_guarded(&largest, Some(&meter)).expect_err("1 ms is too short");
+    assert!(matches!(err, ExecError::DeadlineExceeded { .. }), "{err:?}");
+    assert_eq!(write_sbml(session.model()), model_before, "model rolled back");
+    assert_eq!(session.log().to_text(), log_before, "log rolled back");
+}
+
+/// The largest Fig. 8 model and its synonym-renamed twin: merging one into
+/// the other takes well over 1 ms, so a 1 ms deadline always expires
+/// inside the push.
+fn largest_and_synonym_twin() -> (Model, Model) {
+    use sbmlcompose::corpus::{corpus_187, synonym_variant};
+    let largest = corpus_187()
+        .into_iter()
+        .max_by_key(|m| m.component_count())
+        .expect("non-empty corpus");
+    let twin = synonym_variant(&largest);
+    (largest, twin)
+}
+
+#[test]
+fn prepared_push_past_its_deadline_fails_and_rolls_back() {
+    // The prepared-model path checks the same per-pass deadline; after
+    // the rollback an unbudgeted retry gives the result of a session that
+    // never saw the failed push.
+    let (largest, twin) = largest_and_synonym_twin();
+    let options = ComposeOptions::default();
+    let composer = Composer::new(options.clone());
+    let (base, incoming) = (composer.prepare(&twin), composer.prepare(&largest));
+    let mut session = CompositionSession::with_prepared_base(&options, &base);
+    let model_before = write_sbml(session.model());
+    let log_before = session.log().to_text();
+
+    let meter = Budget::unlimited().with_deadline_ms(1).start();
+    let err =
+        session.push_prepared_guarded(&incoming, Some(&meter)).expect_err("1 ms is too short");
+    assert!(matches!(err, ExecError::DeadlineExceeded { .. }), "{err:?}");
+    assert_eq!(write_sbml(session.model()), model_before, "model rolled back");
+    assert_eq!(session.log().to_text(), log_before, "log rolled back");
+
+    session.push_prepared_guarded(&incoming, None).expect("unbudgeted retry");
+    let mut clean = CompositionSession::with_prepared_base(&options, &base);
+    clean.push_prepared(&incoming);
+    assert_eq!(write_sbml(session.model()), write_sbml(clean.model()));
+    assert_eq!(session.log().to_text(), clean.log().to_text());
+}
+
+#[test]
+fn deadline_on_a_shared_base_leaves_it_shared() {
+    // A push that times out on a copy-on-write session rolls back to the
+    // untouched base: nothing stays materialised, and finishing hands back
+    // the caller's own Arc.
+    let (largest, twin) = largest_and_synonym_twin();
+    let options = ComposeOptions::default();
+    let base = Arc::new(Composer::new(options.clone()).prepare(&twin));
+    let mut session = CompositionSession::with_shared_base(&options, Arc::clone(&base));
+
+    let meter = Budget::unlimited().with_deadline_ms(1).start();
+    let err = session.push_guarded(&largest, Some(&meter)).expect_err("1 ms is too short");
+    assert!(matches!(err, ExecError::DeadlineExceeded { .. }), "{err:?}");
+    assert!(session.is_base_shared(), "rollback re-adopts the shared base");
+    assert!(session.log().events.is_empty(), "log rolled back");
+    match session.finish_shared().model {
+        SharedModel::Base(model) => assert!(Arc::ptr_eq(&model, &base)),
+        SharedModel::Owned(_) => panic!("a rolled-back push must not materialise the base"),
+    }
 }

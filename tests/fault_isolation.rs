@@ -1,14 +1,15 @@
-//! Deterministic fault-injection suite (tentpole of the robustness PR):
-//! every injected fault must surface as a structured [`ExecError`] at the
-//! site it was injected, survivors must be bit-identical to a fault-free
-//! run, and the degradation ladder's serial fallback must reproduce the
-//! pipelined result.
+//! Deterministic fault-injection suite: every injected fault must surface
+//! as a structured [`ExecError`] at the site it was injected, a failed
+//! push must leave the session exactly at its pre-push state, and
+//! survivors (and disarmed retries) must be bit-identical to a fault-free
+//! run.
 //!
 //! Compiled only with the `fault-injection` feature (`ci.sh` runs
 //! `cargo test --features fault-injection --test fault_isolation`); the
-//! armed fail points live behind [`guard::fail_point`]. Plans are armed
-//! through a global serial lock, so these tests never contaminate each
-//! other even under the parallel test runner.
+//! armed fail points live behind [`guard::fail_point`]. Plans are
+//! process-global and every push reaches the `Site::Pass` fail points, so
+//! each test holds [`exclusive`] for its whole body: a plan armed by one
+//! test can never strike another test's fault-free work.
 
 #![cfg(feature = "fault-injection")]
 
@@ -19,6 +20,13 @@ use sbmlcompose::compose::{
 };
 use sbmlcompose::model::builder::ModelBuilder;
 use sbmlcompose::model::{write_sbml, Model};
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this file (see the module docs).
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// A linear pathway with `n` reactions over distinctly-named species;
 /// `tag` keeps two chains overlapping but not identical.
@@ -39,10 +47,10 @@ fn chain(id: &str, tag: &str, n: usize) -> Model {
 }
 
 /// A [`chain`] extended with every remaining component kind (functions,
-/// units, types, initial assignments, rules, constraints, events). The
-/// pipeline pre-marks a pass whose kind is absent from the incoming model
-/// as done without running it, so a pushed model must populate all twelve
-/// kinds for all twelve `Site::Pass` fail points to be reachable.
+/// units, types, initial assignments, rules, constraints, events), so
+/// every one of the twelve merge passes has work and a fault injected at
+/// `Site::Pass(i)` strikes after passes `0..i` have mutated the
+/// accumulator.
 fn rich(id: &str, tag: &str, n: usize) -> Model {
     use sbmlcompose::units::{Unit, UnitDefinition, UnitKind};
     let mut b = ModelBuilder::new(id)
@@ -76,62 +84,58 @@ fn rich(id: &str, tag: &str, n: usize) -> Model {
         .build()
 }
 
-/// Options that force the pipelined DAG executor on for every push, so
-/// the `Site::Pass` fail points are actually reached.
-fn pipelined_options() -> ComposeOptions {
-    ComposeOptions::default()
-        .with_parallel_push_threshold(1)
-        .with_merge_pipeline(true)
-        .with_pipeline_threads(2)
-}
-
 /// The merged output of a fault-free guarded two-model composition.
 fn fault_free_reference(options: &ComposeOptions, a: &Model, b: &Model) -> (String, String) {
     let mut session = CompositionSession::new(options);
     session.push_guarded(a, None).expect("fault-free push");
-    let outcome = session.push_guarded(b, None).expect("fault-free push");
-    assert_eq!(outcome.degraded, None, "no fault, no degradation");
+    session.push_guarded(b, None).expect("fault-free push");
     let result = session.finish();
     (write_sbml(&result.model), result.log.to_text())
 }
 
 #[test]
-fn injected_pass_fault_degrades_to_identical_serial_result() {
-    let options = pipelined_options();
+fn injected_pass_fault_fails_push_and_rolls_back() {
+    let _exclusive = exclusive();
+    let options = ComposeOptions::default();
     let a = rich("a", "x", 6);
     let b = rich("b", "x", 9);
     let (want_xml, want_log) = fault_free_reference(&options, &a, &b);
 
     // Every one of the twelve merge passes is a containment boundary.
     for pass in 0..12 {
+        let mut session = CompositionSession::new(&options);
+        session.push_guarded(&a, None).expect("first push adopts the base");
+        let (before_xml, before_log) = (write_sbml(session.model()), session.log().to_text());
+
         let plan = FailPlan::new().fail_at(Site::Pass(pass));
-        let (xml, log, outcome) = with_plan(plan, || {
-            let mut session = CompositionSession::new(&options);
-            session.push_guarded(&a, None).expect("first push adopts the base");
-            let outcome = session.push_guarded(&b, None).expect("degraded, not failed");
-            let result = session.finish();
-            (write_sbml(&result.model), result.log.to_text(), outcome)
-        });
-        match outcome.degraded {
-            Some(ExecError::Panicked { site, ref detail }) => {
+        let err = with_plan(plan, || session.push_guarded(&b, None).expect_err("push fails"));
+        match err {
+            ExecError::Panicked { site, ref detail } => {
                 assert_eq!(site, Site::Pass(pass), "fault attributed to the injected site");
                 assert!(detail.contains(INJECTED), "payload preserved: {detail}");
             }
             other => panic!("pass {pass}: expected a contained panic, got {other:?}"),
         }
-        assert_eq!(xml, want_xml, "pass {pass}: serial fallback must reproduce the result");
-        assert_eq!(log, want_log, "pass {pass}: decision log identical too");
+        assert_eq!(write_sbml(session.model()), before_xml, "pass {pass}: model rolled back");
+        assert_eq!(session.log().to_text(), before_log, "pass {pass}: log rolled back");
+
+        // Disarmed, the same push reproduces the fault-free result.
+        session.push_guarded(&b, None).expect("disarmed retry");
+        let result = session.finish();
+        assert_eq!(write_sbml(&result.model), want_xml, "pass {pass}: retry result");
+        assert_eq!(result.log.to_text(), want_log, "pass {pass}: retry decision log");
     }
 }
 
 #[test]
 fn pass_and_push_fault_fails_push_and_leaves_accumulator_intact() {
-    let options = pipelined_options();
+    let _exclusive = exclusive();
+    let options = ComposeOptions::default();
     let a = rich("a", "x", 6);
     let b = rich("b", "x", 9);
 
     // Base-only reference: what the session must still hold after the
-    // second push fails on *both* rungs of the ladder.
+    // second push fails.
     let base_only = {
         let mut session = CompositionSession::new(&options);
         session.push_guarded(&a, None).expect("push");
@@ -139,19 +143,18 @@ fn pass_and_push_fault_fails_push_and_leaves_accumulator_intact() {
         (write_sbml(&result.model), result.log.to_text())
     };
 
-    // Fail the pipelined attempt (any pass) and the serial retry (the
-    // push-level fail point) — the whole push must error out.
-    let plan = FailPlan::new().fail_at(Site::Pass(3)).fail_at(Site::Push(1));
+    // Fail a pass midway through the push — the whole push must error out.
+    let plan = FailPlan::new().fail_at(Site::Pass(3));
     let (xml, log, err) = with_plan(plan, || {
         let mut session = CompositionSession::new(&options);
         session.push_guarded(&a, None).expect("first push adopts the base");
-        let err = session.push_guarded(&b, None).expect_err("both rungs fail");
+        let err = session.push_guarded(&b, None).expect_err("push fails");
         let result = session.finish();
         (write_sbml(&result.model), result.log.to_text(), err)
     });
     match err {
         ExecError::Panicked { site, ref detail } => {
-            assert_eq!(site, Site::Push(1), "attributed to the failed push");
+            assert_eq!(site, Site::Pass(3), "attributed to the failed pass");
             assert!(detail.contains(INJECTED), "{detail}");
         }
         other => panic!("expected a contained panic, got {other:?}"),
@@ -162,25 +165,26 @@ fn pass_and_push_fault_fails_push_and_leaves_accumulator_intact() {
 
 #[test]
 fn session_survives_a_failed_push_and_accepts_the_next() {
-    let options = pipelined_options();
+    let _exclusive = exclusive();
+    let options = ComposeOptions::default();
     let a = rich("a", "x", 6);
     let b = rich("b", "x", 9);
 
     let mut session = CompositionSession::new(&options);
     session.push_guarded(&a, None).expect("push");
-    let plan = FailPlan::new().fail_at(Site::Pass(0)).fail_at(Site::Push(1));
+    let plan = FailPlan::new().fail_at(Site::Pass(0));
     with_plan(plan, || {
-        session.push_guarded(&b, None).expect_err("both rungs fail");
+        session.push_guarded(&b, None).expect_err("push fails");
     });
     // Disarmed again: the same push now succeeds cleanly.
-    let outcome = session.push_guarded(&b, None).expect("push after rollback");
-    assert_eq!(outcome.degraded, None);
+    session.push_guarded(&b, None).expect("push after rollback");
     let merged = session.finish().model;
     assert!(merged.species.len() >= b.species.len(), "second model actually merged");
 }
 
 #[test]
 fn batch_shard_fault_is_contained_to_its_item() {
+    let _exclusive = exclusive();
     let options = ComposeOptions::default();
     let batch = BatchComposer::new(Composer::new(options));
     let models: Vec<Model> =
@@ -211,6 +215,7 @@ fn batch_shard_fault_is_contained_to_its_item() {
 
 #[test]
 fn batch_step_budget_cuts_a_deterministic_suffix() {
+    let _exclusive = exclusive();
     let options = ComposeOptions::default();
     let models: Vec<Model> =
         (0..6).map(|i| chain(&format!("m{i}"), "x", 4)).collect();
@@ -247,6 +252,7 @@ fn batch_step_budget_cuts_a_deterministic_suffix() {
 
 #[test]
 fn zero_deadline_fails_every_batch_item() {
+    let _exclusive = exclusive();
     let options = ComposeOptions::default();
     let batch = BatchComposer::new(Composer::new(options));
     let models: Vec<Model> = (0..4).map(|i| chain(&format!("m{i}"), "x", 3)).collect();
@@ -269,28 +275,29 @@ fn zero_deadline_fails_every_batch_item() {
 
 #[test]
 fn cow_failed_push_leaves_shared_base_unmaterialised() {
+    let _exclusive = exclusive();
     use std::sync::Arc;
 
-    let options = pipelined_options();
+    let options = ComposeOptions::default();
     let composer = Composer::new(options.clone());
     let base = rich("base", "x", 8);
     let prepared_base = Arc::new(composer.prepare(&base));
     let base_xml = write_sbml(prepared_base.model());
     let incoming = rich("b", "y", 6);
 
-    // Fail every one of the twelve pass boundaries (pipelined rung), plus
-    // the serial retry, while the accumulator still *is* the shared base.
+    // Fail every one of the twelve pass boundaries while the accumulator
+    // still *is* the shared base (passes before the faulted one may
+    // already have materialised kinds).
     for pass in 0..12 {
         let mut session =
             CompositionSession::with_shared_base(&options, Arc::clone(&prepared_base));
         assert!(session.is_base_shared());
         let arcs_before = Arc::strong_count(&prepared_base);
 
-        let plan = FailPlan::new().fail_at(Site::Pass(pass)).fail_at(Site::Push(0));
-        let err = with_plan(plan, || {
-            session.push_guarded(&incoming, None).expect_err("both rungs fail")
-        });
-        assert!(matches!(err, ExecError::Panicked { site: Site::Push(0), .. }), "{err:?}");
+        let plan = FailPlan::new().fail_at(Site::Pass(pass));
+        let err = with_plan(plan, || session.push_guarded(&incoming, None).expect_err("fails"));
+        assert_eq!(err.site(), Site::Pass(pass), "{err:?}");
+        assert!(matches!(err, ExecError::Panicked { .. }), "{err:?}");
 
         // Rollback must re-adopt the base wholesale: no kind left
         // materialised, no extra Arc handle leaked, accumulator
@@ -304,9 +311,10 @@ fn cow_failed_push_leaves_shared_base_unmaterialised() {
 
 #[test]
 fn cow_session_interleaved_entrypoints_under_faults_match_fault_free() {
+    let _exclusive = exclusive();
     use std::sync::Arc;
 
-    let options = pipelined_options();
+    let options = ComposeOptions::default();
     let composer = Composer::new(options.clone());
     let base = rich("base", "x", 8);
     let prepared_base = Arc::new(composer.prepare(&base));
@@ -334,12 +342,12 @@ fn cow_session_interleaved_entrypoints_under_faults_match_fault_free() {
         session.push_prepared(&dup);
         assert!(session.is_base_shared(), "pass {pass}: duplicates must not materialise");
 
-        // Guarded push faulted on both rungs: rolls back to the shared
-        // base (the only push so far was absorbed, so the at-rest state
-        // is Shared and rollback must restore exactly that).
-        let plan = FailPlan::new().fail_at(Site::Pass(pass)).fail_at(Site::Push(1));
+        // Faulted guarded push: rolls back to the shared base (the only
+        // push so far was absorbed, so the at-rest state is Shared and
+        // rollback must restore exactly that).
+        let plan = FailPlan::new().fail_at(Site::Pass(pass));
         with_plan(plan, || {
-            session.push_guarded(&stranger, None).expect_err("both rungs fail");
+            session.push_guarded(&stranger, None).expect_err("push fails");
         });
         assert!(session.is_base_shared(), "pass {pass}: rollback keeps the base shared");
 
@@ -356,6 +364,7 @@ fn cow_session_interleaved_entrypoints_under_faults_match_fault_free() {
 
 #[test]
 fn query_fault_is_contained_per_candidate() {
+    let _exclusive = exclusive();
     use sbmlcompose::matching::MatchIndex;
 
     let options = ComposeOptions::default();
