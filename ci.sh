@@ -44,7 +44,7 @@ echo "== incremental ≡ rebuild property suite (sharded MatchIndex) =="
 # built from scratch, or UPSERT/REMOVE silently corrupt the daemon.
 cargo test -q -p sbml-match --test properties
 
-echo "== panic audit (fan-out modules) =="
+echo "== panic audit (fan-out modules, SBML I/O) =="
 # Containment boundaries (catch_unwind) only help if the code inside them
 # is not sprinkled with *new* input-reachable unwrap/expect/panic sites.
 # Ceilings are the audited counts (tests included); raising one requires
@@ -71,6 +71,18 @@ panic_audit crates/sbml-compose/src/pool.rs 4
 panic_audit crates/sbml-compose/src/prepared.rs 17
 panic_audit crates/sbml-match/src/index.rs 0
 panic_audit crates/sbml-match/src/vf2.rs 3
+# The streaming SBML reader and writer (every MATCH/COMPOSE/UPSERT body
+# goes through them on a worker thread): no input-reachable site; the
+# counted ones are in unit tests and doc examples.
+panic_audit crates/sbml-xml/src/tokenizer.rs 12
+panic_audit crates/sbml-xml/src/reader.rs 14
+panic_audit crates/sbml-xml/src/writer.rs 9
+panic_audit crates/sbml-model/src/read.rs 2
+panic_audit crates/sbml-model/src/xmlutil.rs 9
+panic_audit crates/sbml-model/src/units_xml.rs 1
+panic_audit crates/sbml-model/src/write.rs 0
+panic_audit crates/sbml-math/src/parser.rs 5
+panic_audit crates/sbml-math/src/writer.rs 1
 
 if [[ "${1:-}" != "quick" ]]; then
     echo "== docs (cargo doc --no-deps, warnings are errors) =="

@@ -42,12 +42,13 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use sbml_compose::{Budget, ComposeOptions, CompositionSession, WorkerPool};
-use sbml_model::{parse_sbml, write_sbml, Model};
+use sbml_compose::{ComposeOptions, WorkerPool};
 use sbml_serve::cache::QueryCache;
 use sbml_serve::metrics::Metrics;
 use sbml_serve::protocol::{ErrKind, Request, Response};
-use sbml_serve::server::{cache_key, serve_frames, FrameHandler, FrameOutcome};
+use sbml_serve::server::{
+    cache_key, compose_documents, parse_model, serve_frames, FrameHandler, FrameOutcome,
+};
 use sbml_serve::snapshot::{preset_options, semantics_from_token, semantics_token};
 use sbml_serve::wire::{PartialCandidates, PartialMatches};
 
@@ -370,13 +371,6 @@ fn partial<T>(
     }
 }
 
-fn parse_query_model(xml: &str, metrics: &Metrics) -> Result<Model, Arc<[u8]>> {
-    parse_sbml(xml).map_err(|e| {
-        Metrics::bump(&metrics.errors);
-        encode(Response::Err { kind: ErrKind::Parse, message: e.to_string() })
-    })
-}
-
 fn cache_get(state: &CoordState, key: &str) -> Option<Arc<[u8]>> {
     let mut cache = state.cache.lock().ok()?;
     let hit = cache.get(key);
@@ -429,7 +423,7 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
     match request {
         Request::Match { query_xml } => {
             Metrics::bump(&state.metrics.match_requests);
-            let query = match parse_query_model(&query_xml, &state.metrics) {
+            let query = match parse_model(&query_xml, &state.metrics) {
                 Ok(query) => query,
                 Err(response) => return response,
             };
@@ -458,7 +452,7 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
         }
         Request::Query { query_xml } => {
             Metrics::bump(&state.metrics.query_requests);
-            let query = match parse_query_model(&query_xml, &state.metrics) {
+            let query = match parse_model(&query_xml, &state.metrics) {
                 Ok(query) => query,
                 Err(response) => return response,
             };
@@ -487,41 +481,14 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
         }
         Request::Compose { models_xml } => {
             Metrics::bump(&state.metrics.compose_requests);
-            if models_xml.len() < 2 {
-                Metrics::bump(&state.metrics.errors);
-                return encode(Response::Err {
-                    kind: ErrKind::Proto,
-                    message: "COMPOSE needs at least two documents".into(),
-                });
-            }
-            let mut models = Vec::with_capacity(models_xml.len());
-            for xml in &models_xml {
-                match parse_query_model(xml, &state.metrics) {
-                    Ok(model) => models.push(model),
-                    Err(response) => return response,
-                }
-            }
-            let mut budget = Budget::unlimited();
-            if let Some(steps) = state.config.max_steps {
-                budget = budget.with_max_steps(steps);
-            }
-            if let Some(ms) = state.config.deadline_ms {
-                budget = budget.with_deadline_ms(ms);
-            }
-            let meter = budget.start();
-            let mut session = CompositionSession::new(&state.options);
-            session.set_pool(Arc::clone(&state.compose_pool));
-            for model in &models {
-                if let Err(error) = session.push_guarded(model, Some(&meter)) {
-                    Metrics::bump(&state.metrics.budget_cuts);
-                    return encode(Response::Err {
-                        kind: ErrKind::Budget,
-                        message: error.to_string(),
-                    });
-                }
-            }
-            let result = session.finish();
-            encode(Response::Ok { code: 0, body: write_sbml(&result.model).into_bytes() })
+            let config = &state.config;
+            compose_documents(
+                &models_xml,
+                &state.options,
+                &state.compose_pool,
+                (config.max_steps, config.deadline_ms),
+                &state.metrics,
+            )
         }
         Request::Upsert { model_xml, slot } => {
             Metrics::bump(&state.metrics.upsert_requests);
@@ -533,7 +500,7 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
                         .into(),
                 });
             }
-            let model = match parse_query_model(&model_xml, &state.metrics) {
+            let model = match parse_model(&model_xml, &state.metrics) {
                 Ok(model) => model,
                 Err(response) => return response,
             };

@@ -53,6 +53,8 @@ pub enum MathError {
     },
     /// A piecewise expression had no true branch and no otherwise.
     NoBranchTaken,
+    /// MathML text that is not well-formed XML.
+    Xml(sbml_xml::XmlError),
 }
 
 impl fmt::Display for MathError {
@@ -81,6 +83,7 @@ impl fmt::Display for MathError {
             MathError::NoBranchTaken => {
                 write!(f, "piecewise expression: no condition true and no <otherwise>")
             }
+            MathError::Xml(e) => write!(f, "malformed MathML: {e}"),
         }
     }
 }

@@ -9,8 +9,10 @@
 //! This crate provides:
 //!
 //! * [`ast`] — the expression tree ([`MathExpr`], [`Op`], [`Constant`]),
-//! * [`parser`] — content-MathML → AST (from `sbml-xml` elements),
-//! * [`writer`] — AST → content-MathML and human-readable infix text,
+//! * [`parser`] — content-MathML → AST, read straight off an
+//!   [`sbml_xml::Reader`] (inside a larger document) or from text,
+//! * [`writer`] — AST → content-MathML streamed into an
+//!   [`sbml_xml::XmlWriter`], and human-readable infix text,
 //! * [`infix`] — an infix formula parser (`"Vmax*S/(Km+S)"` → AST), the
 //!   ergonomic construction path used by the corpus generator and examples,
 //! * [`pattern`] — the paper's Fig. 7 canonical pattern with ID mappings,
@@ -47,14 +49,14 @@ pub use error::MathError;
 pub use eval::{evaluate, Env};
 pub use pattern::Pattern;
 
-/// Parse content MathML (a `<math>` element or a bare operand element) into
-/// an expression tree.
-pub fn parse_mathml(element: &sbml_xml::Element) -> Result<MathExpr, MathError> {
-    parser::parse(element)
+/// Parse content MathML text (a `<math>` element or a bare operand
+/// element) into an expression tree.
+pub fn parse_mathml(text: &str) -> Result<MathExpr, MathError> {
+    parser::parse_str(text)
 }
 
-/// Serialize an expression tree to a `<math>` element with the standard
+/// Serialize an expression tree as compact `<math>` text with the standard
 /// MathML namespace.
-pub fn to_mathml(expr: &MathExpr) -> sbml_xml::Element {
-    writer::to_math_element(expr)
+pub fn to_mathml(expr: &MathExpr) -> String {
+    writer::to_mathml_string(expr)
 }

@@ -6,7 +6,10 @@
 //! calls, `degree`/`logbase` qualifiers, `piecewise` and `lambda`.
 //! Namespace prefixes on element names are ignored (`m:apply` == `apply`).
 
-use sbml_xml::Element;
+use std::borrow::Cow;
+
+use sbml_xml::reader::append;
+use sbml_xml::{Event, Reader, Tag};
 
 use crate::ast::{Constant, CsymbolKind, MathExpr, Op};
 use crate::error::MathError;
@@ -19,129 +22,154 @@ pub fn local_name(qualified: &str) -> &str {
     }
 }
 
-/// Parse a `<math>` wrapper or a bare MathML operand element.
-pub fn parse(element: &Element) -> Result<MathExpr, MathError> {
-    if local_name(&element.name) == "math" {
-        let mut operands = element.child_elements();
-        let Some(first) = operands.next() else {
-            return Err(MathError::BadApply { detail: "<math> has no child".to_owned() });
-        };
-        if operands.next().is_some() {
-            return Err(MathError::BadApply {
-                detail: "<math> has more than one child".to_owned(),
-            });
-        }
-        parse_node(first)
-    } else {
-        parse_node(element)
-    }
+/// Parse MathML text: a `<math>` element or a bare operand element.
+pub fn parse_str(text: &str) -> Result<MathExpr, MathError> {
+    let mut r = Reader::new(text);
+    let expr = match r.root() {
+        Some(tag) => read(&mut r, tag),
+        None => Err(MathError::BadApply { detail: "no MathML element".to_owned() }),
+    };
+    r.finish().map_err(MathError::Xml)?;
+    expr
 }
 
-fn parse_node(e: &Element) -> Result<MathExpr, MathError> {
-    match local_name(&e.name) {
-        "cn" => parse_cn(e),
-        "ci" => Ok(MathExpr::Ci(e.text().trim().to_owned())),
-        "csymbol" => parse_csymbol(e),
-        "apply" => parse_apply(e),
-        "piecewise" => parse_piecewise(e),
-        "lambda" => parse_lambda(e),
-        other => {
-            if let Some(c) = Constant::from_mathml_name(other) {
+/// Read a `<math>` wrapper or a bare MathML operand element whose start
+/// tag `tag` the reader just returned. On success the element has been
+/// consumed; on an error the caller abandons the reader.
+pub fn read<'a>(r: &mut Reader<'a>, tag: Tag<'a>) -> Result<MathExpr, MathError> {
+    if local_name(tag.name) != "math" {
+        return read_node(r, tag);
+    }
+    let Some(first) = r.next_child() else {
+        return Err(MathError::BadApply { detail: "<math> has no child".to_owned() });
+    };
+    let expr = read_node(r, first)?;
+    if r.next_child().is_some() {
+        return Err(MathError::BadApply { detail: "<math> has more than one child".to_owned() });
+    }
+    Ok(expr)
+}
+
+/// Text content of the current element, trimmed and owned.
+fn trimmed_text(r: &mut Reader<'_>) -> String {
+    r.text().trim().to_owned()
+}
+
+/// The first child element of the current element, read as an operand;
+/// the rest of the element is skipped. `None` when it has no child.
+fn read_only_child(r: &mut Reader<'_>) -> Option<Result<MathExpr, MathError>> {
+    let inner = r.next_child()?;
+    let expr = read_node(r, inner);
+    if expr.is_ok() {
+        r.skip();
+    }
+    Some(expr)
+}
+
+fn read_node<'a>(r: &mut Reader<'a>, tag: Tag<'a>) -> Result<MathExpr, MathError> {
+    match local_name(tag.name) {
+        "cn" => read_cn(r),
+        "ci" => Ok(MathExpr::Ci(trimmed_text(r))),
+        "csymbol" => {
+            let url = r.attrs().get("definitionURL").unwrap_or("");
+            let Some(kind) = CsymbolKind::from_definition_url(url) else {
+                return Err(MathError::UnknownElement { name: format!("csymbol[{url}]") });
+            };
+            Ok(MathExpr::Csymbol { kind, name: trimmed_text(r) })
+        }
+        "apply" => read_apply(r),
+        "piecewise" => read_piecewise(r),
+        "lambda" => read_lambda(r),
+        other => match Constant::from_mathml_name(other) {
+            Some(c) => {
+                r.skip();
                 Ok(MathExpr::Const(c))
-            } else {
-                Err(MathError::UnknownElement { name: other.to_owned() })
             }
-        }
+            None => Err(MathError::UnknownElement { name: other.to_owned() }),
+        },
     }
 }
 
-fn parse_cn(e: &Element) -> Result<MathExpr, MathError> {
-    let ty = e.attr("type").unwrap_or("real");
-    // e-notation / rational use a <sep/> element between two number parts.
-    let parts: Vec<String> = split_on_sep(e);
-    let bad = || MathError::BadNumber { text: e.text().trim().to_owned() };
-    match ty {
-        "e-notation" => {
-            if parts.len() != 2 {
-                return Err(bad());
-            }
-            let mantissa: f64 = parts[0].trim().parse().map_err(|_| bad())?;
-            let exponent: f64 = parts[1].trim().parse().map_err(|_| bad())?;
-            Ok(MathExpr::Num(mantissa * 10f64.powf(exponent)))
-        }
-        "rational" => {
-            if parts.len() != 2 {
-                return Err(bad());
-            }
-            let num: f64 = parts[0].trim().parse().map_err(|_| bad())?;
-            let den: f64 = parts[1].trim().parse().map_err(|_| bad())?;
-            Ok(MathExpr::Num(num / den))
-        }
+/// `<cn>`: the number is all of its text (descendants included), or for
+/// `e-notation`/`rational` the two direct text parts around `<sep/>`.
+fn read_cn(r: &mut Reader<'_>) -> Result<MathExpr, MathError> {
+    let e_notation = match r.attrs().get("type") {
+        Some("e-notation") => true,
+        Some("rational") => false,
         // "integer" | "real" | anything else: single payload
         _ => {
-            let text = e.text();
-            let trimmed = text.trim();
-            let value: f64 = trimmed.parse().map_err(|_| bad())?;
-            Ok(MathExpr::Num(value))
+            let text = r.text();
+            return number(&text).map(MathExpr::Num);
         }
-    }
-}
-
-/// Split `<cn>` content on `<sep/>` children.
-fn split_on_sep(e: &Element) -> Vec<String> {
-    let mut parts = vec![String::new()];
-    for node in &e.children {
-        match node {
-            sbml_xml::Node::Text(t) | sbml_xml::Node::CData(t) => {
-                parts.last_mut().expect("non-empty").push_str(t);
-            }
-            sbml_xml::Node::Element(el) if local_name(&el.name) == "sep" => {
-                parts.push(String::new());
-            }
-            _ => {}
-        }
-    }
-    parts
-}
-
-fn parse_csymbol(e: &Element) -> Result<MathExpr, MathError> {
-    let url = e.attr("definitionURL").unwrap_or("");
-    let Some(kind) = CsymbolKind::from_definition_url(url) else {
-        return Err(MathError::UnknownElement { name: format!("csymbol[{url}]") });
     };
-    Ok(MathExpr::Csymbol { kind, name: e.text().trim().to_owned() })
+    let mut text = Cow::Borrowed("");
+    let mut parts = vec![Cow::Borrowed("")];
+    let mut depth = 0usize;
+    while let Some(event) = r.next() {
+        match event {
+            Event::Start(child) => {
+                if depth == 0 && local_name(child.name) == "sep" {
+                    parts.push(Cow::Borrowed(""));
+                }
+                depth += 1;
+            }
+            Event::End if depth == 0 => break,
+            Event::End => depth -= 1,
+            Event::Text(run) => {
+                if let (0, Some(part)) = (depth, parts.last_mut()) {
+                    append(part, run.clone());
+                }
+                append(&mut text, run);
+            }
+        }
+    }
+    let [a, b] = parts.as_slice() else {
+        return Err(MathError::BadNumber { text: text.trim().to_owned() });
+    };
+    let bad = |_| MathError::BadNumber { text: text.trim().to_owned() };
+    let (a, b) = (number(a).map_err(bad)?, number(b).map_err(bad)?);
+    Ok(MathExpr::Num(if e_notation { a * 10f64.powf(b) } else { a / b }))
 }
 
-fn parse_apply(e: &Element) -> Result<MathExpr, MathError> {
-    let kids: Vec<&Element> = e.child_elements().collect();
-    let Some((head, rest)) = kids.split_first() else {
+/// A `<cn>` payload; the error carries the trimmed text.
+fn number(text: &str) -> Result<f64, MathError> {
+    let trimmed = text.trim();
+    trimmed.parse().map_err(|_| MathError::BadNumber { text: trimmed.to_owned() })
+}
+
+fn read_apply(r: &mut Reader<'_>) -> Result<MathExpr, MathError> {
+    let Some(head) = r.next_child() else {
         return Err(MathError::BadApply { detail: "<apply> is empty".to_owned() });
     };
 
     // Function-definition call: <apply><ci>f</ci> args...</apply>
-    if local_name(&head.name) == "ci" {
-        let function = head.text().trim().to_owned();
-        let args = rest.iter().map(|a| parse_node(a)).collect::<Result<Vec<_>, _>>()?;
+    let op_name = local_name(head.name);
+    if op_name == "ci" {
+        let function = trimmed_text(r);
+        let mut args = Vec::new();
+        while let Some(arg) = r.next_child() {
+            args.push(read_node(r, arg)?);
+        }
         return Ok(MathExpr::Call { function, args });
     }
 
-    let op_name = local_name(&head.name);
     let Some(op) = Op::from_mathml_name(op_name) else {
         return Err(MathError::UnknownElement { name: op_name.to_owned() });
     };
+    r.skip();
 
     // Qualifiers: <degree> (root) and <logbase> (log) become the first arg.
-    let mut args: Vec<MathExpr> = Vec::with_capacity(rest.len());
+    let mut args: Vec<MathExpr> = Vec::new();
     let mut qualifier: Option<MathExpr> = None;
-    for child in rest {
-        match local_name(&child.name) {
-            "degree" | "logbase" => {
-                let inner = child.child_elements().next().ok_or_else(|| MathError::BadApply {
-                    detail: format!("empty <{}>", local_name(&child.name)),
+    while let Some(child) = r.next_child() {
+        match local_name(child.name) {
+            name @ ("degree" | "logbase") => {
+                let inner = read_only_child(r).ok_or_else(|| MathError::BadApply {
+                    detail: format!("empty <{name}>"),
                 })?;
-                qualifier = Some(parse_node(inner)?);
+                qualifier = Some(inner?);
             }
-            _ => args.push(parse_node(child)?),
+            _ => args.push(read_node(r, child)?),
         }
     }
     if let Some(q) = qualifier {
@@ -161,25 +189,34 @@ fn parse_apply(e: &Element) -> Result<MathExpr, MathError> {
     Ok(MathExpr::Apply { op, args })
 }
 
-fn parse_piecewise(e: &Element) -> Result<MathExpr, MathError> {
+fn read_piecewise(r: &mut Reader<'_>) -> Result<MathExpr, MathError> {
     let mut pieces = Vec::new();
     let mut otherwise = None;
-    for child in e.child_elements() {
-        match local_name(&child.name) {
+    while let Some(child) = r.next_child() {
+        match local_name(child.name) {
             "piece" => {
-                let parts: Vec<&Element> = child.child_elements().collect();
-                if parts.len() != 2 {
-                    return Err(MathError::BadApply {
-                        detail: format!("<piece> needs 2 children, has {}", parts.len()),
-                    });
+                let mut parts = Vec::with_capacity(2);
+                let mut count = 0usize;
+                while let Some(part) = r.next_child() {
+                    count += 1;
+                    if count <= 2 {
+                        parts.push(read_node(r, part)?);
+                    } else {
+                        r.skip();
+                    }
                 }
-                pieces.push((parse_node(parts[0])?, parse_node(parts[1])?));
+                let (Some(cond), Some(value), 2) = (parts.pop(), parts.pop(), count) else {
+                    return Err(MathError::BadApply {
+                        detail: format!("<piece> needs 2 children, has {count}"),
+                    });
+                };
+                pieces.push((value, cond));
             }
             "otherwise" => {
-                let inner = child.child_elements().next().ok_or_else(|| MathError::BadApply {
+                let inner = read_only_child(r).ok_or_else(|| MathError::BadApply {
                     detail: "empty <otherwise>".to_owned(),
                 })?;
-                otherwise = Some(Box::new(parse_node(inner)?));
+                otherwise = Some(Box::new(inner?));
             }
             other => return Err(MathError::UnknownElement { name: other.to_owned() }),
         }
@@ -187,25 +224,23 @@ fn parse_piecewise(e: &Element) -> Result<MathExpr, MathError> {
     Ok(MathExpr::Piecewise { pieces, otherwise })
 }
 
-fn parse_lambda(e: &Element) -> Result<MathExpr, MathError> {
+fn read_lambda(r: &mut Reader<'_>) -> Result<MathExpr, MathError> {
     let mut params = Vec::new();
     let mut body = None;
-    for child in e.child_elements() {
-        match local_name(&child.name) {
-            "bvar" => {
-                let ci = child.child_elements().next().ok_or_else(|| MathError::BadApply {
-                    detail: "empty <bvar>".to_owned(),
-                })?;
-                params.push(ci.text().trim().to_owned());
+    while let Some(child) = r.next_child() {
+        if local_name(child.name) == "bvar" {
+            if r.next_child().is_none() {
+                return Err(MathError::BadApply { detail: "empty <bvar>".to_owned() });
             }
-            _ => {
-                if body.is_some() {
-                    return Err(MathError::BadApply {
-                        detail: "<lambda> has multiple bodies".to_owned(),
-                    });
-                }
-                body = Some(parse_node(child)?);
+            params.push(trimmed_text(r));
+            r.skip();
+        } else {
+            if body.is_some() {
+                return Err(MathError::BadApply {
+                    detail: "<lambda> has multiple bodies".to_owned(),
+                });
             }
+            body = Some(read_node(r, child)?);
         }
     }
     let Some(body) = body else {
@@ -217,38 +252,37 @@ fn parse_lambda(e: &Element) -> Result<MathExpr, MathError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbml_xml::parse_element;
 
-    fn parse_str(xml: &str) -> MathExpr {
-        parse(&parse_element(xml).unwrap()).unwrap()
+    fn parse(xml: &str) -> MathExpr {
+        parse_str(xml).unwrap()
     }
 
     #[test]
     fn numbers() {
-        assert_eq!(parse_str("<cn>3.5</cn>"), MathExpr::Num(3.5));
-        assert_eq!(parse_str("<cn type=\"integer\">42</cn>"), MathExpr::Num(42.0));
-        assert_eq!(parse_str("<cn type=\"e-notation\">2<sep/>3</cn>"), MathExpr::Num(2000.0));
-        assert_eq!(parse_str("<cn type=\"rational\">1<sep/>4</cn>"), MathExpr::Num(0.25));
-        assert_eq!(parse_str("<cn> -1e-3 </cn>"), MathExpr::Num(-0.001));
+        assert_eq!(parse("<cn>3.5</cn>"), MathExpr::Num(3.5));
+        assert_eq!(parse("<cn type=\"integer\">42</cn>"), MathExpr::Num(42.0));
+        assert_eq!(parse("<cn type=\"e-notation\">2<sep/>3</cn>"), MathExpr::Num(2000.0));
+        assert_eq!(parse("<cn type=\"rational\">1<sep/>4</cn>"), MathExpr::Num(0.25));
+        assert_eq!(parse("<cn> -1e-3 </cn>"), MathExpr::Num(-0.001));
     }
 
     #[test]
     fn bad_numbers_rejected() {
         for bad in ["<cn>abc</cn>", "<cn type=\"e-notation\">2</cn>", "<cn/>"] {
-            assert!(parse(&parse_element(bad).unwrap()).is_err(), "{bad}");
+            assert!(parse_str(bad).is_err(), "{bad}");
         }
     }
 
     #[test]
     fn identifiers_and_constants() {
-        assert_eq!(parse_str("<ci> k1 </ci>"), MathExpr::ci("k1"));
-        assert_eq!(parse_str("<pi/>"), MathExpr::Const(Constant::Pi));
-        assert_eq!(parse_str("<true/>"), MathExpr::Const(Constant::True));
+        assert_eq!(parse("<ci> k1 </ci>"), MathExpr::ci("k1"));
+        assert_eq!(parse("<pi/>"), MathExpr::Const(Constant::Pi));
+        assert_eq!(parse("<true/>"), MathExpr::Const(Constant::True));
     }
 
     #[test]
     fn csymbol_time() {
-        let e = parse_str(
+        let e = parse(
             "<csymbol definitionURL=\"http://www.sbml.org/sbml/symbols/time\">t</csymbol>",
         );
         assert_eq!(e, MathExpr::Csymbol { kind: CsymbolKind::Time, name: "t".into() });
@@ -256,7 +290,7 @@ mod tests {
 
     #[test]
     fn apply_nary_times() {
-        let e = parse_str("<apply><times/><ci>k1</ci><ci>A</ci><ci>B</ci></apply>");
+        let e = parse("<apply><times/><ci>k1</ci><ci>A</ci><ci>B</ci></apply>");
         assert_eq!(
             e,
             MathExpr::apply(
@@ -268,7 +302,7 @@ mod tests {
 
     #[test]
     fn math_wrapper() {
-        let e = parse_str(
+        let e = parse(
             "<math xmlns=\"http://www.w3.org/1998/Math/MathML\"><apply><plus/><cn>1</cn><cn>2</cn></apply></math>",
         );
         assert_eq!(e, MathExpr::apply(Op::Plus, vec![MathExpr::num(1.0), MathExpr::num(2.0)]));
@@ -276,7 +310,7 @@ mod tests {
 
     #[test]
     fn function_call() {
-        let e = parse_str("<apply><ci>mm</ci><ci>S</ci><ci>Vmax</ci><ci>Km</ci></apply>");
+        let e = parse("<apply><ci>mm</ci><ci>S</ci><ci>Vmax</ci><ci>Km</ci></apply>");
         assert_eq!(
             e,
             MathExpr::Call {
@@ -288,23 +322,23 @@ mod tests {
 
     #[test]
     fn root_with_default_and_explicit_degree() {
-        let sqrt = parse_str("<apply><root/><ci>x</ci></apply>");
+        let sqrt = parse("<apply><root/><ci>x</ci></apply>");
         assert_eq!(sqrt, MathExpr::apply(Op::Root, vec![MathExpr::num(2.0), MathExpr::ci("x")]));
-        let cbrt = parse_str("<apply><root/><degree><cn>3</cn></degree><ci>x</ci></apply>");
+        let cbrt = parse("<apply><root/><degree><cn>3</cn></degree><ci>x</ci></apply>");
         assert_eq!(cbrt, MathExpr::apply(Op::Root, vec![MathExpr::num(3.0), MathExpr::ci("x")]));
     }
 
     #[test]
     fn log_with_base() {
-        let lg = parse_str("<apply><log/><ci>x</ci></apply>");
+        let lg = parse("<apply><log/><ci>x</ci></apply>");
         assert_eq!(lg, MathExpr::apply(Op::Log, vec![MathExpr::num(10.0), MathExpr::ci("x")]));
-        let l2 = parse_str("<apply><log/><logbase><cn>2</cn></logbase><ci>x</ci></apply>");
+        let l2 = parse("<apply><log/><logbase><cn>2</cn></logbase><ci>x</ci></apply>");
         assert_eq!(l2, MathExpr::apply(Op::Log, vec![MathExpr::num(2.0), MathExpr::ci("x")]));
     }
 
     #[test]
     fn piecewise() {
-        let e = parse_str(
+        let e = parse(
             "<piecewise><piece><cn>1</cn><apply><lt/><ci>x</ci><cn>5</cn></apply></piece><otherwise><cn>0</cn></otherwise></piecewise>",
         );
         match e {
@@ -319,7 +353,7 @@ mod tests {
 
     #[test]
     fn lambda() {
-        let e = parse_str(
+        let e = parse(
             "<lambda><bvar><ci>x</ci></bvar><bvar><ci>y</ci></bvar><apply><plus/><ci>x</ci><ci>y</ci></apply></lambda>",
         );
         match e {
@@ -336,8 +370,62 @@ mod tests {
 
     #[test]
     fn namespaced_elements_accepted() {
-        let e = parse_str("<m:apply><m:plus/><m:cn>1</m:cn><m:cn>2</m:cn></m:apply>");
+        let e = parse("<m:apply><m:plus/><m:cn>1</m:cn><m:cn>2</m:cn></m:apply>");
         assert_eq!(e, MathExpr::apply(Op::Plus, vec![MathExpr::num(1.0), MathExpr::num(2.0)]));
+    }
+
+    #[test]
+    fn ignored_content_is_skipped() {
+        // Only the first child of a qualifier, <otherwise> or <bvar> counts;
+        // comments and the children of operator and constant elements are
+        // passed over.
+        let e = parse(
+            "<apply><root/><degree><cn>3</cn><bogus/></degree><apply><plus><x/></plus><pi><y/></pi><ci>x</ci></apply></apply>",
+        );
+        assert_eq!(
+            e,
+            MathExpr::apply(
+                Op::Root,
+                vec![
+                    MathExpr::num(3.0),
+                    MathExpr::apply(Op::Plus, vec![MathExpr::Const(Constant::Pi), MathExpr::ci("x")]),
+                ]
+            )
+        );
+        let l = parse("<lambda><bvar><ci>x</ci><bogus/></bvar><ci>x</ci></lambda>");
+        assert_eq!(l, MathExpr::Lambda { params: vec!["x".into()], body: Box::new(MathExpr::ci("x")) });
+    }
+
+    #[test]
+    fn text_is_the_trimmed_concatenation_of_text_and_cdata() {
+        assert_eq!(parse("<ci> k<!-- c --><![CDATA[_1]]> </ci>"), MathExpr::ci("k_1"));
+        assert_eq!(parse("<cn>1<b>2</b></cn>"), MathExpr::num(12.0));
+        assert_eq!(parse("<cn type=\"rational\">1<b>9</b><sep>5</sep>4</cn>"), MathExpr::num(0.25));
+        assert_eq!(
+            parse_str("<cn type=\"e-notation\">1<sep>x</sep></cn>"),
+            Err(MathError::BadNumber { text: "1x".into() })
+        );
+    }
+
+    #[test]
+    fn structural_errors() {
+        let bad_apply = |xml: &str| match parse_str(xml) {
+            Err(MathError::BadApply { detail }) => detail,
+            other => panic!("{xml}: {other:?}"),
+        };
+        assert_eq!(bad_apply("<math/>"), "<math> has no child");
+        assert_eq!(bad_apply("<math><cn>1</cn><cn>2</cn></math>"), "<math> has more than one child");
+        assert_eq!(bad_apply("<apply><root/><degree/><ci>x</ci></apply>"), "empty <degree>");
+        assert_eq!(
+            bad_apply("<piecewise><piece><cn>1</cn><cn>2</cn><cn>3</cn></piece></piecewise>"),
+            "<piece> needs 2 children, has 3"
+        );
+        assert_eq!(bad_apply("<piecewise><otherwise/></piecewise>"), "empty <otherwise>");
+        assert_eq!(bad_apply("<lambda><bvar/><ci>x</ci></lambda>"), "empty <bvar>");
+        assert_eq!(bad_apply("<lambda><ci>x</ci><ci>y</ci></lambda>"), "<lambda> has multiple bodies");
+        assert_eq!(bad_apply("<lambda><bvar><ci>x</ci></bvar></lambda>"), "<lambda> has no body");
+        assert!(matches!(parse_str("<apply><cn>1</cn></apply>"), Err(MathError::UnknownElement { .. })));
+        assert!(matches!(parse_str("<math><ci>x</math>"), Err(MathError::Xml(_))));
     }
 
     #[test]
@@ -348,17 +436,16 @@ mod tests {
             "<apply/>",
             "<apply><power/><cn>1</cn><cn>2</cn><cn>3</cn></apply>",
         ] {
-            assert!(parse(&parse_element(bad).unwrap()).is_err(), "{bad}");
+            assert!(parse_str(bad).is_err(), "{bad}");
         }
     }
 
     #[test]
     fn unknown_elements() {
         assert!(matches!(
-            parse(&parse_element("<matrix/>").unwrap()),
+            parse_str("<matrix/>"),
             Err(MathError::UnknownElement { .. })
         ));
-        assert!(parse(&parse_element("<csymbol definitionURL=\"urn:x\">q</csymbol>").unwrap())
-            .is_err());
+        assert!(parse_str("<csymbol definitionURL=\"urn:x\">q</csymbol>").is_err());
     }
 }

@@ -1,101 +1,163 @@
 //! [`MathExpr`] → content MathML and infix text.
+//!
+//! MathML is streamed into an [`XmlWriter`], so it lands directly in the
+//! enclosing document's output.
 
-use sbml_xml::Element;
+use std::fmt;
+
+use sbml_xml::XmlWriter;
 
 use crate::ast::{MathExpr, Op};
 
 /// The MathML 2.0 namespace SBML requires on `<math>` elements.
 pub const MATHML_NS: &str = "http://www.w3.org/1998/Math/MathML";
 
-/// Wrap an expression in a namespaced `<math>` element.
-pub fn to_math_element(expr: &MathExpr) -> Element {
-    Element::new("math").with_attr("xmlns", MATHML_NS).with_child(to_element(expr))
+/// Write an expression wrapped in a namespaced `<math>` element.
+pub fn write_math(w: &mut XmlWriter, expr: &MathExpr) {
+    w.start("math");
+    w.attr("xmlns", MATHML_NS);
+    write_node(w, expr);
+    w.end();
 }
 
-/// Serialize one expression node (without the `<math>` wrapper).
-pub fn to_element(expr: &MathExpr) -> Element {
+/// Write `<math><lambda>...</lambda></math>` for a function definition's
+/// parameters and body (what [`write_math`] writes for the equivalent
+/// [`MathExpr::Lambda`], without building it).
+pub fn write_math_lambda(w: &mut XmlWriter, params: &[String], body: &MathExpr) {
+    w.start("math");
+    w.attr("xmlns", MATHML_NS);
+    write_lambda(w, params, body);
+    w.end();
+}
+
+/// Compact MathML text for an expression (`<math xmlns=...>...</math>`).
+pub fn to_mathml_string(expr: &MathExpr) -> String {
+    let mut w = XmlWriter::new(None);
+    write_math(&mut w, expr);
+    w.finish()
+}
+
+/// An identifier as MathML writes it: padded with one space each side.
+fn padded(w: &mut XmlWriter, name: &str) {
+    w.text_parts(&[" ", name, " "]);
+}
+
+fn leaf(w: &mut XmlWriter, name: &str) {
+    w.start(name);
+    w.end();
+}
+
+fn wrapped(w: &mut XmlWriter, name: &str, expr: &MathExpr) {
+    w.start(name);
+    write_node(w, expr);
+    w.end();
+}
+
+/// Write one expression node (without the `<math>` wrapper).
+pub fn write_node(w: &mut XmlWriter, expr: &MathExpr) {
     match expr {
-        MathExpr::Num(v) => Element::new("cn").with_text(format_number(*v)),
-        MathExpr::Ci(name) => Element::new("ci").with_text(format!(" {name} ")),
-        MathExpr::Csymbol { kind, name } => Element::new("csymbol")
-            .with_attr("encoding", "text")
-            .with_attr("definitionURL", kind.definition_url())
-            .with_text(format!(" {name} ")),
-        MathExpr::Const(c) => Element::new(c.mathml_name()),
+        MathExpr::Num(v) => {
+            w.start("cn");
+            w.text_display(Number(*v));
+            w.end();
+        }
+        MathExpr::Ci(name) => {
+            w.start("ci");
+            padded(w, name);
+            w.end();
+        }
+        MathExpr::Csymbol { kind, name } => {
+            w.start("csymbol");
+            w.attr("encoding", "text");
+            w.attr("definitionURL", kind.definition_url());
+            padded(w, name);
+            w.end();
+        }
+        MathExpr::Const(c) => leaf(w, c.mathml_name()),
         MathExpr::Apply { op, args } => {
-            let mut apply = Element::new("apply").with_child(Element::new(op.mathml_name()));
+            w.start("apply");
+            leaf(w, op.mathml_name());
             let mut rest: &[MathExpr] = args;
             // Re-materialise qualifiers so parse(write(x)) == x.
-            match op {
-                Op::Root => {
-                    let (degree, tail) = args.split_first().expect("root arity >= 1");
-                    if degree != &MathExpr::Num(2.0) {
-                        apply.push_child(
-                            Element::new("degree").with_child(to_element(degree)),
-                        );
-                    }
-                    rest = tail;
+            let qualifier = match op {
+                Op::Root => Some(("degree", 2.0)),
+                Op::Log => Some(("logbase", 10.0)),
+                _ => None,
+            };
+            if let (Some((name, default)), Some((first, tail))) = (qualifier, args.split_first()) {
+                if first != &MathExpr::Num(default) {
+                    wrapped(w, name, first);
                 }
-                Op::Log => {
-                    let (base, tail) = args.split_first().expect("log arity >= 1");
-                    if base != &MathExpr::Num(10.0) {
-                        apply.push_child(
-                            Element::new("logbase").with_child(to_element(base)),
-                        );
-                    }
-                    rest = tail;
-                }
-                _ => {}
+                rest = tail;
             }
             for arg in rest {
-                apply.push_child(to_element(arg));
+                write_node(w, arg);
             }
-            apply
+            w.end();
         }
         MathExpr::Call { function, args } => {
-            let mut apply =
-                Element::new("apply").with_child(Element::new("ci").with_text(format!(" {function} ")));
+            w.start("apply");
+            w.start("ci");
+            padded(w, function);
+            w.end();
             for arg in args {
-                apply.push_child(to_element(arg));
+                write_node(w, arg);
             }
-            apply
+            w.end();
         }
         MathExpr::Piecewise { pieces, otherwise } => {
-            let mut pw = Element::new("piecewise");
+            w.start("piecewise");
             for (value, cond) in pieces {
-                pw.push_child(
-                    Element::new("piece").with_child(to_element(value)).with_child(to_element(cond)),
-                );
+                w.start("piece");
+                write_node(w, value);
+                write_node(w, cond);
+                w.end();
             }
             if let Some(other) = otherwise {
-                pw.push_child(Element::new("otherwise").with_child(to_element(other)));
+                wrapped(w, "otherwise", other);
             }
-            pw
+            w.end();
         }
-        MathExpr::Lambda { params, body } => {
-            let mut lambda = Element::new("lambda");
-            for p in params {
-                lambda.push_child(
-                    Element::new("bvar").with_child(Element::new("ci").with_text(format!(" {p} "))),
-                );
-            }
-            lambda.push_child(to_element(body));
-            lambda
+        MathExpr::Lambda { params, body } => write_lambda(w, params, body),
+    }
+}
+
+fn write_lambda(w: &mut XmlWriter, params: &[String], body: &MathExpr) {
+    w.start("lambda");
+    for p in params {
+        w.start("bvar");
+        w.start("ci");
+        padded(w, p);
+        w.end();
+        w.end();
+    }
+    write_node(w, body);
+    w.end();
+}
+
+/// Shortest round-trip decimal representation of a number, as
+/// [`fmt::Display`]: integral values below 1e15 print without a fraction,
+/// `-0` prints as `0`.
+#[derive(Debug, Clone, Copy)]
+pub struct Number(pub f64);
+
+impl fmt::Display for Number {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let v = self.0;
+        if v == 0.0 {
+            // normalise -0.0
+            f.write_str("0")
+        } else if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 {
+            write!(f, "{}", v as i64)
+        } else {
+            write!(f, "{v}")
         }
     }
 }
 
 /// Shortest round-trip decimal representation of a number.
 pub fn format_number(v: f64) -> String {
-    if v == 0.0 {
-        // normalise -0.0
-        return "0".to_owned();
-    }
-    if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
-    }
+    Number(v).to_string()
 }
 
 /// Render an expression as human-readable infix text (parseable back by
@@ -258,11 +320,10 @@ fn write_infix_apply(op: Op, args: &[MathExpr], parent_prec: u8, out: &mut Strin
 mod tests {
     use super::*;
     use crate::ast::Constant;
-    use crate::parser::parse;
+    use crate::parser::parse_str;
 
     fn round_trip(expr: &MathExpr) -> MathExpr {
-        let element = to_math_element(expr);
-        parse(&element).unwrap()
+        parse_str(&to_mathml_string(expr)).unwrap()
     }
 
     #[test]
@@ -365,8 +426,31 @@ mod tests {
 
     #[test]
     fn math_element_is_namespaced() {
-        let m = to_math_element(&MathExpr::num(1.0));
-        assert_eq!(m.attr("xmlns"), Some(MATHML_NS));
-        assert_eq!(m.name, "math");
+        assert_eq!(
+            to_mathml_string(&MathExpr::num(1.0)),
+            format!("<math xmlns=\"{MATHML_NS}\"><cn>1</cn></math>")
+        );
+    }
+
+    #[test]
+    fn mathml_text_forms() {
+        let expr = MathExpr::apply(
+            Op::Root,
+            vec![MathExpr::num(2.0), MathExpr::Call { function: "f".into(), args: vec![] }],
+        );
+        assert_eq!(
+            to_mathml_string(&expr),
+            format!("<math xmlns=\"{MATHML_NS}\"><apply><root/><apply><ci> f </ci></apply></apply></math>")
+        );
+        let lambda = MathExpr::Lambda { params: vec!["x".into()], body: Box::new(MathExpr::ci("x")) };
+        let mut w = XmlWriter::new(None);
+        write_math_lambda(&mut w, &["x".into()], &MathExpr::ci("x"));
+        assert_eq!(w.finish(), to_mathml_string(&lambda));
+    }
+
+    #[test]
+    fn malformed_apply_writes_without_panicking() {
+        let expr = MathExpr::Apply { op: Op::Log, args: vec![] };
+        assert!(to_mathml_string(&expr).contains("<apply><log/></apply>"));
     }
 }

@@ -9,9 +9,10 @@ use sbml_math::{
     ast::{MathExpr, Op},
     eval::{evaluate, Env},
     infix,
-    parser::parse as parse_mathml,
+    parse_mathml,
     pattern::Pattern,
-    writer::{to_infix, to_math_element},
+    to_mathml,
+    writer::{to_infix, write_math},
 };
 
 /// Strategy for closed arithmetic expressions over a tiny variable alphabet.
@@ -145,20 +146,22 @@ proptest! {
 
     #[test]
     fn mathml_round_trip(expr in expr_strategy()) {
-        let element = to_math_element(&expr);
-        let back = parse_mathml(&element).unwrap();
+        let back = parse_mathml(&to_mathml(&expr)).unwrap();
         prop_assert_eq!(back, expr);
     }
 
     #[test]
     fn mathml_survives_xml_serialization(expr in expr_strategy()) {
-        // AST -> MathML element -> XML text -> element -> AST
-        let element = to_math_element(&expr);
-        let doc = sbml_xml::Document { declaration: None, root: element };
-        let text = sbml_xml::write_compact(&doc);
-        let parsed = sbml_xml::parse_document(&text).unwrap();
-        let back = parse_mathml(&parsed.root).unwrap();
-        prop_assert_eq!(back, expr);
+        // AST -> indented MathML text -> AST
+        let mut w = sbml_xml::XmlWriter::new(Some(2));
+        write_math(&mut w, &expr);
+        let pretty = w.finish();
+        prop_assert_eq!(parse_mathml(&pretty).unwrap(), expr.clone());
+        // The DOM reprints the streamed text byte for byte.
+        let compact = to_mathml(&expr);
+        let doc = sbml_xml::parse_document(&compact).unwrap();
+        prop_assert_eq!(sbml_xml::writer::element_to_string(&doc.root), compact);
+        prop_assert_eq!(sbml_xml::write_pretty(&doc), pretty);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! SBML document wrapper: `<sbml level="2" version="4"><model .../></sbml>`.
-
-use sbml_xml::{Document, Element};
+//!
+//! Reading binds straight off the [`sbml_xml::Reader`] token stream;
+//! writing streams into one [`sbml_xml::XmlWriter`] output string. Neither
+//! builds an XML element tree.
 
 use crate::error::ModelError;
 use crate::model::Model;
@@ -25,40 +27,14 @@ impl SbmlDocument {
         SbmlDocument { level: 2, version: 4, model }
     }
 
-    /// Parse SBML text.
+    /// Parse SBML text (an `<sbml>` document or a bare `<model>`).
     pub fn parse(text: &str) -> Result<SbmlDocument, ModelError> {
-        let doc = sbml_xml::parse_document(text)?;
-        Self::from_root(&doc.root)
-    }
-
-    /// Build from a parsed `<sbml>` root element (or a bare `<model>`).
-    pub fn from_root(root: &Element) -> Result<SbmlDocument, ModelError> {
-        if root.name == "model" {
-            // Tolerate bare models (useful in tests and fragments).
-            return Ok(SbmlDocument::new(Model::from_element(root)?));
-        }
-        if root.name != "sbml" {
-            return Err(ModelError::structure(format!(
-                "expected <sbml> root, found <{}>",
-                root.name
-            )));
-        }
-        let level = root.attr("level").and_then(|v| v.parse().ok()).unwrap_or(2);
-        let version = root.attr("version").and_then(|v| v.parse().ok()).unwrap_or(4);
-        let model_el = root
-            .child("model")
-            .ok_or_else(|| ModelError::structure("<sbml> has no <model> child"))?;
-        Ok(SbmlDocument { level, version, model: Model::from_element(model_el)? })
+        crate::read::read_document(text)
     }
 
     /// Serialize to SBML text (pretty-printed).
     pub fn to_xml(&self) -> String {
-        let root = Element::new("sbml")
-            .with_attr("xmlns", SBML_NS)
-            .with_attr("level", self.level.to_string())
-            .with_attr("version", self.version.to_string())
-            .with_child(self.model.to_element());
-        sbml_xml::write_pretty(&Document::with_root(root))
+        crate::write::write_document(self.level, self.version, &self.model)
     }
 }
 
@@ -69,7 +45,7 @@ pub fn parse_sbml(text: &str) -> Result<Model, ModelError> {
 
 /// Serialize a [`Model`] as a complete SBML document string.
 pub fn write_sbml(model: &Model) -> String {
-    SbmlDocument::new(model.clone()).to_xml()
+    crate::write::write_document(2, 4, model)
 }
 
 #[cfg(test)]
@@ -114,6 +90,18 @@ mod tests {
         .unwrap();
         assert_eq!(doc.level, 2);
         assert_eq!(doc.version, 3);
+    }
+
+    #[test]
+    fn to_xml_writes_level_and_version() {
+        let doc = SbmlDocument { level: 2, version: 3, model: Model::new("m") };
+        assert_eq!(
+            doc.to_xml(),
+            format!(
+                "<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<sbml xmlns=\"{SBML_NS}\" level=\"2\" version=\"3\">\n  <model id=\"m\"/>\n</sbml>\n"
+            )
+        );
+        assert_eq!(SbmlDocument::parse(&doc.to_xml()).unwrap(), doc);
     }
 
     #[test]

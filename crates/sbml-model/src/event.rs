@@ -1,10 +1,6 @@
 //! Discrete events: trigger, optional delay, assignments.
 
 use sbml_math::MathExpr;
-use sbml_xml::Element;
-
-use crate::error::ModelError;
-use crate::xmlutil::{opt_attr, req_attr, req_math_child, set_opt};
 
 /// One variable update fired by an event.
 #[derive(Debug, Clone, PartialEq)]
@@ -13,23 +9,6 @@ pub struct EventAssignment {
     pub variable: String,
     /// The new-value expression, evaluated at firing time.
     pub math: MathExpr,
-}
-
-impl EventAssignment {
-    /// Read from `<eventAssignment>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        Ok(EventAssignment {
-            variable: req_attr(e, "variable")?,
-            math: req_math_child(e, "eventAssignment")?,
-        })
-    }
-
-    /// Write to `<eventAssignment>`.
-    pub fn to_element(&self) -> Element {
-        Element::new("eventAssignment")
-            .with_attr("variable", self.variable.clone())
-            .with_child(sbml_math::to_mathml(&self.math))
-    }
 }
 
 /// A discrete event.
@@ -53,49 +32,12 @@ impl Event {
     pub fn new(trigger: MathExpr) -> Event {
         Event { id: None, name: None, trigger, delay: None, assignments: Vec::new() }
     }
-
-    /// Read from `<event>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        let trigger_el = e
-            .child("trigger")
-            .ok_or_else(|| ModelError::structure("event missing <trigger>"))?;
-        let trigger = req_math_child(trigger_el, "event trigger")?;
-        let delay = match e.child("delay") {
-            Some(d) => Some(req_math_child(d, "event delay")?),
-            None => None,
-        };
-        let mut assignments = Vec::new();
-        if let Some(list) = e.child("listOfEventAssignments") {
-            for a in list.children_named("eventAssignment") {
-                assignments.push(EventAssignment::from_element(a)?);
-            }
-        }
-        Ok(Event { id: opt_attr(e, "id"), name: opt_attr(e, "name"), trigger, delay, assignments })
-    }
-
-    /// Write to `<event>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("event");
-        set_opt(&mut e, "id", &self.id);
-        set_opt(&mut e, "name", &self.name);
-        e.push_child(Element::new("trigger").with_child(sbml_math::to_mathml(&self.trigger)));
-        if let Some(delay) = &self.delay {
-            e.push_child(Element::new("delay").with_child(sbml_math::to_mathml(delay)));
-        }
-        if !self.assignments.is_empty() {
-            let mut list = Element::new("listOfEventAssignments");
-            for a in &self.assignments {
-                list.push_child(a.to_element());
-            }
-            e.push_child(list);
-        }
-        e
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{model_with, reread, structure_error};
     use sbml_math::infix;
 
     #[test]
@@ -110,23 +52,23 @@ mod tests {
                 math: infix::parse("A + 100").unwrap(),
             }],
         };
-        let back = Event::from_element(&ev.to_element()).unwrap();
-        assert_eq!(back, ev);
+        let m = model_with(|m| m.events.push(ev));
+        assert_eq!(reread(&m), m);
     }
 
     #[test]
     fn minimal_event() {
-        let ev = Event::new(infix::parse("x > 1").unwrap());
-        let back = Event::from_element(&ev.to_element()).unwrap();
-        assert_eq!(back, ev);
-        assert!(back.id.is_none());
-        assert!(back.delay.is_none());
-        assert!(back.assignments.is_empty());
+        let m = model_with(|m| m.events.push(Event::new(infix::parse("x > 1").unwrap())));
+        let back = reread(&m);
+        assert_eq!(back, m);
+        assert!(back.events[0].id.is_none());
+        assert!(back.events[0].delay.is_none());
+        assert!(back.events[0].assignments.is_empty());
     }
 
     #[test]
     fn trigger_required() {
-        let e = sbml_xml::parse_element("<event id=\"e\"/>").unwrap();
-        assert!(Event::from_element(&e).is_err());
+        let detail = structure_error(r#"<listOfEvents><event id="e"/></listOfEvents>"#);
+        assert_eq!(detail, "event missing <trigger>");
     }
 }

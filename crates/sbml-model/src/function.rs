@@ -1,10 +1,6 @@
 //! SBML function definitions (named lambdas reusable in model math).
 
 use sbml_math::MathExpr;
-use sbml_xml::Element;
-
-use crate::error::ModelError;
-use crate::xmlutil::{opt_attr, req_attr, req_math_child, set_opt};
 
 /// A function definition: `id(params...) = body`.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,31 +29,12 @@ impl FunctionDefinition {
     pub fn as_lambda(&self) -> MathExpr {
         MathExpr::Lambda { params: self.params.clone(), body: Box::new(self.body.clone()) }
     }
-
-    /// Read from `<functionDefinition>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        let id = req_attr(e, "id")?;
-        let math = req_math_child(e, &format!("functionDefinition {id:?}"))?;
-        let MathExpr::Lambda { params, body } = math else {
-            return Err(ModelError::structure(format!(
-                "functionDefinition {id:?} math must be a <lambda>"
-            )));
-        };
-        Ok(FunctionDefinition { id, name: opt_attr(e, "name"), params, body: *body })
-    }
-
-    /// Write to `<functionDefinition>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("functionDefinition").with_attr("id", self.id.clone());
-        set_opt(&mut e, "name", &self.name);
-        e.push_child(sbml_math::to_mathml(&self.as_lambda()));
-        e
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{model_with, reread, structure_error};
     use sbml_math::infix;
 
     #[test]
@@ -67,17 +44,16 @@ mod tests {
             vec!["S".into(), "Vmax".into(), "Km".into()],
             infix::parse("Vmax*S/(Km+S)").unwrap(),
         );
-        let back = FunctionDefinition::from_element(&f.to_element()).unwrap();
-        assert_eq!(back, f);
+        let m = model_with(|m| m.function_definitions.push(f));
+        assert_eq!(reread(&m), m);
     }
 
     #[test]
     fn lambda_required() {
-        let e = sbml_xml::parse_element(
-            "<functionDefinition id=\"f\"><math><cn>1</cn></math></functionDefinition>",
-        )
-        .unwrap();
-        assert!(FunctionDefinition::from_element(&e).is_err());
+        let detail = structure_error(
+            r#"<listOfFunctionDefinitions><functionDefinition id="f"><math><cn>1</cn></math></functionDefinition></listOfFunctionDefinitions>"#,
+        );
+        assert_eq!(detail, "functionDefinition \"f\" math must be a <lambda>");
     }
 
     #[test]

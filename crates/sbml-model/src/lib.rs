@@ -13,7 +13,9 @@
 //! * [`reaction`] — reactions, species references, kinetic laws with local
 //!   parameters,
 //! * [`rule`], [`event`], [`function`] — the remaining math-bearing kinds,
-//! * [`document`] — SBML XML reading/writing (`<sbml><model>...`),
+//! * [`document`] — SBML XML reading/writing (`<sbml><model>...`): text is
+//!   bound straight into a [`Model`] off a borrowing pull reader, and a
+//!   model streams straight back out as text — no XML tree either way,
 //! * [`validate`](mod@validate) — the semantic checks a merged model must satisfy,
 //! * [`builder`] — an ergonomic construction API used by the examples and
 //!   the synthetic corpus generator.
@@ -46,17 +48,21 @@
 //! ```
 
 pub mod builder;
-pub(crate) mod xmlutil;
-pub mod units_xml;
 pub mod components;
+#[cfg(test)]
+mod testutil;
 pub mod document;
 pub mod error;
 pub mod event;
 pub mod function;
 pub mod model;
+mod read;
 pub mod reaction;
 pub mod rule;
+mod units_xml;
 pub mod validate;
+mod write;
+mod xmlutil;
 
 pub use components::{Compartment, CompartmentType, Parameter, Species, SpeciesType};
 pub use document::{parse_sbml, write_sbml, SbmlDocument};

@@ -4,16 +4,12 @@ use std::collections::BTreeSet;
 
 use sbml_math::MathExpr;
 use sbml_units::UnitDefinition;
-use sbml_xml::Element;
 
 use crate::components::{Compartment, CompartmentType, Parameter, Species, SpeciesType};
-use crate::error::ModelError;
 use crate::event::Event;
 use crate::function::FunctionDefinition;
 use crate::reaction::Reaction;
 use crate::rule::{Constraint, Rule};
-use crate::units_xml::{unit_definition_from_element, unit_definition_to_element};
-use crate::xmlutil::{opt_attr, req_attr, req_math_child, set_opt};
 
 /// An initial assignment: `symbol := math` evaluated at time zero.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,23 +18,6 @@ pub struct InitialAssignment {
     pub symbol: String,
     /// The initial-value expression.
     pub math: MathExpr,
-}
-
-impl InitialAssignment {
-    /// Read from `<initialAssignment>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        Ok(InitialAssignment {
-            symbol: req_attr(e, "symbol")?,
-            math: req_math_child(e, "initialAssignment")?,
-        })
-    }
-
-    /// Write to `<initialAssignment>`.
-    pub fn to_element(&self) -> Element {
-        Element::new("initialAssignment")
-            .with_attr("symbol", self.symbol.clone())
-            .with_child(sbml_math::to_mathml(&self.math))
-    }
 }
 
 /// A biochemical network model: the eleven component lists merged by the
@@ -185,129 +164,13 @@ impl Model {
         }
         unreachable!("id space exhausted")
     }
-
-    /// Read from a `<model>` element.
-    pub fn from_element(e: &Element) -> Result<Model, ModelError> {
-        if e.name != "model" {
-            return Err(ModelError::structure(format!("expected <model>, found <{}>", e.name)));
-        }
-        let mut model = Model {
-            id: opt_attr(e, "id").unwrap_or_default(),
-            name: opt_attr(e, "name"),
-            ..Model::default()
-        };
-        if let Some(list) = e.child("listOfFunctionDefinitions") {
-            for c in list.children_named("functionDefinition") {
-                model.function_definitions.push(FunctionDefinition::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfUnitDefinitions") {
-            for c in list.children_named("unitDefinition") {
-                model.unit_definitions.push(unit_definition_from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfCompartmentTypes") {
-            for c in list.children_named("compartmentType") {
-                model.compartment_types.push(CompartmentType::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfSpeciesTypes") {
-            for c in list.children_named("speciesType") {
-                model.species_types.push(SpeciesType::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfCompartments") {
-            for c in list.children_named("compartment") {
-                model.compartments.push(Compartment::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfSpecies") {
-            for c in list.children_named("species") {
-                model.species.push(Species::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfParameters") {
-            for c in list.children_named("parameter") {
-                model.parameters.push(Parameter::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfInitialAssignments") {
-            for c in list.children_named("initialAssignment") {
-                model.initial_assignments.push(InitialAssignment::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfRules") {
-            for c in list.child_elements() {
-                model.rules.push(Rule::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfConstraints") {
-            for c in list.children_named("constraint") {
-                model.constraints.push(Constraint::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfReactions") {
-            for c in list.children_named("reaction") {
-                model.reactions.push(Reaction::from_element(c)?);
-            }
-        }
-        if let Some(list) = e.child("listOfEvents") {
-            for c in list.children_named("event") {
-                model.events.push(Event::from_element(c)?);
-            }
-        }
-        Ok(model)
-    }
-
-    /// Write to a `<model>` element.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("model");
-        if !self.id.is_empty() {
-            e.set_attr("id", self.id.clone());
-        }
-        set_opt(&mut e, "name", &self.name);
-
-        fn push_list<T>(
-            parent: &mut Element,
-            list_name: &str,
-            items: &[T],
-            to_el: impl Fn(&T) -> Element,
-        ) {
-            if !items.is_empty() {
-                let mut list = Element::new(list_name);
-                for item in items {
-                    list.push_child(to_el(item));
-                }
-                parent.push_child(list);
-            }
-        }
-
-        push_list(&mut e, "listOfFunctionDefinitions", &self.function_definitions, |f| {
-            f.to_element()
-        });
-        push_list(&mut e, "listOfUnitDefinitions", &self.unit_definitions, |u| {
-            unit_definition_to_element(u)
-        });
-        push_list(&mut e, "listOfCompartmentTypes", &self.compartment_types, |c| c.to_element());
-        push_list(&mut e, "listOfSpeciesTypes", &self.species_types, |s| s.to_element());
-        push_list(&mut e, "listOfCompartments", &self.compartments, |c| c.to_element());
-        push_list(&mut e, "listOfSpecies", &self.species, |s| s.to_element());
-        push_list(&mut e, "listOfParameters", &self.parameters, |p| p.to_element());
-        push_list(&mut e, "listOfInitialAssignments", &self.initial_assignments, |i| {
-            i.to_element()
-        });
-        push_list(&mut e, "listOfRules", &self.rules, |r| r.to_element());
-        push_list(&mut e, "listOfConstraints", &self.constraints, |c| c.to_element());
-        push_list(&mut e, "listOfReactions", &self.reactions, |r| r.to_element());
-        push_list(&mut e, "listOfEvents", &self.events, |ev| ev.to_element());
-        e
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::ModelBuilder;
+    use crate::testutil::{model_with, reread};
 
     fn fig1a() -> Model {
         ModelBuilder::new("fig1a")
@@ -335,8 +198,7 @@ mod tests {
     #[test]
     fn element_round_trip() {
         let m = fig1a();
-        let back = Model::from_element(&m.to_element()).unwrap();
-        assert_eq!(back, m);
+        assert_eq!(reread(&m), m);
     }
 
     #[test]
@@ -344,8 +206,7 @@ mod tests {
         let m = Model::new("empty");
         assert!(m.is_empty());
         assert_eq!(m.size(), 0);
-        let back = Model::from_element(&m.to_element()).unwrap();
-        assert_eq!(back, m);
+        assert_eq!(reread(&m), m);
     }
 
     #[test]
@@ -391,7 +252,14 @@ mod tests {
             symbol: "A".into(),
             math: sbml_math::infix::parse("2*k1").unwrap(),
         };
-        assert_eq!(InitialAssignment::from_element(&ia.to_element()).unwrap(), ia);
+        let m = model_with(|m| m.initial_assignments.push(ia));
+        assert_eq!(reread(&m), m);
+    }
+
+    #[test]
+    fn non_model_element_rejected() {
+        let err = crate::parse_sbml("<notmodel/>").unwrap_err();
+        assert_eq!(err, crate::ModelError::structure("expected <sbml> root, found <notmodel>"));
     }
 
     #[test]
@@ -434,11 +302,5 @@ mod tests {
             .reaction("r", &["A"], &[], "k*A")
             .build();
         assert_eq!(m.edges(), 1);
-    }
-
-    #[test]
-    fn non_model_element_rejected() {
-        let e = sbml_xml::parse_element("<notmodel/>").unwrap();
-        assert!(Model::from_element(&e).is_err());
     }
 }

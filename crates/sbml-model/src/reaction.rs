@@ -1,11 +1,8 @@
 //! Reactions, species references and kinetic laws.
 
 use sbml_math::MathExpr;
-use sbml_xml::Element;
 
 use crate::components::Parameter;
-use crate::error::ModelError;
-use crate::xmlutil::{bool_attr, opt_attr, opt_f64, req_attr, req_math_child, set_opt};
 
 /// A (reactant or product) species reference with stoichiometry.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,23 +25,6 @@ impl SpeciesReference {
         self.stoichiometry = stoichiometry;
         self
     }
-
-    /// Read from `<speciesReference>` / `<modifierSpeciesReference>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        Ok(SpeciesReference {
-            species: req_attr(e, "species")?,
-            stoichiometry: opt_f64(e, "stoichiometry")?.unwrap_or(1.0),
-        })
-    }
-
-    /// Write to the given element name.
-    pub fn to_element(&self, name: &str) -> Element {
-        let mut e = Element::new(name).with_attr("species", self.species.clone());
-        if self.stoichiometry != 1.0 {
-            e.set_attr("stoichiometry", sbml_math::writer::format_number(self.stoichiometry));
-        }
-        e
-    }
 }
 
 /// A kinetic law: rate math plus local parameters.
@@ -60,31 +40,6 @@ impl KineticLaw {
     /// A law with no local parameters.
     pub fn new(math: MathExpr) -> KineticLaw {
         KineticLaw { math, parameters: Vec::new() }
-    }
-
-    /// Read from `<kineticLaw>`.
-    pub fn from_element(e: &Element, reaction_id: &str) -> Result<Self, ModelError> {
-        let math = req_math_child(e, &format!("reaction {reaction_id:?} kineticLaw"))?;
-        let mut parameters = Vec::new();
-        if let Some(list) = e.child("listOfParameters") {
-            for p in list.children_named("parameter") {
-                parameters.push(Parameter::from_element(p)?);
-            }
-        }
-        Ok(KineticLaw { math, parameters })
-    }
-
-    /// Write to `<kineticLaw>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("kineticLaw").with_child(sbml_math::to_mathml(&self.math));
-        if !self.parameters.is_empty() {
-            let mut list = Element::new("listOfParameters");
-            for p in &self.parameters {
-                list.push_child(p.to_element());
-            }
-            e.push_child(list);
-        }
-        e
     }
 }
 
@@ -130,73 +85,13 @@ impl Reaction {
     pub fn reactant_molecule_count(&self) -> u32 {
         self.reactants.iter().map(|r| r.stoichiometry.max(0.0)).sum::<f64>().round() as u32
     }
-
-    /// Read from `<reaction>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        let id = req_attr(e, "id")?;
-        let mut reaction = Reaction {
-            id: id.clone(),
-            name: opt_attr(e, "name"),
-            reversible: bool_attr(e, "reversible", true)?,
-            fast: bool_attr(e, "fast", false)?,
-            reactants: Vec::new(),
-            products: Vec::new(),
-            modifiers: Vec::new(),
-            kinetic_law: None,
-        };
-        if let Some(list) = e.child("listOfReactants") {
-            for r in list.children_named("speciesReference") {
-                reaction.reactants.push(SpeciesReference::from_element(r)?);
-            }
-        }
-        if let Some(list) = e.child("listOfProducts") {
-            for p in list.children_named("speciesReference") {
-                reaction.products.push(SpeciesReference::from_element(p)?);
-            }
-        }
-        if let Some(list) = e.child("listOfModifiers") {
-            for m in list.children_named("modifierSpeciesReference") {
-                reaction.modifiers.push(SpeciesReference::from_element(m)?);
-            }
-        }
-        if let Some(kl) = e.child("kineticLaw") {
-            reaction.kinetic_law = Some(KineticLaw::from_element(kl, &id)?);
-        }
-        Ok(reaction)
-    }
-
-    /// Write to `<reaction>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("reaction").with_attr("id", self.id.clone());
-        set_opt(&mut e, "name", &self.name);
-        e.set_attr("reversible", if self.reversible { "true" } else { "false" });
-        if self.fast {
-            e.set_attr("fast", "true");
-        }
-        let push_list = |e: &mut Element, list_name: &str, refs: &[SpeciesReference], tag: &str| {
-            if !refs.is_empty() {
-                let mut list = Element::new(list_name);
-                for r in refs {
-                    list.push_child(r.to_element(tag));
-                }
-                e.push_child(list);
-            }
-        };
-        push_list(&mut e, "listOfReactants", &self.reactants, "speciesReference");
-        push_list(&mut e, "listOfProducts", &self.products, "speciesReference");
-        push_list(&mut e, "listOfModifiers", &self.modifiers, "modifierSpeciesReference");
-        if let Some(kl) = &self.kinetic_law {
-            e.push_child(kl.to_element());
-        }
-        e
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{model_with, parse_body, reread, structure_error};
     use sbml_math::infix;
-    use sbml_xml::parse_element;
 
     fn mass_action() -> Reaction {
         let mut r = Reaction::new("r1");
@@ -210,23 +105,25 @@ mod tests {
 
     #[test]
     fn reaction_round_trip() {
-        let r = mass_action();
-        let back = Reaction::from_element(&r.to_element()).unwrap();
-        assert_eq!(back, r);
+        let mut r = mass_action();
+        r.fast = true;
+        let m = model_with(|m| m.reactions.push(r));
+        assert_eq!(reread(&m), m);
     }
 
     #[test]
     fn kinetic_law_with_local_parameters() {
         let mut r = mass_action();
         r.kinetic_law.as_mut().unwrap().parameters.push(Parameter::new("k1", 0.7));
-        let back = Reaction::from_element(&r.to_element()).unwrap();
-        assert_eq!(back.kinetic_law.unwrap().parameters[0].value, Some(0.7));
+        let back = reread(&model_with(|m| m.reactions.push(r)));
+        let law = back.reactions[0].kinetic_law.as_ref().unwrap();
+        assert_eq!(law.parameters[0].value, Some(0.7));
     }
 
     #[test]
     fn defaults_from_sparse_xml() {
-        let e = parse_element(r#"<reaction id="r"/>"#).unwrap();
-        let r = Reaction::from_element(&e).unwrap();
+        let m = parse_body(r#"<listOfReactions><reaction id="r"/></listOfReactions>"#).unwrap();
+        let r = &m.reactions[0];
         assert!(r.reversible, "SBML default is reversible=true");
         assert!(!r.fast);
         assert!(r.reactants.is_empty());
@@ -235,8 +132,11 @@ mod tests {
 
     #[test]
     fn stoichiometry_default_one() {
-        let e = parse_element(r#"<speciesReference species="X"/>"#).unwrap();
-        assert_eq!(SpeciesReference::from_element(&e).unwrap().stoichiometry, 1.0);
+        let m = parse_body(
+            r#"<listOfReactions><reaction id="r"><listOfReactants><speciesReference species="X"/></listOfReactants></reaction></listOfReactions>"#,
+        )
+        .unwrap();
+        assert_eq!(m.reactions[0].reactants[0].stoichiometry, 1.0);
     }
 
     #[test]
@@ -253,7 +153,9 @@ mod tests {
 
     #[test]
     fn kinetic_law_requires_math() {
-        let e = parse_element(r#"<reaction id="r"><kineticLaw/></reaction>"#).unwrap();
-        assert!(Reaction::from_element(&e).is_err());
+        let detail = structure_error(
+            r#"<listOfReactions><reaction id="r"><kineticLaw/></reaction></listOfReactions>"#,
+        );
+        assert_eq!(detail, "reaction \"r\" kineticLaw: missing <math> child");
     }
 }

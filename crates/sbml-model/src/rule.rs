@@ -1,10 +1,6 @@
 //! Rules: algebraic, assignment and rate rules.
 
 use sbml_math::MathExpr;
-use sbml_xml::Element;
-
-use crate::error::ModelError;
-use crate::xmlutil::{req_attr, req_math_child};
 
 /// An SBML rule constraining model variables.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,39 +52,6 @@ impl Rule {
             }
         }
     }
-
-    /// Read from one of the three rule elements.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        match e.name.as_str() {
-            "algebraicRule" => {
-                Ok(Rule::Algebraic { math: req_math_child(e, "algebraicRule")? })
-            }
-            "assignmentRule" => Ok(Rule::Assignment {
-                variable: req_attr(e, "variable")?,
-                math: req_math_child(e, "assignmentRule")?,
-            }),
-            "rateRule" => Ok(Rule::Rate {
-                variable: req_attr(e, "variable")?,
-                math: req_math_child(e, "rateRule")?,
-            }),
-            other => Err(ModelError::structure(format!("unknown rule element <{other}>"))),
-        }
-    }
-
-    /// Write to the appropriate rule element.
-    pub fn to_element(&self) -> Element {
-        match self {
-            Rule::Algebraic { math } => {
-                Element::new("algebraicRule").with_child(sbml_math::to_mathml(math))
-            }
-            Rule::Assignment { variable, math } => Element::new("assignmentRule")
-                .with_attr("variable", variable.clone())
-                .with_child(sbml_math::to_mathml(math)),
-            Rule::Rate { variable, math } => Element::new("rateRule")
-                .with_attr("variable", variable.clone())
-                .with_child(sbml_math::to_mathml(math)),
-        }
-    }
 }
 
 /// A constraint: a condition that should remain true during simulation.
@@ -100,40 +63,20 @@ pub struct Constraint {
     pub message: Option<String>,
 }
 
-impl Constraint {
-    /// Read from `<constraint>`.
-    pub fn from_element(e: &Element) -> Result<Self, ModelError> {
-        let math = req_math_child(e, "constraint")?;
-        let message = e.child("message").map(|m| m.text().trim().to_owned());
-        Ok(Constraint { math, message })
-    }
-
-    /// Write to `<constraint>`.
-    pub fn to_element(&self) -> Element {
-        let mut e = Element::new("constraint").with_child(sbml_math::to_mathml(&self.math));
-        if let Some(msg) = &self.message {
-            e.push_child(Element::new("message").with_text(msg.clone()));
-        }
-        e
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{model_with, reread, structure_error};
     use sbml_math::infix;
 
     #[test]
     fn rule_round_trips() {
-        let rules = vec![
-            Rule::Algebraic { math: infix::parse("x + y - 10").unwrap() },
-            Rule::Assignment { variable: "x".into(), math: infix::parse("2*y").unwrap() },
-            Rule::Rate { variable: "y".into(), math: infix::parse("-0.1*y").unwrap() },
-        ];
-        for rule in rules {
-            let back = Rule::from_element(&rule.to_element()).unwrap();
-            assert_eq!(back, rule);
-        }
+        let m = model_with(|m| {
+            m.rules.push(Rule::Algebraic { math: infix::parse("x + y - 10").unwrap() });
+            m.rules.push(Rule::Assignment { variable: "x".into(), math: infix::parse("2*y").unwrap() });
+            m.rules.push(Rule::Rate { variable: "y".into(), math: infix::parse("-0.1*y").unwrap() });
+        });
+        assert_eq!(reread(&m), m);
     }
 
     #[test]
@@ -156,20 +99,19 @@ mod tests {
 
     #[test]
     fn constraint_round_trip() {
-        let c = Constraint {
-            math: infix::parse("S >= 0").unwrap(),
-            message: Some("S must stay non-negative".into()),
-        };
-        let back = Constraint::from_element(&c.to_element()).unwrap();
-        assert_eq!(back, c);
-
-        let bare = Constraint { math: infix::parse("x < 10").unwrap(), message: None };
-        assert_eq!(Constraint::from_element(&bare.to_element()).unwrap(), bare);
+        let m = model_with(|m| {
+            m.constraints.push(Constraint {
+                math: infix::parse("S >= 0").unwrap(),
+                message: Some("S must stay non-negative".into()),
+            });
+            m.constraints.push(Constraint { math: infix::parse("x < 10").unwrap(), message: None });
+        });
+        assert_eq!(reread(&m), m);
     }
 
     #[test]
     fn unknown_rule_rejected() {
-        let e = sbml_xml::parse_element("<weirdRule/>").unwrap();
-        assert!(Rule::from_element(&e).is_err());
+        let detail = structure_error("<listOfRules><weirdRule/></listOfRules>");
+        assert_eq!(detail, "unknown rule element <weirdRule>");
     }
 }

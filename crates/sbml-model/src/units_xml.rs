@@ -1,63 +1,78 @@
 //! XML binding for unit definitions (`sbml-units` stays XML-free).
 
+use sbml_math::writer::Number;
 use sbml_units::{Unit, UnitDefinition, UnitKind};
-use sbml_xml::Element;
+use sbml_xml::{Attrs, Reader, XmlWriter};
 
 use crate::error::ModelError;
-use crate::xmlutil::{opt_attr, opt_f64, opt_i32, req_attr};
+use crate::write::{list, opt};
+use crate::xmlutil::{leaf, opt_attr, opt_f64, opt_i32, read_list, req_attr};
+
+type Result<T> = std::result::Result<T, ModelError>;
 
 /// Read `<unitDefinition>`.
-pub fn unit_definition_from_element(e: &Element) -> Result<UnitDefinition, ModelError> {
-    let id = req_attr(e, "id")?;
+pub(crate) fn read_unit_definition(r: &mut Reader<'_>) -> Result<UnitDefinition> {
+    let attrs = r.attrs();
+    let id = req_attr(&attrs, "id")?;
+    let name = opt_attr(&attrs, "name");
     let mut units = Vec::new();
-    if let Some(list) = e.child("listOfUnits") {
-        for u in list.children_named("unit") {
-            let kind_raw = req_attr(u, "kind")?;
-            let kind = UnitKind::parse(&kind_raw).ok_or_else(|| {
-                ModelError::structure(format!("unitDefinition {id:?}: unknown unit kind {kind_raw:?}"))
-            })?;
-            units.push(Unit {
-                kind,
-                exponent: opt_i32(u, "exponent")?.unwrap_or(1),
-                scale: opt_i32(u, "scale")?.unwrap_or(0),
-                multiplier: opt_f64(u, "multiplier")?.unwrap_or(1.0),
-            });
+    let mut seen = false;
+    while let Some(list) = r.next_child() {
+        if list.name != "listOfUnits" || std::mem::replace(&mut seen, true) {
+            r.skip();
+            continue;
         }
+        read_list(r, "unit", &mut units, |r| leaf(r, |a| unit(a, &id)))?;
     }
     let mut def = UnitDefinition::new(id, units);
-    def.name = opt_attr(e, "name");
+    def.name = name;
     Ok(def)
 }
 
+fn unit(attrs: &Attrs<'_, '_>, definition: &str) -> Result<Unit> {
+    let kind_raw = attrs.get("kind").ok_or_else(|| {
+        ModelError::structure(format!("<{}> missing required attribute \"kind\"", attrs.name))
+    })?;
+    let kind = UnitKind::parse(kind_raw).ok_or_else(|| {
+        ModelError::structure(format!(
+            "unitDefinition {definition:?}: unknown unit kind {kind_raw:?}"
+        ))
+    })?;
+    Ok(Unit {
+        kind,
+        exponent: opt_i32(attrs, "exponent")?.unwrap_or(1),
+        scale: opt_i32(attrs, "scale")?.unwrap_or(0),
+        multiplier: opt_f64(attrs, "multiplier")?.unwrap_or(1.0),
+    })
+}
+
 /// Write `<unitDefinition>`.
-pub fn unit_definition_to_element(def: &UnitDefinition) -> Element {
-    let mut e = Element::new("unitDefinition").with_attr("id", def.id.clone());
-    if let Some(name) = &def.name {
-        e.set_attr("name", name.clone());
-    }
-    if !def.units.is_empty() {
-        let mut list = Element::new("listOfUnits");
-        for u in &def.units {
-            let mut unit = Element::new("unit").with_attr("kind", u.kind.name());
-            if u.exponent != 1 {
-                unit.set_attr("exponent", u.exponent.to_string());
-            }
-            if u.scale != 0 {
-                unit.set_attr("scale", u.scale.to_string());
-            }
-            if u.multiplier != 1.0 {
-                unit.set_attr("multiplier", sbml_math::writer::format_number(u.multiplier));
-            }
-            list.push_child(unit);
+pub(crate) fn write_unit_definition(w: &mut XmlWriter, def: &UnitDefinition) {
+    w.start("unitDefinition");
+    w.attr("id", &def.id);
+    opt(w, "name", &def.name);
+    list(w, "listOfUnits", &def.units, |w, u| {
+        w.start("unit");
+        w.attr("kind", u.kind.name());
+        if u.exponent != 1 {
+            w.attr_display("exponent", u.exponent);
         }
-        e.push_child(list);
-    }
-    e
+        if u.scale != 0 {
+            w.attr_display("scale", u.scale);
+        }
+        if u.multiplier != 1.0 {
+            w.attr_display("multiplier", Number(u.multiplier));
+        }
+        w.end();
+    });
+    w.end();
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use sbml_units::{Unit, UnitDefinition, UnitKind};
+
+    use crate::testutil::{model_with, parse_body, reread, structure_error};
 
     #[test]
     fn round_trip() {
@@ -70,28 +85,27 @@ mod tests {
             ],
         )
         .named("per millimolar per second");
-        let back = unit_definition_from_element(&unit_definition_to_element(&def)).unwrap();
-        assert_eq!(back, def);
+        let m = model_with(|m| m.unit_definitions.push(def));
+        assert_eq!(reread(&m), m);
+    }
+
+    fn units(kind: &str) -> String {
+        format!(
+            r#"<listOfUnitDefinitions><unitDefinition id="u"><listOfUnits><unit kind="{kind}"/></listOfUnits></unitDefinition></listOfUnitDefinitions>"#
+        )
     }
 
     #[test]
     fn defaults() {
-        let e = sbml_xml::parse_element(
-            r#"<unitDefinition id="u"><listOfUnits><unit kind="mole"/></listOfUnits></unitDefinition>"#,
-        )
-        .unwrap();
-        let def = unit_definition_from_element(&e).unwrap();
-        assert_eq!(def.units[0].exponent, 1);
-        assert_eq!(def.units[0].scale, 0);
-        assert_eq!(def.units[0].multiplier, 1.0);
+        let m = parse_body(&units("mole")).unwrap();
+        let u = &m.unit_definitions[0].units[0];
+        assert_eq!(u.exponent, 1);
+        assert_eq!(u.scale, 0);
+        assert_eq!(u.multiplier, 1.0);
     }
 
     #[test]
     fn unknown_kind_rejected() {
-        let e = sbml_xml::parse_element(
-            r#"<unitDefinition id="u"><listOfUnits><unit kind="cubit"/></listOfUnits></unitDefinition>"#,
-        )
-        .unwrap();
-        assert!(unit_definition_from_element(&e).is_err());
+        assert!(structure_error(&units("cubit")).contains("unknown unit kind \"cubit\""));
     }
 }

@@ -503,11 +503,59 @@ fn encode(response: Response) -> Arc<[u8]> {
     Arc::from(response.encode().into_boxed_slice())
 }
 
-fn parse_query(xml: &str, metrics: &Metrics) -> Result<Model, Arc<[u8]>> {
+/// Parse one request document, or answer `ERR parse` (counted as an
+/// error). Shared by the daemon and the cluster coordinator.
+pub fn parse_model(xml: &str, metrics: &Metrics) -> Result<Model, Arc<[u8]>> {
     parse_sbml(xml).map_err(|e| {
         Metrics::bump(&metrics.errors);
         encode(Response::Err { kind: ErrKind::Parse, message: e.to_string() })
     })
+}
+
+/// Answer a COMPOSE: parse every document, push each into one session
+/// under this request's own budget (`max_steps`, `deadline_ms`), write the
+/// composed model. A hostile request is cut off with a structured error
+/// and the caller keeps serving. Shared by the daemon and the cluster
+/// coordinator, which compose locally.
+pub fn compose_documents(
+    models_xml: &[String],
+    options: &ComposeOptions,
+    pool: &Arc<WorkerPool>,
+    (max_steps, deadline_ms): (Option<u64>, Option<u64>),
+    metrics: &Metrics,
+) -> Arc<[u8]> {
+    if models_xml.len() < 2 {
+        Metrics::bump(&metrics.errors);
+        return encode(Response::Err {
+            kind: ErrKind::Proto,
+            message: "COMPOSE needs at least two documents".into(),
+        });
+    }
+    let mut models = Vec::with_capacity(models_xml.len());
+    for xml in models_xml {
+        match parse_model(xml, metrics) {
+            Ok(model) => models.push(model),
+            Err(response) => return response,
+        }
+    }
+    let mut budget = Budget::unlimited();
+    if let Some(steps) = max_steps {
+        budget = budget.with_max_steps(steps);
+    }
+    if let Some(ms) = deadline_ms {
+        budget = budget.with_deadline_ms(ms);
+    }
+    let meter = budget.start();
+    let mut session = CompositionSession::new(options);
+    session.set_pool(Arc::clone(pool));
+    for model in &models {
+        if let Err(error) = session.push_guarded(model, Some(&meter)) {
+            Metrics::bump(&metrics.budget_cuts);
+            return encode(Response::Err { kind: ErrKind::Budget, message: error.to_string() });
+        }
+    }
+    let result = session.finish();
+    encode(Response::Ok { code: 0, body: write_sbml(&result.model).into_bytes() })
 }
 
 /// Read-lock the live index; a poisoned lock (a panicked mutation
@@ -534,7 +582,7 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
     match request {
         Request::Match { query_xml } => {
             Metrics::bump(&state.metrics.match_requests);
-            let query = match parse_query(&query_xml, &state.metrics) {
+            let query = match parse_model(&query_xml, &state.metrics) {
                 Ok(query) => query,
                 Err(response) => return response,
             };
@@ -551,7 +599,7 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
         }
         Request::Query { query_xml } => {
             Metrics::bump(&state.metrics.query_requests);
-            let query = match parse_query(&query_xml, &state.metrics) {
+            let query = match parse_model(&query_xml, &state.metrics) {
                 Ok(query) => query,
                 Err(response) => return response,
             };
@@ -572,48 +620,18 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
         }
         Request::Compose { models_xml } => {
             Metrics::bump(&state.metrics.compose_requests);
-            if models_xml.len() < 2 {
-                Metrics::bump(&state.metrics.errors);
-                return encode(Response::Err {
-                    kind: ErrKind::Proto,
-                    message: "COMPOSE needs at least two documents".into(),
-                });
-            }
-            let mut models = Vec::with_capacity(models_xml.len());
-            for xml in &models_xml {
-                match parse_query(xml, &state.metrics) {
-                    Ok(model) => models.push(model),
-                    Err(response) => return response,
-                }
-            }
-            // Each COMPOSE runs under its own budget: a hostile request
-            // is cut off with a structured error, the daemon keeps
-            // serving.
-            let mut budget = Budget::unlimited();
-            if let Some(steps) = state.config.max_steps {
-                budget = budget.with_max_steps(steps);
-            }
-            if let Some(ms) = state.config.deadline_ms {
-                budget = budget.with_deadline_ms(ms);
-            }
-            let meter = budget.start();
-            let mut session = CompositionSession::new(&state.options);
-            session.set_pool(Arc::clone(&state.compose_pool));
-            for model in &models {
-                if let Err(error) = session.push_guarded(model, Some(&meter)) {
-                    Metrics::bump(&state.metrics.budget_cuts);
-                    return encode(Response::Err {
-                        kind: ErrKind::Budget,
-                        message: error.to_string(),
-                    });
-                }
-            }
-            let result = session.finish();
-            encode(Response::Ok { code: 0, body: write_sbml(&result.model).into_bytes() })
+            let config = &state.config;
+            compose_documents(
+                &models_xml,
+                &state.options,
+                &state.compose_pool,
+                (config.max_steps, config.deadline_ms),
+                &state.metrics,
+            )
         }
         Request::Upsert { model_xml, slot } => {
             Metrics::bump(&state.metrics.upsert_requests);
-            let model = match parse_query(&model_xml, &state.metrics) {
+            let model = match parse_model(&model_xml, &state.metrics) {
                 Ok(model) => model,
                 Err(response) => return response,
             };
@@ -708,7 +726,7 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
         }
         Request::PartialMatch { query_xml } => {
             Metrics::bump(&state.metrics.match_requests);
-            let query = match parse_query(&query_xml, &state.metrics) {
+            let query = match parse_model(&query_xml, &state.metrics) {
                 Ok(query) => query,
                 Err(response) => return response,
             };
@@ -725,7 +743,7 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
         }
         Request::PartialQuery { query_xml } => {
             Metrics::bump(&state.metrics.query_requests);
-            let query = match parse_query(&query_xml, &state.metrics) {
+            let query = match parse_model(&query_xml, &state.metrics) {
                 Ok(query) => query,
                 Err(response) => return response,
             };

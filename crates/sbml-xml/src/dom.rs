@@ -1,9 +1,11 @@
 //! An ordered-attribute DOM built from the token stream.
 //!
-//! SBML merging (the paper's Fig. 4/5 algorithms) repeatedly navigates and
-//! mutates element trees, so [`Element`] keeps attributes in document order
-//! in a `Vec` (SBML elements have few attributes; linear scans beat hashing)
-//! and exposes builder-style constructors used heavily by `sbml-model`.
+//! The SBML read and write paths do not use it: `sbml-model` binds straight
+//! off the [`crate::reader`] and streams through the
+//! [`crate::writer::XmlWriter`]. The tree is for consumers that need a whole
+//! document at once — `textdiff`'s order-insensitive normaliser. [`Element`]
+//! keeps attributes in document order in a `Vec` (few attributes; linear
+//! scans beat hashing) and has builder-style constructors.
 
 use crate::error::{Position, XmlError};
 use crate::tokenizer::{Token, Tokenizer};
@@ -24,14 +26,6 @@ pub enum Node {
 impl Node {
     /// This node as an element, if it is one.
     pub fn as_element(&self) -> Option<&Element> {
-        match self {
-            Node::Element(e) => Some(e),
-            _ => None,
-        }
-    }
-
-    /// This node as a mutable element, if it is one.
-    pub fn as_element_mut(&mut self) -> Option<&mut Element> {
         match self {
             Node::Element(e) => Some(e),
             _ => None,
@@ -81,27 +75,6 @@ impl Element {
         }
     }
 
-    /// Builder: add an attribute.
-    #[must_use]
-    pub fn with_attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.set_attr(key, value);
-        self
-    }
-
-    /// Builder: append a child element.
-    #[must_use]
-    pub fn with_child(mut self, child: Element) -> Self {
-        self.children.push(Node::Element(child));
-        self
-    }
-
-    /// Builder: append a text node.
-    #[must_use]
-    pub fn with_text(mut self, text: impl Into<String>) -> Self {
-        self.children.push(Node::Text(text.into()));
-        self
-    }
-
     /// Look up an attribute value by name.
     pub fn attr(&self, key: &str) -> Option<&str> {
         self.attrs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
@@ -118,35 +91,14 @@ impl Element {
         }
     }
 
-    /// Remove an attribute; returns its previous value if present.
-    pub fn remove_attr(&mut self, key: &str) -> Option<String> {
-        let idx = self.attrs.iter().position(|(k, _)| k == key)?;
-        Some(self.attrs.remove(idx).1)
-    }
-
     /// Iterate over element children only.
     pub fn child_elements(&self) -> impl Iterator<Item = &Element> {
         self.children.iter().filter_map(Node::as_element)
     }
 
-    /// Iterate mutably over element children only.
-    pub fn child_elements_mut(&mut self) -> impl Iterator<Item = &mut Element> {
-        self.children.iter_mut().filter_map(Node::as_element_mut)
-    }
-
     /// First element child with the given tag name.
     pub fn child(&self, name: &str) -> Option<&Element> {
         self.child_elements().find(|e| e.name == name)
-    }
-
-    /// First element child with the given tag name (mutable).
-    pub fn child_mut(&mut self, name: &str) -> Option<&mut Element> {
-        self.child_elements_mut().find(|e| e.name == name)
-    }
-
-    /// All element children with the given tag name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a Element> + 'a {
-        self.child_elements().filter(move |e| e.name == name)
     }
 
     /// Depth-first iterator over all descendant elements (not including
@@ -167,41 +119,6 @@ impl Element {
         })
     }
 
-    /// Append a child element.
-    pub fn push_child(&mut self, child: Element) {
-        self.children.push(Node::Element(child));
-    }
-
-    /// Concatenated text content of all text/CDATA descendants.
-    pub fn text(&self) -> String {
-        let mut out = String::new();
-        self.collect_text(&mut out);
-        out
-    }
-
-    fn collect_text(&self, out: &mut String) {
-        for node in &self.children {
-            match node {
-                Node::Text(t) | Node::CData(t) => out.push_str(t),
-                Node::Element(e) => e.collect_text(out),
-                Node::Comment(_) => {}
-            }
-        }
-    }
-
-    /// Number of elements in the subtree rooted here (including `self`).
-    pub fn subtree_size(&self) -> usize {
-        1 + self.child_elements().map(Element::subtree_size).sum::<usize>()
-    }
-
-    /// True when the element has no attributes and no non-comment children.
-    pub fn is_empty(&self) -> bool {
-        self.attrs.is_empty()
-            && self
-                .children
-                .iter()
-                .all(|n| matches!(n, Node::Comment(_)) || matches!(n, Node::Text(t) if t.trim().is_empty()))
-    }
 }
 
 /// A parsed document: optional XML declaration plus a single root element.
@@ -214,15 +131,8 @@ pub struct Document {
 }
 
 impl Document {
-    /// Wrap an element as a document with the standard declaration.
-    pub fn with_root(root: Element) -> Self {
-        Document {
-            declaration: Some("version=\"1.0\" encoding=\"UTF-8\"".to_owned()),
-            root,
-        }
-    }
-
-    /// Parse a full document from text.
+    /// Parse a full document from text. The [`Tokenizer`] checks
+    /// well-formedness; this only assembles the tree.
     pub fn parse(input: &str) -> Result<Document, XmlError> {
         let mut tokens = Tokenizer::new(input);
         let mut declaration = None;
@@ -231,67 +141,44 @@ impl Document {
         let mut stack: Vec<Element> = Vec::new();
 
         while let Some(token) = tokens.next_token()? {
-            match token {
-                Token::Declaration { content, .. } => declaration = Some(content),
-                Token::DoctypeSkipped { .. } | Token::ProcessingInstruction { .. } => {}
-                Token::Comment { content, .. } => {
-                    if let Some(open) = stack.last_mut() {
-                        open.children.push(Node::Comment(content));
-                    }
-                    // Comments in the prolog/epilog are dropped.
+            // Content outside the root is whitespace or a comment (the
+            // tokenizer rejects anything else); it is dropped.
+            let node = match token {
+                Token::Declaration { content, .. } => {
+                    declaration = Some(content.to_owned());
+                    continue;
                 }
-                Token::Text { content, at } => {
-                    if let Some(open) = stack.last_mut() {
-                        open.children.push(Node::Text(content));
-                    } else if !content.trim().is_empty() {
-                        return Err(XmlError::ContentOutsideRoot { at });
-                    }
-                }
-                Token::CData { content, at } => {
-                    if let Some(open) = stack.last_mut() {
-                        open.children.push(Node::CData(content));
-                    } else {
-                        return Err(XmlError::ContentOutsideRoot { at });
-                    }
-                }
-                Token::StartTag { name, attrs, self_closing, at } => {
-                    if root.is_some() && stack.is_empty() {
-                        return Err(XmlError::MultipleRoots { at });
-                    }
-                    let element = Element { name, attrs, children: Vec::new(), position: at };
-                    if self_closing {
-                        Self::close(element, &mut stack, &mut root);
-                    } else {
-                        stack.push(element);
-                    }
-                }
-                Token::EndTag { name, at } => {
-                    let Some(open) = stack.pop() else {
-                        return Err(XmlError::UnopenedTag { name, at });
+                Token::DoctypeSkipped { .. } | Token::ProcessingInstruction { .. } => continue,
+                Token::Comment { content, .. } => Node::Comment(content.to_owned()),
+                Token::Text { content, .. } => Node::Text(content.into_owned()),
+                Token::CData { content, .. } => Node::CData(content.to_owned()),
+                Token::StartTag { name, self_closing, at } => {
+                    let attrs = tokens.attrs().iter();
+                    let element = Element {
+                        name: name.to_owned(),
+                        attrs: attrs.map(|(k, v)| ((*k).to_owned(), v.to_string())).collect(),
+                        children: Vec::new(),
+                        position: at,
                     };
-                    if open.name != name {
-                        return Err(XmlError::MismatchedTag { open: open.name, close: name, at });
+                    if !self_closing {
+                        stack.push(element);
+                        continue;
                     }
-                    Self::close(open, &mut stack, &mut root);
+                    Node::Element(element)
                 }
+                Token::EndTag { .. } => match stack.pop() {
+                    Some(done) => Node::Element(done),
+                    None => continue,
+                },
+            };
+            match (stack.last_mut(), node) {
+                (Some(parent), node) => parent.children.push(node),
+                (None, Node::Element(done)) => root = Some(done),
+                (None, _) => {}
             }
         }
-
-        if let Some(open) = stack.pop() {
-            return Err(XmlError::UnclosedTag { name: open.name, at: open.position });
-        }
-        let Some(root) = root else {
-            return Err(XmlError::NoRootElement);
-        };
+        let root = root.ok_or(XmlError::NoRootElement)?;
         Ok(Document { declaration, root })
-    }
-
-    fn close(done: Element, stack: &mut [Element], root: &mut Option<Element>) {
-        if let Some(parent) = stack.last_mut() {
-            parent.children.push(Node::Element(done));
-        } else {
-            *root = Some(done);
-        }
     }
 }
 
@@ -303,7 +190,7 @@ mod tests {
     fn parse_nested() {
         let doc = Document::parse("<a><b><c/></b><b/></a>").unwrap();
         assert_eq!(doc.root.name, "a");
-        assert_eq!(doc.root.children_named("b").count(), 2);
+        assert_eq!(doc.root.child_elements().filter(|e| e.name == "b").count(), 2);
         assert!(doc.root.child("b").unwrap().child("c").is_some());
     }
 
@@ -315,20 +202,14 @@ mod tests {
 
     #[test]
     fn attribute_helpers() {
-        let mut e = Element::new("species").with_attr("id", "A").with_attr("name", "glc");
+        let mut e = Element::new("species");
+        e.set_attr("id", "A");
+        e.set_attr("name", "glc");
         assert_eq!(e.attr("id"), Some("A"));
         assert_eq!(e.attr("missing"), None);
         e.set_attr("id", "B");
         assert_eq!(e.attr("id"), Some("B"));
         assert_eq!(e.attrs.len(), 2, "set_attr must replace, not append");
-        assert_eq!(e.remove_attr("name"), Some("glc".to_owned()));
-        assert_eq!(e.remove_attr("name"), None);
-    }
-
-    #[test]
-    fn text_concatenation() {
-        let doc = Document::parse("<p>a<b>b</b>c<!-- skip --><![CDATA[d]]></p>").unwrap();
-        assert_eq!(doc.root.text(), "abcd");
     }
 
     #[test]
@@ -339,12 +220,6 @@ mod tests {
         .unwrap();
         let ids: Vec<_> = doc.root.find_descendants("s").filter_map(|e| e.attr("id")).collect();
         assert_eq!(ids, ["1", "2", "3"]);
-    }
-
-    #[test]
-    fn subtree_size_counts_elements() {
-        let doc = Document::parse("<a><b/><c><d/></c></a>").unwrap();
-        assert_eq!(doc.root.subtree_size(), 4);
     }
 
     #[test]
@@ -379,11 +254,9 @@ mod tests {
     }
 
     #[test]
-    fn is_empty() {
-        assert!(Element::new("x").is_empty());
-        assert!(Document::parse("<x>  \n </x>").unwrap().root.is_empty());
-        assert!(!Element::new("x").with_attr("a", "1").is_empty());
-        assert!(!Element::new("x").with_text("t").is_empty());
+    fn too_deep_rejected_without_building() {
+        let deep = format!("{}{}", "<a>".repeat(100_000), "</a>".repeat(100_000));
+        assert!(matches!(Document::parse(&deep).unwrap_err(), XmlError::TooDeep { .. }));
     }
 
     #[test]

@@ -33,7 +33,8 @@ impl fmt::Display for Position {
     }
 }
 
-/// Errors produced while tokenizing or building a DOM.
+/// Errors produced while tokenizing: lexical errors and well-formedness
+/// violations (tag nesting, root rules, the nesting-depth limit).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XmlError {
     /// Input ended in the middle of a construct.
@@ -101,6 +102,13 @@ pub enum XmlError {
         /// Position of the second root.
         at: Position,
     },
+    /// An element nested deeper than [`crate::MAX_DEPTH`] levels.
+    TooDeep {
+        /// The nesting limit that was exceeded.
+        limit: usize,
+        /// Position of the start tag that crossed it.
+        at: Position,
+    },
 }
 
 impl XmlError {
@@ -115,7 +123,8 @@ impl XmlError {
             | XmlError::DuplicateAttribute { at, .. }
             | XmlError::BadEntity { at, .. }
             | XmlError::ContentOutsideRoot { at }
-            | XmlError::MultipleRoots { at } => Some(*at),
+            | XmlError::MultipleRoots { at }
+            | XmlError::TooDeep { at, .. } => Some(*at),
             XmlError::NoRootElement => None,
         }
     }
@@ -151,6 +160,9 @@ impl fmt::Display for XmlError {
             XmlError::NoRootElement => write!(f, "document has no root element"),
             XmlError::MultipleRoots { at } => {
                 write!(f, "{at}: document has more than one root element")
+            }
+            XmlError::TooDeep { limit, at } => {
+                write!(f, "{at}: elements nested deeper than {limit} levels")
             }
         }
     }

@@ -4,40 +4,46 @@
 //! plus decimal (`&#38;`) and hexadecimal (`&#x26;`) character references,
 //! which appear in real BioModels SBML files inside notes and names.
 
+use std::borrow::Cow;
+
 use crate::error::{Position, XmlError};
 
 /// Escape text content: `&`, `<`, `>` are replaced. Quotes are left alone,
 /// which is valid in text nodes and keeps output readable.
 pub fn escape_text(s: &str) -> String {
-    escape(s, false)
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s, false);
+    out
 }
 
 /// Escape an attribute value for inclusion in double quotes:
-/// `&`, `<`, `>`, `"` are replaced.
+/// `&`, `<`, `>`, `"`, `'` are replaced.
 pub fn escape_attr(s: &str) -> String {
-    escape(s, true)
+    let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s, true);
+    out
 }
 
-fn escape(s: &str, quotes: bool) -> String {
-    // Fast path: no escapable characters at all (the common case for ids).
-    if !s
-        .bytes()
-        .any(|b| b == b'&' || b == b'<' || b == b'>' || (quotes && (b == b'"' || b == b'\'')))
-    {
-        return s.to_owned();
+/// Append `s` to `out`, escaped for a text node (`quotes == false`) or a
+/// quoted attribute value (`quotes == true`). Unescaped runs are copied
+/// in one piece.
+pub fn escape_into(out: &mut String, s: &str, quotes: bool) {
+    let mut copied = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' if quotes => "&quot;",
+            b'\'' if quotes => "&apos;",
+            _ => continue,
+        };
+        // Escapable bytes are ASCII, so `i` is a char boundary.
+        out.push_str(&s[copied..i]);
+        out.push_str(entity);
+        copied = i + 1;
     }
-    let mut out = String::with_capacity(s.len() + 8);
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' if quotes => out.push_str("&quot;"),
-            '\'' if quotes => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
-    out
+    out.push_str(&s[copied..]);
 }
 
 /// Resolve a single entity body (the text between `&` and `;`).
@@ -67,10 +73,11 @@ pub fn resolve_entity(body: &str) -> Option<char> {
 ///
 /// `at` is the position of the start of `s`, used for error reporting only
 /// (column arithmetic inside the run is approximate for multi-line runs; the
-/// tokenizer always reports the run start).
-pub fn unescape(s: &str, at: Position) -> Result<String, XmlError> {
+/// tokenizer always reports the run start). Borrows `s` unless a reference
+/// had to be rewritten.
+pub fn unescape(s: &str, at: Position) -> Result<Cow<'_, str>, XmlError> {
     if !s.contains('&') {
-        return Ok(s.to_owned());
+        return Ok(Cow::Borrowed(s));
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -92,7 +99,7 @@ pub fn unescape(s: &str, at: Position) -> Result<String, XmlError> {
         rest = &after[semi + 1..];
     }
     out.push_str(rest);
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 fn truncate(s: &str) -> String {
@@ -149,7 +156,16 @@ mod tests {
 
     #[test]
     fn unescape_plain_fast_path() {
-        assert_eq!(unescape("no entities", Position::START).unwrap(), "no entities");
+        let plain = unescape("no entities", Position::START).unwrap();
+        assert!(matches!(plain, Cow::Borrowed("no entities")));
+    }
+
+    #[test]
+    fn escape_into_appends() {
+        let mut out = String::from(">");
+        escape_into(&mut out, "a&b", false);
+        escape_into(&mut out, "'", true);
+        assert_eq!(out, ">a&amp;b&apos;");
     }
 
     #[test]

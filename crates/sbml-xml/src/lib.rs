@@ -5,12 +5,18 @@
 //! ecosystem has no SBML-aware XML layer, so this crate provides one built
 //! from first principles:
 //!
-//! * [`tokenizer`] — a pull tokenizer producing a stream of
-//!   [`tokenizer::Token`]s with line/column positions,
+//! * [`tokenizer`] — the one tokenizer: a byte-scanning pull lexer whose
+//!   [`tokenizer::Token`]s borrow from the input (`Cow` payloads own data
+//!   only when unescaping rewrote them), with line/column positions. It
+//!   also checks well-formedness and bounds nesting at [`MAX_DEPTH`],
+//! * [`reader`] — a small pull reader over the tokens, used to bind
+//!   documents straight into typed data (`sbml-model`, MathML in
+//!   `sbml-math`) with no tree in between,
+//! * [`writer`] — the one serializer, [`XmlWriter`], streaming compact or
+//!   pretty output into one `String`,
 //! * [`dom`] — an ordered-attribute DOM ([`Element`]/[`Node`]) built from the
-//!   token stream, with navigation and mutation helpers tailored to the merge
-//!   algorithms in `sbml-compose`,
-//! * [`writer`] — compact and pretty serializers that round-trip documents,
+//!   same tokens and printed by the same writer, for tools that need a whole
+//!   tree (`textdiff`),
 //! * [`escape`] — entity escaping/unescaping including numeric character
 //!   references.
 //!
@@ -37,13 +43,15 @@
 pub mod dom;
 pub mod error;
 pub mod escape;
+pub mod reader;
 pub mod tokenizer;
 pub mod writer;
 
 pub use dom::{Document, Element, Node};
 pub use error::{Position, XmlError};
-pub use tokenizer::{Token, Tokenizer};
-pub use writer::{write_compact, write_pretty, WriteOptions};
+pub use reader::{Attrs, Event, Reader, Tag};
+pub use tokenizer::{Token, Tokenizer, MAX_DEPTH};
+pub use writer::{write_compact, write_pretty, WriteOptions, XmlWriter};
 
 /// Parse a complete XML document into a DOM [`Document`].
 ///

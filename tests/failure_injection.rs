@@ -7,7 +7,11 @@ use sbmlcompose::compose::{
 };
 use sbmlcompose::model::builder::ModelBuilder;
 use sbmlcompose::model::{parse_sbml, write_sbml, Model, ModelError};
+use sbmlcompose::xml::{XmlError, MAX_DEPTH};
 use std::sync::Arc;
+
+mod common;
+use common::nested_kinetic_law;
 
 #[test]
 fn malformed_xml_rejected_cleanly() {
@@ -305,9 +309,42 @@ fn deeply_nested_math_round_trips() {
     let expr = sbmlcompose::math::infix::parse(&formula).unwrap();
     let pattern = sbmlcompose::math::pattern::Pattern::of(&expr);
     assert!(!pattern.as_str().is_empty());
-    let xml_el = sbmlcompose::math::to_mathml(&expr);
-    let back = sbmlcompose::math::parse_mathml(&xml_el).unwrap();
+    let mathml = sbmlcompose::math::to_mathml(&expr);
+    let back = sbmlcompose::math::parse_mathml(&mathml).unwrap();
     assert_eq!(back, expr);
+
+    // A document nested exactly to the tokenizer's limit still parses,
+    // composes and writes on a worker-sized (2 MiB) stack.
+    on_small_stack(|| {
+        let text = nested_kinetic_law(MAX_DEPTH - 7);
+        let model = parse_sbml(&text).expect("a document at the depth limit parses");
+        let options = ComposeOptions::default();
+        let mut session = CompositionSession::new(&options);
+        session.push_guarded(&model, None).expect("push");
+        session.push_guarded(&model, None).expect("push the duplicate");
+        let composed = session.finish().model;
+        let written = write_sbml(&composed);
+        assert_eq!(parse_sbml(&written).expect("reparse"), composed);
+        assert_eq!(written, write_sbml(&model), "self-composition is the identity");
+    });
+}
+
+#[test]
+fn documents_nested_past_the_limit_are_rejected_on_a_small_stack() {
+    // Walked recursively, each of these would overflow a 2 MiB stack and
+    // abort the process.
+    on_small_stack(|| {
+        let too_deep = |text: &str| match parse_sbml(text) {
+            Err(ModelError::Xml(XmlError::TooDeep { limit, .. })) => assert_eq!(limit, MAX_DEPTH),
+            other => panic!("expected TooDeep, got {:?}", other.map(|m| m.id)),
+        };
+        for levels in [MAX_DEPTH - 6, 10_000, 100_000, 1_000_000] {
+            too_deep(&nested_kinetic_law(levels));
+        }
+        for depth in [10_000, 100_000, 1_000_000] {
+            too_deep(&format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth)));
+        }
+    });
 }
 
 #[test]
@@ -389,4 +426,14 @@ fn deadline_on_a_shared_base_leaves_it_shared() {
         SharedModel::Base(model) => assert!(Arc::ptr_eq(&model, &base)),
         SharedModel::Owned(_) => panic!("a rolled-back push must not materialise the base"),
     }
+}
+
+/// Run `f` on a thread with a 2 MiB stack (a worker thread's default).
+pub fn on_small_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(f)
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("no panic on the 2 MiB thread")
 }

@@ -15,6 +15,9 @@ use sbmlcompose::matching::MatchIndex;
 use sbmlcompose::model::{write_sbml, Model};
 use sbmlcompose::serve::{format_matches, Client, ErrKind, Request, Response, Server, ServerConfig};
 
+mod common;
+use common::nested_kinetic_law;
+
 fn corpus_and_index(options: &ComposeOptions) -> (Vec<Model>, Vec<Arc<PreparedModel>>, MatchIndex) {
     let models = corpus_slice(60..68);
     let batch = BatchComposer::new(Composer::new(options.clone()));
@@ -254,6 +257,27 @@ fn hostile_requests_get_structured_errors_and_the_daemon_keeps_serving() {
             assert!(text.contains("errors 1\n"), "stats: {text}");
         }
         other => panic!("stats failed: {other:?}"),
+    }
+    shut_down(addr, handle);
+}
+
+#[test]
+fn a_deeply_nested_body_gets_err_parse_and_the_next_match_is_answered() {
+    // 10k nested <apply> levels: well inside MAX_FRAME, and far too deep
+    // for a worker thread's stack if it were walked recursively.
+    let (addr, handle) = start(ServerConfig { threads: 1, ..ServerConfig::default() });
+    let mut client = Client::connect(addr).expect("connect");
+    let deep = Request::Match { query_xml: nested_kinetic_law(10_000) };
+    match client.roundtrip(&deep).expect("deep match") {
+        Response::Err { kind: ErrKind::Parse, message } => {
+            assert!(message.contains("nested deeper than"), "{message}");
+        }
+        other => panic!("expected ERR parse, got {other:?}"),
+    }
+    let query = query_fragment(&corpus_slice(60..61)[0], 0, 1);
+    match client.roundtrip(&Request::Match { query_xml: write_sbml(&query) }).expect("match") {
+        Response::Ok { code: 0, .. } => {}
+        other => panic!("the next MATCH must be answered, got {other:?}"),
     }
     shut_down(addr, handle);
 }
