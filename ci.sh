@@ -85,6 +85,21 @@ panic_audit crates/sbml-math/src/parser.rs 5
 panic_audit crates/sbml-math/src/writer.rs 1
 
 if [[ "${1:-}" != "quick" ]]; then
+    # Perf gates read one number from a bench's JSON output and compare
+    # it against a fixed bound: gate FILE KEY OP BOUND LABEL, where OP is
+    # ">=" or "<=". The grep is sign-tolerant (overheads can be negative).
+    gate() {
+        local file="$1" key="$2" op="$3" bound="$4" label="$5"
+        local value
+        value=$(grep -o "\"${key}\": *[-0-9.]*" "$file" | grep -o '[-0-9.]*$')
+        echo "${label}: ${value} (gate: ${op} ${bound})"
+        awk -v v="$value" -v b="$bound" -v op="$op" \
+            'BEGIN { exit ((op == ">=" && v >= b) || (op == "<=" && v <= b)) ? 0 : 1 }' || {
+            echo "FAIL: ${label} ${value} violates ${op} ${bound} (${file} ${key})" >&2
+            exit 1
+        }
+    }
+
     echo "== docs (cargo doc --no-deps, warnings are errors) =="
     # Broken intra-doc links or malformed rustdoc fail the build.
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
@@ -94,46 +109,26 @@ if [[ "${1:-}" != "quick" ]]; then
 
     # Perf gate: the session engine must stay >= 2x faster than the seed
     # pairwise fold on the length-128 chain.
-    speedup=$(grep -o '"speedup_at_length_128": [0-9.]*' BENCH_chain.json | grep -o '[0-9.]*$')
-    echo "length-128 speedup: ${speedup}x (gate: >= 2.0)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
-        echo "FAIL: chain-scaling speedup regressed below 2x" >&2
-        exit 1
-    }
+    gate BENCH_chain.json speedup_at_length_128 ">=" 2.0 "length-128 speedup"
 
     echo "== fig8 all-pairs benchmark (writes BENCH_fig8.json) =="
     cargo run --release -p compose-bench --bin all_pairs
 
     # Perf gate: prepared-and-shared model analysis must keep the
     # 187-model all-pairs workload >= 2x faster than per-pair recompute.
-    speedup=$(grep -o '"speedup_prepared_reuse": [0-9.]*' BENCH_fig8.json | grep -o '[0-9.]*$')
-    echo "all-pairs prepared-reuse speedup: ${speedup}x (gate: >= 2.0)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
-        echo "FAIL: fig8 all-pairs prepared-reuse speedup regressed below 2x" >&2
-        exit 1
-    }
+    gate BENCH_fig8.json speedup_prepared_reuse ">=" 2.0 "all-pairs prepared-reuse speedup"
 
     # Perf gate: copy-on-write base adoption must keep the per-pair fixed
     # cost (tiny duplicate-only push vs growing bases) >= 1.5x cheaper
     # than eager clone-on-adopt.
-    speedup=$(grep -o '"speedup_fixed_cost": [0-9.]*' BENCH_fig8.json | grep -o '[0-9.]*$')
-    echo "fig8 fixed-cost speedup (COW adoption): ${speedup}x (gate: >= 1.5)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' || {
-        echo "FAIL: COW fixed-cost speedup regressed below 1.5x" >&2
-        exit 1
-    }
+    gate BENCH_fig8.json speedup_fixed_cost ">=" 1.5 "fig8 fixed-cost speedup (COW adoption)"
 
     echo "== long-chain values benchmark (writes BENCH_values.json) =="
     cargo run --release -p compose-bench --bin long_chain_values
 
     # Perf gate: incremental initial-value maintenance must keep the
     # length-128 value-heavy chain >= 2x faster than per-push re-collect.
-    speedup=$(grep -o '"speedup_incremental_values_at_length_128": [0-9.]*' BENCH_values.json | grep -o '[0-9.]*$')
-    echo "length-128 incremental-values speedup: ${speedup}x (gate: >= 2.0)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 2.0) ? 0 : 1 }' || {
-        echo "FAIL: long-chain incremental-values speedup regressed below 2x" >&2
-        exit 1
-    }
+    gate BENCH_values.json speedup_incremental_values_at_length_128 ">=" 2.0 "length-128 incremental-values speedup"
 
     echo "== corpus match benchmark (writes BENCH_match.json) =="
     cargo run --release -p compose-bench --bin corpus_match
@@ -142,12 +137,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # than the naive per-model VF2 scan over the 187-model fig8 corpus
     # (the bench also asserts indexed hit sets == naive hit sets for
     # every query under every semantics level before timing anything).
-    speedup=$(grep -o '"speedup_candidate_generation": [0-9.]*' BENCH_match.json | grep -o '[0-9.]*$')
-    echo "corpus-match candidate-generation speedup: ${speedup}x (gate: >= 5.0)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 5.0) ? 0 : 1 }' || {
-        echo "FAIL: corpus-match candidate generation regressed below 5x" >&2
-        exit 1
-    }
+    gate BENCH_match.json speedup_candidate_generation ">=" 5.0 "corpus-match candidate-generation speedup"
 
     echo "== pipeline conflict benchmark (writes BENCH_pipeline.json) =="
     cargo run --release -p compose-bench --bin pipeline_conflict
@@ -157,12 +147,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # conflict-heavy corpus chain; both run the Fig. 4 passes in one
     # serial order. BENCH_pipeline.json records the host parallelism the
     # run had (its JSON keys keep their historical "pipelined" names).
-    speedup=$(grep -o '"speedup_pipelined_vs_serial": [0-9.]*' BENCH_pipeline.json | grep -o '[0-9.]*$')
-    echo "conflict-corpus pipelined speedup: ${speedup}x (gate: >= 1.5)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 1.5) ? 0 : 1 }' || {
-        echo "FAIL: pipelined-vs-serial speedup regressed below 1.5x" >&2
-        exit 1
-    }
+    gate BENCH_pipeline.json speedup_pipelined_vs_serial ">=" 1.5 "conflict-corpus pipelined speedup"
 
     echo "== snapshot load benchmark (writes BENCH_serve.json) =="
     cargo run --release -p compose-bench --bin serve_snapshot
@@ -172,12 +157,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # >= 10x faster than rebuilding the corpus from SBML XML. The bench
     # asserts posting-list stats and a 23-query battery are identical
     # between the loaded and rebuilt corpus before timing anything.
-    speedup=$(grep -o '"speedup_snapshot_load": [0-9.]*' BENCH_serve.json | grep -o '[0-9.]*$')
-    echo "snapshot-load speedup: ${speedup}x (gate: >= 10.0)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 10.0) ? 0 : 1 }' || {
-        echo "FAIL: snapshot-load speedup regressed below 10x" >&2
-        exit 1
-    }
+    gate BENCH_serve.json speedup_snapshot_load ">=" 10.0 "snapshot-load speedup"
 
     echo "== 10k-model scale benchmark (writes BENCH_scale.json) =="
     cargo run --release -p compose-bench --bin index_scale
@@ -187,23 +167,13 @@ if [[ "${1:-}" != "quick" ]]; then
     # scratch — the whole point of the daemon's in-place UPSERT path.
     # (The bench asserts bit-identical answers across shard counts
     # 1/2/4/8 before timing anything.)
-    speedup=$(grep -o '"speedup_incremental_append": [0-9.]*' BENCH_scale.json | grep -o '[0-9.]*$')
-    echo "incremental-append speedup: ${speedup}x (gate: >= 10.0)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 10.0) ? 0 : 1 }' || {
-        echo "FAIL: incremental append fell below 10x cheaper than a full rebuild" >&2
-        exit 1
-    }
+    gate BENCH_scale.json speedup_incremental_append ">=" 10.0 "incremental-append speedup"
 
     # Perf gate: scatter-gather query latency must stay flat-to-sublinear
     # in the shard count — 8 shards may cost at most 1.5x a single shard
     # on the same 10k corpus, or partitioning overhead has eaten the
     # parallelism sharding exists to provide.
-    ratio=$(grep -o '"latency_ratio_shards_8_vs_1": [0-9.]*' BENCH_scale.json | grep -o '[0-9.]*$')
-    echo "8-shard vs 1-shard latency ratio: ${ratio} (gate: <= 1.5)"
-    awk -v r="$ratio" 'BEGIN { exit (r <= 1.5) ? 0 : 1 }' || {
-        echo "FAIL: scatter-gather latency grew superlinearly with shard count" >&2
-        exit 1
-    }
+    gate BENCH_scale.json latency_ratio_shards_8_vs_1 "<=" 1.5 "8-shard vs 1-shard latency ratio"
 
     echo "== cluster scatter-gather benchmark (writes BENCH_cluster.json) =="
     cargo run --release -p compose-bench --bin cluster_scatter
@@ -214,22 +184,12 @@ if [[ "${1:-}" != "quick" ]]; then
     # so the fan-out must not eat the partitioning. (The bench asserts
     # both widths answer byte-identically to a single-process daemon
     # before timing anything.)
-    ratio=$(grep -o '"latency_ratio_cluster_4_vs_1": [0-9.]*' BENCH_cluster.json | grep -o '[0-9.]*$')
-    echo "4-shard vs 1-shard cluster MATCH latency ratio: ${ratio} (gate: <= 1.5)"
-    awk -v r="$ratio" 'BEGIN { exit (r <= 1.5) ? 0 : 1 }' || {
-        echo "FAIL: coordinator scatter-gather latency grew superlinearly with shard count" >&2
-        exit 1
-    }
+    gate BENCH_cluster.json latency_ratio_cluster_4_vs_1 "<=" 1.5 "4-shard vs 1-shard cluster MATCH latency ratio"
 
     # Perf gate: absorbing a 100-model batch as coordinator-routed
     # UPSERT frames must stay >= 10x cheaper than re-preparing and
     # rebuilding the 10k index from source models.
-    speedup=$(grep -o '"speedup_cluster_upsert": [0-9.]*' BENCH_cluster.json | grep -o '[0-9.]*$')
-    echo "coordinator UPSERT speedup: ${speedup}x (gate: >= 10.0)"
-    awk -v s="$speedup" 'BEGIN { exit (s >= 10.0) ? 0 : 1 }' || {
-        echo "FAIL: coordinator UPSERT fell below 10x cheaper than a rebuild" >&2
-        exit 1
-    }
+    gate BENCH_cluster.json speedup_cluster_upsert ">=" 10.0 "coordinator UPSERT speedup"
 
     echo "== guard overhead benchmark (writes BENCH_robust.json) =="
     cargo run --release -p compose-bench --bin robust_overhead
@@ -237,12 +197,7 @@ if [[ "${1:-}" != "quick" ]]; then
     # Perf gate: fault containment + budget metering on the fast path
     # (push_guarded with an unlimited meter vs plain push) must cost
     # <= 5%. The value can be negative (noise); the grep is sign-tolerant.
-    overhead=$(grep -o '"guard_overhead_pct": *[-0-9.]*' BENCH_robust.json | grep -o '[-0-9.]*$')
-    echo "guard overhead: ${overhead}% (gate: <= 5.0)"
-    awk -v o="$overhead" 'BEGIN { exit (o <= 5.0) ? 0 : 1 }' || {
-        echo "FAIL: guard overhead exceeded 5%" >&2
-        exit 1
-    }
+    gate BENCH_robust.json guard_overhead_pct "<=" 5.0 "guard overhead"
 fi
 
 echo "CI OK"

@@ -25,23 +25,12 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use compose_bench::oracle;
+use compose_bench::{oracle, workspace_root};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer, SharedModel};
 use sbml_model::Model;
-
-/// Workspace root (grandparent of this crate's manifest dir).
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

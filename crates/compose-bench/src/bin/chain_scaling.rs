@@ -16,23 +16,12 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
-use compose_bench::time_median;
+use compose_bench::{time_median, workspace_root};
 use sbml_compose::{compose_many, compose_many_pairwise, ComposeOptions, Composer};
 use sbml_model::Model;
 
 const CHAIN_LENGTHS: [usize; 4] = [2, 8, 32, 128];
-
-/// Workspace root (grandparent of this crate's manifest dir).
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
 
 struct Row {
     length: usize,

@@ -33,30 +33,16 @@
 use std::fs;
 use std::io::Write as _;
 use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
 use std::thread;
 use std::time::Instant;
 
 use biomodels_corpus::{corpus_scale, query_fragment, scale_model};
-use compose_bench::host_parallelism;
+use compose_bench::{best, host_parallelism, workspace_root};
 use sbml_cluster::{carve_all, Coordinator, CoordinatorConfig};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::{write_sbml, Model};
 use sbml_serve::{Client, Request, Response, Server, ServerConfig};
-
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-fn best(samples: Vec<f64>) -> f64 {
-    samples.into_iter().fold(f64::INFINITY, f64::min)
-}
 
 /// A live cluster: shard daemons plus a coordinator, caches off.
 struct Cluster {

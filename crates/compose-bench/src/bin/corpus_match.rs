@@ -29,22 +29,12 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
 use biomodels_corpus::{corpus_187, query_fragment};
-use compose_bench::{host_parallelism, time_median};
+use compose_bench::{host_parallelism, time_median, workspace_root};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::Model;
-
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
 
 fn build_index(models: &[Model], options: &ComposeOptions, threads: usize) -> MatchIndex {
     let batch = BatchComposer::new(Composer::new(options.clone())).with_threads(threads);

@@ -30,28 +30,14 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
 use biomodels_corpus::{corpus_scale, query_fragment, scale_model};
-use compose_bench::{host_parallelism, time_median};
+use compose_bench::{best, host_parallelism, time_median, workspace_root};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::Model;
-
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
-
-fn best(samples: Vec<f64>) -> f64 {
-    samples.into_iter().fold(f64::INFINITY, f64::min)
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

@@ -22,9 +22,8 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
-use compose_bench::time_median;
+use compose_bench::{time_median, workspace_root};
 use sbml_compose::{compose_many, ComposeOptions, Composer};
 use sbml_model::builder::ModelBuilder;
 use sbml_model::Model;
@@ -33,16 +32,6 @@ const CHAIN_LENGTHS: [usize; 4] = [2, 8, 32, 128];
 
 /// Parameters + chained initial assignments per chain model.
 const VALUES_PER_MODEL: usize = 24;
-
-/// Workspace root (grandparent of this crate's manifest dir).
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
 
 /// Model `i` of the chain: a couple of shared species link neighbours
 /// (so merging does real matching work), and `VALUES_PER_MODEL`

@@ -29,24 +29,14 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use biomodels_corpus::corpus_conflict;
-use compose_bench::time_median;
+use compose_bench::{time_median, workspace_root};
 use sbml_compose::{compose_many_prepared, ComposeOptions, Composer, PreparedModel};
 
 /// Models in the conflict corpus.
 const MODELS: usize = 12;
-
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
 
 fn chain(composer: &Composer, prepared: &[Arc<PreparedModel>]) -> usize {
     compose_many_prepared(composer, prepared.iter().map(Arc::as_ref)).model.species.len()

@@ -13,25 +13,14 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 
-use compose_bench::time_median_interleaved;
+use compose_bench::{time_median_interleaved, workspace_root};
 use sbml_compose::guard::Budget;
 use sbml_compose::{ComposeOptions, CompositionSession};
 use sbml_model::Model;
 
 const CHAIN_LENGTH: usize = 64;
 const RUNS: usize = 7;
-
-/// Workspace root (grandparent of this crate's manifest dir).
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
 
 fn run_plain(options: &ComposeOptions, chain: &[Model]) -> Model {
     let mut session = CompositionSession::new(options);

@@ -25,24 +25,14 @@
 
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use biomodels_corpus::{corpus_187, query_fragment};
-use compose_bench::{host_parallelism, time_median};
+use compose_bench::{best, host_parallelism, time_median, workspace_root};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::{parse_sbml, write_sbml};
 use sbml_serve::{QueryCache, Snapshot};
-
-fn workspace_root() -> PathBuf {
-    option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent())
-        .and_then(|p| p.parent())
-        .map(Path::to_path_buf)
-        .unwrap_or_else(|| PathBuf::from("."))
-}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -103,9 +93,6 @@ fn main() {
         let elapsed = start.elapsed().as_secs_f64();
         drop(std::hint::black_box(result));
         elapsed
-    }
-    fn best(samples: Vec<f64>) -> f64 {
-        samples.into_iter().fold(f64::INFINITY, f64::min)
     }
     let runs = if quick { 3 } else { 5 };
     // Both sides take the MINIMUM over their runs: on a shared 1-CPU

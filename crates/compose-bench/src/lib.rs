@@ -83,19 +83,33 @@ pub fn log10_ms(seconds: f64) -> f64 {
     (seconds * 1e3).max(1e-3).log10()
 }
 
-/// The workspace `results/` directory (created on demand). Harness
-/// binaries run from the workspace root (`cargo run -p compose-bench`), so
-/// a relative `results/` lands next to `Cargo.toml`; if the workspace root
-/// is identifiable via `CARGO_MANIFEST_DIR`'s grandparent, prefer that.
+/// The workspace root, resolved at run time: the nearest directory at
+/// or above the current one whose `Cargo.toml` declares a
+/// `[workspace]` (the current directory when none does). The harness
+/// binaries run from inside the tree (`cargo run -p compose-bench`), so
+/// their `BENCH_*.json` and `results/` land in the tree being run, even
+/// when another checkout shares its build cache.
+pub fn workspace_root() -> PathBuf {
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    cwd.ancestors()
+        .find(|dir| {
+            fs::read_to_string(dir.join("Cargo.toml")).is_ok_and(|t| t.contains("[workspace]"))
+        })
+        .map_or_else(|| cwd.clone(), Path::to_path_buf)
+}
+
+/// The workspace `results/` directory (created on demand).
 pub fn results_dir() -> PathBuf {
-    let dir = option_env!("CARGO_MANIFEST_DIR")
-        .map(Path::new)
-        .and_then(|p| p.parent()) // crates/
-        .and_then(|p| p.parent()) // workspace root
-        .map(|root| root.join("results"))
-        .unwrap_or_else(|| PathBuf::from("results"));
+    let dir = workspace_root().join("results");
     let _ = fs::create_dir_all(&dir);
     dir
+}
+
+/// The minimum of `samples`: on a shared host every sample is its true
+/// cost plus non-negative interference, so min-of-N estimates the
+/// uncontended cost.
+pub fn best(samples: Vec<f64>) -> f64 {
+    samples.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// Write a CSV file into `results/`, returning its path.
@@ -158,6 +172,20 @@ pub fn stats(series: &[f64]) -> Stats {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn workspace_root_is_found_from_inside_the_tree() {
+        // Tests run in this crate's directory, two levels below the root.
+        let root = workspace_root();
+        let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
+        assert!(manifest.contains("[workspace]"), "{}", root.display());
+        assert!(root.join("crates").join("compose-bench").is_dir(), "{}", root.display());
+    }
+
+    #[test]
+    fn best_is_the_minimum() {
+        assert_eq!(best(vec![0.3, 0.1, 0.2]), 0.1);
+    }
 
     #[test]
     fn timing_positive() {

@@ -40,15 +40,12 @@ use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use sbml_compose::{ComposeOptions, WorkerPool};
-use sbml_serve::cache::QueryCache;
 use sbml_serve::metrics::Metrics;
 use sbml_serve::protocol::{ErrKind, Request, Response};
-use sbml_serve::server::{
-    cache_key, compose_documents, parse_model, serve_frames, FrameHandler, FrameOutcome,
-};
+use sbml_serve::server::serve_frames;
+use sbml_serve::service::{frame_handler, ok, removed, upserted, Service};
 use sbml_serve::snapshot::{preset_options, semantics_from_token, semantics_token};
 use sbml_serve::wire::{PartialCandidates, PartialMatches};
 
@@ -104,17 +101,13 @@ struct WriteState {
 }
 
 struct CoordState {
+    service: Service,
     links: Vec<ShardLink>,
-    options: ComposeOptions,
-    cache: Mutex<QueryCache>,
-    metrics: Metrics,
     /// Scatter pool, one lane per shard.
     pool: WorkerPool,
-    /// Compose sessions share the same parked threads.
-    compose_pool: Arc<WorkerPool>,
     write: Mutex<WriteState>,
-    config: CoordinatorConfig,
-    threads: usize,
+    /// Approximate hits ranked per `MATCH` miss.
+    top_k: usize,
 }
 
 /// A bound, not-yet-running coordinator. [`Coordinator::run`] blocks
@@ -124,14 +117,6 @@ pub struct Coordinator {
     state: Arc<CoordState>,
     addr: SocketAddr,
     live_at_bind: u64,
-}
-
-fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    }
 }
 
 fn bad(message: String) -> io::Error {
@@ -176,17 +161,12 @@ impl Coordinator {
             let named = |detail: String| {
                 bad(format!("shard {} ({}): {detail}", link.index, link.addr))
             };
-            let response = link.request(&Request::Stats).map_err(bad)?;
-            let body = match response {
-                Response::Ok { code: 0, body } => String::from_utf8(body)
-                    .map_err(|_| named("STATS body is not UTF-8".into()))?,
-                Response::Ok { code, .. } => {
-                    return Err(named(format!("STATS answered with code {code}")))
-                }
-                Response::Err { kind, message } => {
-                    return Err(named(format!("ERR {} {message}", kind.token())))
-                }
-            };
+            let (code, body) = link.call(&Request::Stats).map_err(bad)?;
+            if code != 0 {
+                return Err(named(format!("STATS answered with code {code}")));
+            }
+            let body =
+                String::from_utf8(body).map_err(|_| named("STATS body is not UTF-8".into()))?;
             let map = stats_map(&body);
             let field = |key: &str| -> io::Result<&str> {
                 map.get(key).copied().ok_or_else(|| {
@@ -261,18 +241,17 @@ impl Coordinator {
 
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let threads = resolve_threads(config.threads);
-        let compose_pool = Arc::new(WorkerPool::for_host());
         let state = Arc::new(CoordState {
+            service: Service::new(
+                options,
+                config.threads,
+                config.cache_capacity,
+                (config.max_steps, config.deadline_ms),
+            ),
             pool: WorkerPool::new(n),
-            compose_pool,
-            cache: Mutex::new(QueryCache::new(config.cache_capacity)),
-            metrics: Metrics::new(),
             write: Mutex::new(WriteState { universe: reference.universe, live: live_total }),
             links,
-            options,
-            config,
-            threads,
+            top_k: config.top_k,
         });
         Ok(Coordinator { listener, state, addr: local, live_at_bind: live_total })
     }
@@ -297,27 +276,9 @@ impl Coordinator {
     /// ([`sbml_serve::serve_frames`]).
     pub fn run(self) -> io::Result<()> {
         let Coordinator { listener, state, .. } = self;
-        let threads = state.threads;
-        let handler: FrameHandler = Arc::new(move |payload: &[u8]| {
-            let started = Instant::now();
-            Metrics::bump(&state.metrics.requests);
-            let mut shutdown = false;
-            let response = match Request::decode(payload) {
-                Ok(request) => respond(&state, request, &mut shutdown),
-                Err(message) => {
-                    Metrics::bump(&state.metrics.errors);
-                    encode(Response::Err { kind: ErrKind::Proto, message })
-                }
-            };
-            state.metrics.record_latency_us(started.elapsed().as_micros() as u64);
-            FrameOutcome { response, shutdown }
-        });
-        serve_frames(listener, threads, handler)
+        let threads = state.service.threads;
+        serve_frames(listener, threads, frame_handler(state, |s| &s.service, respond))
     }
-}
-
-fn encode(response: Response) -> Arc<[u8]> {
-    Arc::from(response.encode().into_boxed_slice())
 }
 
 /// Run `call` against every link concurrently (one pool lane per
@@ -351,162 +312,109 @@ where
         .collect()
 }
 
-/// Ask one shard and decode its binary partial body; `decode` is the
-/// wire type's parser. Protocol-level errors are strings naming the
-/// shard, like every [`ShardLink`] error.
-fn partial<T>(
-    link: &ShardLink,
-    request: &Request,
-    decode: impl Fn(&[u8]) -> Result<T, String>,
-) -> Result<T, String> {
-    match link.request(request)? {
-        Response::Ok { code: _, body } => decode(&body)
-            .map_err(|e| format!("shard {} ({}): {e}", link.index, link.addr)),
-        Response::Err { kind, message } => Err(format!(
-            "shard {} ({}): ERR {} {message}",
-            link.index,
-            link.addr,
-            kind.token(),
-        )),
-    }
-}
-
-fn cache_get(state: &CoordState, key: &str) -> Option<Arc<[u8]>> {
-    let mut cache = state.cache.lock().ok()?;
-    let hit = cache.get(key);
-    if hit.is_some() {
-        Metrics::bump(&state.metrics.cache_hits);
-    }
-    hit
-}
-
-fn cache_put(state: &CoordState, key: String, response: &Arc<[u8]>) {
-    if let Ok(mut cache) = state.cache.lock() {
-        cache.put(key, Arc::clone(response));
-    }
-}
-
-fn invalidate_cache(state: &CoordState) {
-    if let Ok(mut cache) = state.cache.lock() {
-        cache.clear();
-    }
-}
-
-/// Gather a scatter's results, splitting survivors from dead shards.
-fn split_gather<T>(results: Vec<Result<T, String>>) -> (Vec<T>, Vec<String>) {
-    let mut parts = Vec::with_capacity(results.len());
-    let mut dead = Vec::new();
-    for result in results {
-        match result {
-            Ok(part) => parts.push(part),
-            Err(detail) => dead.push(detail),
+/// `MATCH` and `QUERY`: scatter the shard-internal half of `verb`
+/// (`partial_verb`), decode each survivor's binary partial, and merge.
+/// No survivors is `ERR budget`. A dead shard degrades the answer: the
+/// merge over the survivors, prefixed with one `dead shard …` line per
+/// missing shard, under the partial exit code, and never cached.
+fn scatter_read<P: Send>(
+    state: &CoordState,
+    verb: &str,
+    query_xml: String,
+    partial_verb: fn(String) -> Request,
+    decode: fn(&[u8]) -> Result<P, String>,
+    merge: impl FnOnce(&[P]) -> (u8, String),
+) -> Arc<[u8]> {
+    let service = &state.service;
+    service.read(verb, query_xml, |_, query_xml| {
+        let request = partial_verb(query_xml);
+        let (mut parts, mut dead) = (Vec::new(), Vec::new());
+        for result in scatter(state, |link| {
+            let (_, body) = link.call(&request)?;
+            decode(&body).map_err(|e| format!("shard {} ({}): {e}", link.index, link.addr))
+        }) {
+            match result {
+                Ok(part) => parts.push(part),
+                Err(detail) => dead.push(detail),
+            }
         }
-    }
-    (parts, dead)
+        if parts.is_empty() {
+            let message = dead.into_iter().next().unwrap_or_else(|| "no shards".into());
+            return Err(service.reject(ErrKind::Budget, message));
+        }
+        let (code, text) = merge(&parts);
+        if dead.is_empty() {
+            return Ok(ok(code, text));
+        }
+        Metrics::bump(&service.metrics.budget_cuts);
+        let mut body: String = dead.iter().map(|detail| format!("dead {detail}\n")).collect();
+        body.push_str(&text);
+        Err(ok(4, body))
+    })
 }
 
-/// Render a degraded read: the merged answer over the surviving shards,
-/// prefixed with one `dead shard …` line per missing shard, under the
-/// partial exit code. Never cached.
-fn degrade(dead: &[String], text: &str) -> Response {
-    let mut body = String::new();
-    for detail in dead {
-        body.push_str("dead ");
-        body.push_str(detail);
-        body.push('\n');
-    }
-    body.push_str(text);
-    Response::Ok { code: 4, body: body.into_bytes() }
+/// `REMOVE model_id` on every shard but `skip`: how many held the model,
+/// and the first shard that failed (in shard order), if any.
+fn remove_everywhere(
+    state: &CoordState,
+    model_id: &str,
+    skip: Option<usize>,
+) -> (u64, Option<String>) {
+    let results = scatter(state, |link| {
+        if Some(link.index) == skip {
+            return Ok(1u8);
+        }
+        link.call(&Request::Remove { model_id: model_id.to_owned() }).map(|(code, _)| code)
+    });
+    let hits = results.iter().filter(|result| matches!(result, Ok(0))).count() as u64;
+    (hits, results.into_iter().find_map(Result::err))
 }
 
 fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8]> {
+    let service = &state.service;
+    let metrics = &service.metrics;
     match request {
         Request::Match { query_xml } => {
-            Metrics::bump(&state.metrics.match_requests);
-            let query = match parse_model(&query_xml, &state.metrics) {
-                Ok(query) => query,
-                Err(response) => return response,
-            };
-            let key = cache_key("MATCH", &query, &state.options);
-            if let Some(hit) = cache_get(state, &key) {
-                return hit;
-            }
-            Metrics::bump(&state.metrics.cache_misses);
-            let request = Request::PartialMatch { query_xml };
-            let results =
-                scatter(state, |link| partial(link, &request, PartialMatches::decode));
-            let (parts, dead) = split_gather(results);
-            if parts.is_empty() {
-                Metrics::bump(&state.metrics.errors);
-                let message = dead.into_iter().next().unwrap_or_else(|| "no shards".into());
-                return encode(Response::Err { kind: ErrKind::Budget, message });
-            }
-            let (code, text) = merge_matches(&parts, state.config.top_k);
-            if !dead.is_empty() {
-                Metrics::bump(&state.metrics.budget_cuts);
-                return encode(degrade(&dead, &text));
-            }
-            let response = encode(Response::Ok { code, body: text.into_bytes() });
-            cache_put(state, key, &response);
-            response
-        }
-        Request::Query { query_xml } => {
-            Metrics::bump(&state.metrics.query_requests);
-            let query = match parse_model(&query_xml, &state.metrics) {
-                Ok(query) => query,
-                Err(response) => return response,
-            };
-            let key = cache_key("QUERY", &query, &state.options);
-            if let Some(hit) = cache_get(state, &key) {
-                return hit;
-            }
-            Metrics::bump(&state.metrics.cache_misses);
-            let request = Request::PartialQuery { query_xml };
-            let results =
-                scatter(state, |link| partial(link, &request, PartialCandidates::decode));
-            let (parts, dead) = split_gather(results);
-            if parts.is_empty() {
-                Metrics::bump(&state.metrics.errors);
-                let message = dead.into_iter().next().unwrap_or_else(|| "no shards".into());
-                return encode(Response::Err { kind: ErrKind::Budget, message });
-            }
-            let (code, text) = merge_candidates(&parts);
-            if !dead.is_empty() {
-                Metrics::bump(&state.metrics.budget_cuts);
-                return encode(degrade(&dead, &text));
-            }
-            let response = encode(Response::Ok { code, body: text.into_bytes() });
-            cache_put(state, key, &response);
-            response
-        }
-        Request::Compose { models_xml } => {
-            Metrics::bump(&state.metrics.compose_requests);
-            let config = &state.config;
-            compose_documents(
-                &models_xml,
-                &state.options,
-                &state.compose_pool,
-                (config.max_steps, config.deadline_ms),
-                &state.metrics,
+            Metrics::bump(&metrics.match_requests);
+            scatter_read(
+                state,
+                "MATCH",
+                query_xml,
+                |query_xml| Request::PartialMatch { query_xml },
+                PartialMatches::decode,
+                |parts| merge_matches(parts, state.top_k),
             )
         }
+        Request::Query { query_xml } => {
+            Metrics::bump(&metrics.query_requests);
+            scatter_read(
+                state,
+                "QUERY",
+                query_xml,
+                |query_xml| Request::PartialQuery { query_xml },
+                PartialCandidates::decode,
+                merge_candidates,
+            )
+        }
+        Request::Compose { models_xml } => service.compose(&models_xml),
         Request::Upsert { model_xml, slot } => {
-            Metrics::bump(&state.metrics.upsert_requests);
+            Metrics::bump(&metrics.upsert_requests);
             if slot.is_some() {
-                Metrics::bump(&state.metrics.errors);
-                return encode(Response::Err {
-                    kind: ErrKind::Proto,
-                    message: "the coordinator allocates slots; UPSERT takes no slot here"
-                        .into(),
-                });
+                return service.reject(
+                    ErrKind::Proto,
+                    "the coordinator allocates slots; UPSERT takes no slot here".into(),
+                );
             }
-            let model = match parse_model(&model_xml, &state.metrics) {
+            let model = match service.parse(&model_xml) {
                 Ok(model) => model,
                 Err(response) => return response,
             };
             let mut write = state.write.lock().unwrap_or_else(|e| e.into_inner());
             let global = write.universe;
             let target = (global % state.links.len() as u64) as usize;
+            let named = |detail: String| {
+                format!("shard {target} ({}): {detail}", state.links[target].addr)
+            };
             // Insert first: the target daemon validates and replaces any
             // same-id model it owns atomically, so a rejected or dead
             // insert leaves the cluster untouched.
@@ -516,132 +424,59 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
             }) {
                 Ok(Response::Ok { code: 0, body }) => body,
                 Ok(Response::Ok { code, .. }) => {
-                    Metrics::bump(&state.metrics.errors);
-                    return encode(Response::Err {
-                        kind: ErrKind::Proto,
-                        message: format!(
-                            "shard {target} ({}): UPSERT answered with code {code}",
-                            state.links[target].addr,
-                        ),
-                    });
+                    let message = named(format!("UPSERT answered with code {code}"));
+                    return service.reject(ErrKind::Proto, message);
                 }
-                Ok(Response::Err { kind, message }) => {
-                    Metrics::bump(&state.metrics.errors);
-                    return encode(Response::Err {
-                        kind,
-                        message: format!(
-                            "shard {target} ({}): {message}",
-                            state.links[target].addr,
-                        ),
-                    });
-                }
-                Err(message) => {
-                    Metrics::bump(&state.metrics.errors);
-                    return encode(Response::Err { kind: ErrKind::Budget, message });
-                }
+                Ok(Response::Err { kind, message }) => return service.reject(kind, named(message)),
+                Err(message) => return service.reject(ErrKind::Budget, message),
             };
-            let mut replaced = inserted.starts_with(b"replaced");
+            // The target holds the model at `global` now: that slot is
+            // spent whatever happens next.
+            write.universe = global + 1;
+            let replaced_on_target = inserted.starts_with(b"replaced");
             // Evict the id from every other shard — a replace may have
             // lived anywhere. A dead shard here fails the write loudly:
             // it holds a model the cluster believes is gone.
-            let id = model.id.clone();
-            let results = scatter(state, |link| {
-                if link.index == target {
-                    return Ok(1u8);
-                }
-                match link.request(&Request::Remove { model_id: id.clone() })? {
-                    Response::Ok { code, .. } => Ok(code),
-                    Response::Err { kind, message } => Err(format!(
-                        "shard {} ({}): ERR {} {message}",
-                        link.index,
-                        link.addr,
-                        kind.token(),
-                    )),
-                }
-            });
-            let mut evicted = 0u64;
-            for result in results {
-                match result {
-                    Ok(0) => evicted += 1,
-                    Ok(_) => {}
-                    Err(message) => {
-                        Metrics::bump(&state.metrics.errors);
-                        return encode(Response::Err { kind: ErrKind::Budget, message });
-                    }
-                }
-            }
-            replaced |= evicted > 0;
-            write.universe = global + 1;
-            write.live = write.live + 1 - evicted - u64::from(inserted.starts_with(b"replaced"));
+            let (evicted, failure) = remove_everywhere(state, &model.id, Some(target));
+            write.live = write.live + 1 - evicted - u64::from(replaced_on_target);
             let rank = write.live - 1;
             drop(write);
-            invalidate_cache(state);
-            let verb = if replaced { "replaced" } else { "inserted" };
-            encode(Response::Ok {
-                code: 0,
-                body: format!("{verb} {} model {rank}\n", model.id).into_bytes(),
-            })
+            service.invalidate();
+            match failure {
+                Some(message) => service.reject(ErrKind::Budget, message),
+                None => upserted(replaced_on_target || evicted > 0, &model.id, rank),
+            }
         }
         Request::Remove { model_id } => {
-            Metrics::bump(&state.metrics.remove_requests);
+            Metrics::bump(&metrics.remove_requests);
             let mut write = state.write.lock().unwrap_or_else(|e| e.into_inner());
-            let results = scatter(state, |link| {
-                match link.request(&Request::Remove { model_id: model_id.clone() })? {
-                    Response::Ok { code, .. } => Ok(code),
-                    Response::Err { kind, message } => Err(format!(
-                        "shard {} ({}): ERR {} {message}",
-                        link.index,
-                        link.addr,
-                        kind.token(),
-                    )),
-                }
-            });
-            let mut hits = 0u64;
-            for result in results {
-                match result {
-                    Ok(0) => hits += 1,
-                    Ok(_) => {}
-                    Err(message) => {
-                        Metrics::bump(&state.metrics.errors);
-                        return encode(Response::Err { kind: ErrKind::Budget, message });
-                    }
-                }
-            }
-            if hits == 0 {
-                return encode(Response::Ok {
-                    code: 1,
-                    body: format!("no such model {model_id}\n").into_bytes(),
-                });
-            }
+            let (hits, failure) = remove_everywhere(state, &model_id, None);
             write.live -= hits.min(write.live);
             drop(write);
-            invalidate_cache(state);
-            encode(Response::Ok {
-                code: 0,
-                body: format!("removed {model_id}\n").into_bytes(),
-            })
+            if hits > 0 {
+                service.invalidate();
+            }
+            match failure {
+                Some(message) => service.reject(ErrKind::Budget, message),
+                None => removed(hits > 0, &model_id),
+            }
         }
-        Request::PartialMatch { .. } | Request::PartialQuery { .. } => {
-            Metrics::bump(&state.metrics.errors);
-            encode(Response::Err {
-                kind: ErrKind::Proto,
-                message: "PMATCH/PQUERY are shard-internal verbs; use MATCH/QUERY".into(),
-            })
-        }
+        Request::PartialMatch { .. } | Request::PartialQuery { .. } => service.reject(
+            ErrKind::Proto,
+            "PMATCH/PQUERY are shard-internal verbs; use MATCH/QUERY".into(),
+        ),
         Request::Stats => {
-            Metrics::bump(&state.metrics.stats_requests);
-            let cache_entries = state.cache.lock().map(|c| c.len()).unwrap_or(0);
+            Metrics::bump(&metrics.stats_requests);
             let (universe, live) = {
                 let write = state.write.lock().unwrap_or_else(|e| e.into_inner());
                 (write.universe, write.live)
             };
-            let mut body =
-                state.metrics.report().render(cache_entries, live as usize, state.threads);
+            let mut body = service.stats(live as usize);
             body.push_str(&format!(
                 "coordinator_shards {}\nuniverse {universe}\nfingerprint {:016x}\nsemantics {}\n",
                 state.links.len(),
-                state.options.fingerprint().stable_hash(),
-                semantics_token(state.options.semantics),
+                service.options.fingerprint().stable_hash(),
+                semantics_token(service.options.semantics),
             ));
             // Observability must survive dead shards: every shard's own
             // STATS body verbatim, or the failure in its place.
@@ -665,11 +500,11 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
                     }
                 }
             }
-            encode(Response::Ok { code: 0, body: body.into_bytes() })
+            ok(0, body)
         }
         Request::Shutdown => {
             *shutdown = true;
-            encode(Response::Ok { code: 0, body: b"shutting down\n".to_vec() })
+            ok(0, "shutting down\n")
         }
     }
 }

@@ -49,8 +49,10 @@
 //! hits, candidates and partial verdicts; `(score desc, slot asc)` with
 //! a top-k cut for approximate hits, discarding every approximate list
 //! as soon as any shard reports an exact hit — exactly reproducing the
-//! single-process gather order, then renders through the same report
-//! grammar as [`sbml_serve::format_matches`].
+//! single-process gather order. The merged lists are then rendered by
+//! the daemon's own renderers ([`sbml_serve::MatchRows`] and
+//! [`sbml_serve::format_candidates`]), through the request core the
+//! daemon and the coordinator share ([`sbml_serve::service`]).
 //!
 //! # Failure ladder ([`coordinator`])
 //!

@@ -109,6 +109,17 @@ impl ShardLink {
         Err(format!("shard {} ({}): {last}", self.index, self.addr))
     }
 
+    /// [`ShardLink::request`] with an `ERR` answer turned into an error
+    /// naming this shard: the exit code and body of the `OK`.
+    pub fn call(&self, request: &Request) -> Result<(u8, Vec<u8>), String> {
+        match self.request(request)? {
+            Response::Ok { code, body } => Ok((code, body)),
+            Response::Err { kind, message } => {
+                Err(format!("shard {} ({}): ERR {} {message}", self.index, self.addr, kind.token()))
+            }
+        }
+    }
+
     /// Drop the cached connection (the next request reconnects).
     pub fn disconnect(&self) {
         *self.stream.lock().unwrap_or_else(|e| e.into_inner()) = None;

@@ -19,13 +19,15 @@
 //!   local misses and the merge discards every approximate list once
 //!   any shard reports an exact hit.
 //!
-//! The renderers mirror [`sbml_serve::format_matches`] (and the
-//! daemon's `QUERY` body) line for line; the shared-grammar tests in
-//! this module pin the bytes against the real formatter.
-
-use std::fmt::Write as _;
+//! This module only merges and orders. The merged lists are rendered by
+//! the renderers the daemon itself answers through
+//! ([`sbml_serve::MatchRows::render`] and
+//! [`sbml_serve::format_candidates`]), so each response grammar is
+//! written once. The tests in this module check the merge against
+//! [`sbml_serve::format_matches`] over the unsplit result.
 
 use sbml_serve::wire::{ApproxEntry, ExactEntry, PartialCandidates, PartialMatches, SlotEntry};
+use sbml_serve::{format_candidates, MatchRows};
 
 /// Merge shard `PMATCH` answers and render the cluster-wide `MATCH`
 /// response. `top_k` must equal the shards' configured top-k (the
@@ -49,63 +51,31 @@ pub fn merge_matches(parts: &[PartialMatches], top_k: usize) -> (u8, String) {
     approximate.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.slot.cmp(&b.slot)));
     approximate.truncate(top_k);
 
-    let mut out = String::new();
-    for e in &truncated {
-        let _ = writeln!(
-            out,
-            "truncated {} ({}): refinement budget exhausted before a verdict",
-            e.id, e.id,
-        );
+    // The services label every model by its id.
+    MatchRows {
+        truncated: truncated.iter().map(|e| (&e.id[..], &e.id[..])).collect(),
+        failed: failed.iter().map(|e| (&e.id[..], &e.id[..])).collect(),
+        exact: exact
+            .iter()
+            .map(|e| ((&e.id[..], &e.id[..]), &e.species[..], &e.reactions[..]))
+            .collect(),
+        approximate: approximate
+            .iter()
+            .map(|a| ((&a.id[..], &a.id[..]), [a.score, a.jaccard, a.mapped_fraction]))
+            .collect(),
     }
-    for e in &failed {
-        let _ = writeln!(out, "failed {} ({}): refinement panicked", e.id, e.id);
-    }
-    if exact.is_empty() {
-        let _ = writeln!(out, "no exact embedding found");
-        if approximate.is_empty() {
-            let _ = writeln!(out, "no approximate match shares any key with the query");
-        }
-        for a in &approximate {
-            let _ = writeln!(
-                out,
-                "approx {} ({}): score {:.3} (jaccard {:.3}, mapped {:.3})",
-                a.id, a.id, a.score, a.jaccard, a.mapped_fraction,
-            );
-        }
-        let code = if truncated.is_empty() && failed.is_empty() { 1 } else { 4 };
-        return (code, out);
-    }
-    for e in &exact {
-        let species =
-            e.species.iter().map(|(q, t)| format!("{q}->{t}")).collect::<Vec<_>>().join(", ");
-        let reactions =
-            e.reactions.iter().map(|(q, t)| format!("{q}->{t}")).collect::<Vec<_>>().join(", ");
-        let _ = writeln!(
-            out,
-            "exact {} ({}): species [{species}] reactions [{reactions}]",
-            e.id, e.id,
-        );
-    }
-    (0, out)
+    .render()
 }
 
 /// Merge shard `PQUERY` answers and render the cluster-wide `QUERY`
-/// response: `candidates <k>/<total live>` then one `candidate <id>`
-/// line per survivor in global (slot) order. Exit 0 when any candidate
-/// survived, 1 otherwise.
+/// response: the survivors in global (slot) order, out of the summed
+/// live total.
 pub fn merge_candidates(parts: &[PartialCandidates]) -> (u8, String) {
     let total: u64 = parts.iter().map(|p| p.live).sum();
     let mut candidates: Vec<&SlotEntry> =
         parts.iter().flat_map(|p| p.candidates.iter()).collect();
     candidates.sort_by_key(|e| e.slot);
-    let mut body = format!("candidates {}/{total}\n", candidates.len());
-    for e in &candidates {
-        body.push_str("candidate ");
-        body.push_str(&e.id);
-        body.push('\n');
-    }
-    let code = if candidates.is_empty() { 1 } else { 0 };
-    (code, body)
+    format_candidates(candidates.iter().map(|e| e.id.as_str()), total)
 }
 
 #[cfg(test)]

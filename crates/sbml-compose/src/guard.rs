@@ -18,8 +18,8 @@
 //!   the [`Site`] where it surfaced.
 //! * [`ItemOutcome`] / [`BatchReport`] — per-item results of a guarded
 //!   fan-out ([`crate::BatchComposer::try_all_pairs`] and friends): every
-//!   item is `Ok`, `Degraded` (completed on a fallback rung), or `Failed`,
-//!   and surviving items are bit-identical to a fault-free run.
+//!   item is `Ok` or `Failed`, and surviving items are bit-identical to a
+//!   fault-free run.
 //! * [`fail_point`] — deterministic fault-injection hook, compiled to a
 //!   no-op unless the crate's `fault-injection` feature is enabled. Tests
 //!   arm a `injection::FailPlan` naming the [`Site`]s that must panic.
@@ -245,23 +245,15 @@ impl Meter {
 pub enum ItemOutcome<T> {
     /// Completed normally — bit-identical to a fault-free run.
     Ok(T),
-    /// Completed, but on a fallback rung of the degradation ladder; the
-    /// fault that forced the fallback is preserved.
-    Degraded {
-        /// The result, identical to what the primary rung would produce.
-        value: T,
-        /// Why the primary rung was abandoned.
-        fault: ExecError,
-    },
     /// Did not complete; no partial state escaped the item boundary.
     Failed(ExecError),
 }
 
 impl<T> ItemOutcome<T> {
-    /// The computed value, if the item completed (normally or degraded).
+    /// The computed value, if the item completed.
     pub fn value(&self) -> Option<&T> {
         match self {
-            ItemOutcome::Ok(v) | ItemOutcome::Degraded { value: v, .. } => Some(v),
+            ItemOutcome::Ok(v) => Some(v),
             ItemOutcome::Failed(_) => None,
         }
     }
@@ -269,16 +261,15 @@ impl<T> ItemOutcome<T> {
     /// Consume the outcome, keeping the value if the item completed.
     pub fn into_value(self) -> Option<T> {
         match self {
-            ItemOutcome::Ok(v) | ItemOutcome::Degraded { value: v, .. } => Some(v),
+            ItemOutcome::Ok(v) => Some(v),
             ItemOutcome::Failed(_) => None,
         }
     }
 
-    /// The fault, if any (degraded items carry one too).
+    /// The fault, if the item failed.
     pub fn error(&self) -> Option<&ExecError> {
         match self {
             ItemOutcome::Ok(_) => None,
-            ItemOutcome::Degraded { fault, .. } => Some(fault),
             ItemOutcome::Failed(e) => Some(e),
         }
     }
@@ -318,12 +309,12 @@ impl<T> BatchReport<T> {
         self.items.iter().all(|i| i.is_ok())
     }
 
-    /// The surviving values (normal and degraded), in item order.
+    /// The surviving values, in item order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
         self.items.iter().filter_map(|i| i.value())
     }
 
-    /// `(item index, fault)` for every failed or degraded item.
+    /// `(item index, fault)` for every failed item.
     pub fn errors(&self) -> impl Iterator<Item = (usize, &ExecError)> {
         self.items.iter().enumerate().filter_map(|(k, i)| i.error().map(|e| (k, e)))
     }
@@ -452,17 +443,13 @@ mod tests {
             items: vec![
                 ItemOutcome::Ok(1),
                 ItemOutcome::Failed(ExecError::StepsExhausted { site: Site::Shard(1), limit: 5 }),
-                ItemOutcome::Degraded {
-                    value: 3,
-                    fault: ExecError::Panicked { site: Site::Shard(2), detail: "x".into() },
-                },
             ],
         };
         assert_eq!(report.ok_count(), 1);
         assert_eq!(report.failed_count(), 1);
         assert!(!report.fully_ok());
-        assert_eq!(report.values().copied().collect::<Vec<_>>(), vec![1, 3]);
-        assert_eq!(report.errors().map(|(k, _)| k).collect::<Vec<_>>(), vec![1, 2]);
+        assert_eq!(report.values().copied().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(report.errors().map(|(k, _)| k).collect::<Vec<_>>(), vec![1]);
     }
 
     #[test]

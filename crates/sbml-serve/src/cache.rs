@@ -7,9 +7,15 @@
 //! hit the same entry. Values are the fully encoded response payloads,
 //! shared as `Arc<[u8]>`, so a cache hit is a clone of a pointer and the
 //! bytes sent are identical to the first answer's.
+//!
+//! The daemon and the cluster coordinator share one metered path over a
+//! `Mutex<QueryCache>`: [`cached`] (lookup, hit/miss metering, compute,
+//! fill) and [`invalidate`] (clear on every corpus write).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+
+use crate::metrics::Metrics;
 
 /// A bounded LRU map from request keys to response payloads. Wrap it in
 /// a `Mutex` to share; hit/miss accounting lives in
@@ -70,6 +76,39 @@ impl QueryCache {
             }
         }
         self.map.insert(key, (self.tick, value));
+    }
+}
+
+/// Answer `key` from the cache (metered as a hit), or meter a miss and
+/// compute the answer. `compute` returns `Ok` for an answer that may be
+/// cached — it fills the cache — and `Err` for one that must not be (a
+/// failed or degraded answer), which is returned as is.
+pub fn cached(
+    cache: &Mutex<QueryCache>,
+    metrics: &Metrics,
+    key: String,
+    compute: impl FnOnce() -> Result<Arc<[u8]>, Arc<[u8]>>,
+) -> Arc<[u8]> {
+    if let Some(hit) = cache.lock().ok().and_then(|mut cache| cache.get(&key)) {
+        Metrics::bump(&metrics.cache_hits);
+        return hit;
+    }
+    Metrics::bump(&metrics.cache_misses);
+    match compute() {
+        Ok(response) => {
+            if let Ok(mut cache) = cache.lock() {
+                cache.put(key, Arc::clone(&response));
+            }
+            response
+        }
+        Err(uncached) => uncached,
+    }
+}
+
+/// A corpus mutation happened: every cached answer may be stale.
+pub fn invalidate(cache: &Mutex<QueryCache>) {
+    if let Ok(mut cache) = cache.lock() {
+        cache.clear();
     }
 }
 

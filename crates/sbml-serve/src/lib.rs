@@ -30,10 +30,13 @@
 //!   eviction ([`cache`]); usage is metered ([`metrics`]) and exposed
 //!   via `STATS`.
 //!
-//! [`client`] is the matching blocking client (`sbmlcompose client`),
-//! and [`report`] holds the one formatter both the one-shot CLI and the
-//! daemon render match results through — which is what makes a daemon
-//! answer bit-identical to a one-shot answer for the same request.
+//! [`client`] is the matching blocking client (`sbmlcompose client`).
+//! [`report`] holds the one renderer per read grammar, which the
+//! one-shot CLI, the daemon and the `sbml-cluster` coordinator all
+//! render through — which is what makes their answers bit-identical
+//! for the same request. [`service`] is the request core the daemon
+//! and the coordinator share: the frame handler, the metered cache
+//! path, `COMPOSE`, and the write answers and errors.
 //!
 //! # Snapshot → serve, end to end
 //!
@@ -72,6 +75,7 @@ pub mod metrics;
 pub mod protocol;
 pub mod report;
 pub mod server;
+pub mod service;
 pub mod snapshot;
 pub mod wire;
 
@@ -79,8 +83,9 @@ pub use cache::QueryCache;
 pub use client::Client;
 pub use metrics::{Metrics, MetricsReport};
 pub use protocol::{read_frame, write_frame, ErrKind, Request, Response, MAX_FRAME};
-pub use report::format_matches;
+pub use report::{format_candidates, format_matches, MatchRows};
 pub use server::{serve_frames, FrameHandler, FrameOutcome, Server, ServerConfig, ShardIdentity};
+pub use service::Service;
 pub use snapshot::{
     preset_options, semantics_from_token, semantics_token, ClusterInfo, LoadedSnapshot, Snapshot,
     SnapshotError, SnapshotInfo, SnapshotShardInfo, FORMAT_VERSION, MAGIC,

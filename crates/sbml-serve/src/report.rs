@@ -1,74 +1,126 @@
-//! The one formatter for corpus match results.
+//! The one renderer for each read answer's grammar.
 //!
-//! Both the one-shot CLI (`sbmlcompose match`) and the daemon's `MATCH`
-//! responses render a [`CorpusMatches`] through [`format_matches`], so a
-//! daemon answer is bit-identical to a one-shot answer whenever the two
-//! label models the same way (the CLI labels by file path, the daemon by
-//! model id — pass the same labels to get the same bytes). The exit code
-//! follows the CLI contract: 0 when an exact hit exists, 1 on a
-//! definitive miss, 4 when truncated/failed candidates make the answer
-//! partial.
+//! A `MATCH` answer is rendered by [`MatchRows::render`] and a `QUERY`
+//! answer by [`format_candidates`], whoever computed it: the one-shot
+//! CLI (`sbmlcompose match`), the daemon, and the cluster coordinator
+//! merging shard partials. So a daemon answer is bit-identical to a
+//! one-shot answer whenever the two label models the same way (the CLI
+//! labels by file path, the daemon by model id — pass the same labels to
+//! get the same bytes), and a coordinator answer is bit-identical to a
+//! daemon's over the same live corpus. The exit code follows the CLI
+//! contract: 0 when an exact hit exists, 1 on a definitive miss, 4 when
+//! truncated/failed candidates make the answer partial.
+
+use std::fmt::Write as _;
 
 use sbml_match::CorpusMatches;
+
+/// A `MATCH` answer as borrowed rows, each list in display order. Every
+/// row starts with the model's (display label, model id).
+#[derive(Debug)]
+pub struct MatchRows<'a> {
+    /// Candidates the refiner could not decide (budget/deadline ran out).
+    pub truncated: Vec<(&'a str, &'a str)>,
+    /// Candidates whose refinement panicked (contained).
+    pub failed: Vec<(&'a str, &'a str)>,
+    /// Exact hits with their species and reaction witnesses, each a list
+    /// of query id → target id pairs.
+    pub exact: Vec<((&'a str, &'a str), &'a [(String, String)], &'a [(String, String)])>,
+    /// Ranked near misses (score, Jaccard, mapped fraction), rendered
+    /// only when there is no exact hit.
+    pub approximate: Vec<((&'a str, &'a str), [f64; 3])>,
+}
+
+impl MatchRows<'_> {
+    /// Render as report text plus the CLI exit code.
+    pub fn render(&self) -> (u8, String) {
+        let mut out = String::new();
+        // Partial verdicts first.
+        for (label, id) in &self.truncated {
+            let _ = writeln!(
+                out,
+                "truncated {label} ({id}): refinement budget exhausted before a verdict"
+            );
+        }
+        for (label, id) in &self.failed {
+            let _ = writeln!(out, "failed {label} ({id}): refinement panicked");
+        }
+        if self.exact.is_empty() {
+            out.push_str("no exact embedding found\n");
+            if self.approximate.is_empty() {
+                out.push_str("no approximate match shares any key with the query\n");
+            }
+            for ((label, id), [score, jaccard, mapped]) in &self.approximate {
+                let _ = writeln!(
+                    out,
+                    "approx {label} ({id}): score {score:.3} (jaccard {jaccard:.3}, mapped {mapped:.3})"
+                );
+            }
+            // Undecided candidates make "no hit" a partial answer, not a
+            // definitive miss — signal that distinctly.
+            let code = if self.truncated.is_empty() && self.failed.is_empty() { 1 } else { 4 };
+            return (code, out);
+        }
+        for ((label, id), species, reactions) in &self.exact {
+            let _ = write!(out, "exact {label} ({id}): species [");
+            push_pairs(&mut out, species);
+            out.push_str("] reactions [");
+            push_pairs(&mut out, reactions);
+            out.push_str("]\n");
+        }
+        (0, out)
+    }
+}
+
+/// `q->t, q->t, ...`
+fn push_pairs(out: &mut String, pairs: &[(String, String)]) {
+    for (i, (q, t)) in pairs.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str(q);
+        out.push_str("->");
+        out.push_str(t);
+    }
+}
 
 /// Render a match result as report text plus the CLI exit code.
 /// `labels[m]` names corpus model `m` in the output (a file path for the
 /// CLI, a model id for the daemon); `ids[m]` is always the model id.
 pub fn format_matches(result: &CorpusMatches, labels: &[String], ids: &[String]) -> (u8, String) {
-    use std::fmt::Write as _;
+    let row = |m: usize| (labels[m].as_str(), ids[m].as_str());
+    MatchRows {
+        truncated: result.truncated.iter().map(|&m| row(m)).collect(),
+        failed: result.failed.iter().map(|&m| row(m)).collect(),
+        exact: result
+            .exact
+            .iter()
+            .map(|h| (row(h.model), &h.embedding.species[..], &h.embedding.reactions[..]))
+            .collect(),
+        approximate: result
+            .approximate
+            .iter()
+            .map(|h| (row(h.model), [h.score, h.jaccard, h.mapped_fraction]))
+            .collect(),
+    }
+    .render()
+}
 
-    let mut out = String::new();
-    // Partial verdicts first: candidates the refiner could not decide
-    // (budget/deadline ran out) or where it panicked (contained).
-    for &m in &result.truncated {
-        let _ = writeln!(
-            out,
-            "truncated {} ({}): refinement budget exhausted before a verdict",
-            labels[m], ids[m],
-        );
+/// Render a `QUERY` answer: `candidates <k>/<total>` then one
+/// `candidate <id>` line per surviving candidate, in the given order.
+/// Exit 0 when any candidate survived, 1 otherwise.
+pub fn format_candidates<'a>(
+    ids: impl ExactSizeIterator<Item = &'a str>,
+    total: u64,
+) -> (u8, String) {
+    let code = if ids.len() == 0 { 1 } else { 0 };
+    let mut body = format!("candidates {}/{total}\n", ids.len());
+    for id in ids {
+        body.push_str("candidate ");
+        body.push_str(id);
+        body.push('\n');
     }
-    for &m in &result.failed {
-        let _ = writeln!(out, "failed {} ({}): refinement panicked", labels[m], ids[m]);
-    }
-    if result.exact.is_empty() {
-        let _ = writeln!(out, "no exact embedding found");
-        if result.approximate.is_empty() {
-            let _ = writeln!(out, "no approximate match shares any key with the query");
-        }
-        for hit in &result.approximate {
-            let _ = writeln!(
-                out,
-                "approx {} ({}): score {:.3} (jaccard {:.3}, mapped {:.3})",
-                labels[hit.model], ids[hit.model], hit.score, hit.jaccard, hit.mapped_fraction,
-            );
-        }
-        // Undecided candidates make "no hit" a partial answer, not a
-        // definitive miss — signal that distinctly.
-        let code = if result.truncated.is_empty() && result.failed.is_empty() { 1 } else { 4 };
-        return (code, out);
-    }
-    for hit in &result.exact {
-        let species = hit
-            .embedding
-            .species
-            .iter()
-            .map(|(q, t)| format!("{q}->{t}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let reactions = hit
-            .embedding
-            .reactions
-            .iter()
-            .map(|(q, t)| format!("{q}->{t}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(
-            out,
-            "exact {} ({}): species [{species}] reactions [{reactions}]",
-            labels[hit.model], ids[hit.model],
-        );
-    }
-    (0, out)
+    (code, body)
 }
 
 #[cfg(test)]

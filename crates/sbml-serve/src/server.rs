@@ -37,18 +37,16 @@ use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use sbml_compose::{
-    BatchComposer, Budget, ComposeOptions, Composer, CompositionSession, WorkerPool,
-};
-use sbml_match::MatchIndex;
-use sbml_model::{parse_sbml, write_sbml, Model};
+use sbml_compose::{BatchComposer, ComposeOptions, Composer};
+use sbml_match::{CorpusMatches, MatchIndex};
+use sbml_model::Model;
 
-use crate::cache::QueryCache;
 use crate::metrics::Metrics;
-use crate::protocol::{write_frame, ErrKind, Request, Response, MAX_FRAME};
-use crate::report::format_matches;
+use crate::protocol::{write_frame, ErrKind, Request, MAX_FRAME};
+use crate::report::{format_candidates, format_matches};
+use crate::service::{frame_handler, ok, removed, upserted, Service};
 use crate::snapshot::semantics_token;
 use crate::wire::{PartialCandidates, PartialMatches};
 
@@ -119,36 +117,14 @@ struct Indexed {
     universe: u64,
 }
 
-impl Indexed {
-    fn new(index: MatchIndex) -> Indexed {
-        let ids = index.corpus().iter().map(|p| p.model().id.clone()).collect();
-        let slots = index.live_slots().iter().map(|&s| u64::from(s)).collect();
-        let universe = index.slot_universe() as u64;
-        Indexed { index, ids, slots, universe }
-    }
-
-    fn with_identity(index: MatchIndex, slots: Vec<u64>, universe: u64) -> Indexed {
-        let ids = index.corpus().iter().map(|p| p.model().id.clone()).collect();
-        Indexed { index, ids, slots, universe }
-    }
-}
-
 /// Everything the workers share.
 struct ServeState {
+    service: Service,
     indexed: RwLock<Indexed>,
-    options: ComposeOptions,
-    cache: Mutex<QueryCache>,
-    metrics: Metrics,
-    config: ServerConfig,
-    threads: usize,
     addr: SocketAddr,
     /// This daemon's (shard, shards) position; `(0, 1)` standalone.
     shard: usize,
     shards: usize,
-    /// Daemon-lifetime compose worker pool: every COMPOSE session on
-    /// every connection shares these parked threads instead of spawning
-    /// scoped threads per request.
-    compose_pool: Arc<WorkerPool>,
 }
 
 /// A bound, not-yet-running daemon. [`Server::run`] blocks until a
@@ -156,14 +132,6 @@ struct ServeState {
 pub struct Server {
     listener: TcpListener,
     state: Arc<ServeState>,
-}
-
-fn resolve_threads(threads: usize) -> usize {
-    if threads > 0 {
-        threads
-    } else {
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-    }
 }
 
 /// The cache key of a query: verb + the model's sorted canonical
@@ -196,7 +164,14 @@ impl Server {
         options: ComposeOptions,
         config: ServerConfig,
     ) -> io::Result<Server> {
-        Server::bind_with(addr, index, options, config, None)
+        // A standalone daemon owns the whole slot space: shard 0 of 1.
+        let identity = ShardIdentity {
+            shard: 0,
+            shards: 1,
+            global_slots: index.live_slots().iter().map(|&s| u64::from(s)).collect(),
+            universe: index.slot_universe() as u64,
+        };
+        Server::bind_shard(addr, index, options, config, identity)
     }
 
     /// [`Server::bind`] for a cluster shard daemon: the daemon owns only
@@ -211,20 +186,15 @@ impl Server {
         config: ServerConfig,
         identity: ShardIdentity,
     ) -> io::Result<Server> {
-        Server::bind_with(addr, index, options, config, Some(identity))
-    }
-
-    fn bind_with(
-        addr: impl ToSocketAddrs,
-        index: MatchIndex,
-        options: ComposeOptions,
-        config: ServerConfig,
-        identity: Option<ShardIdentity>,
-    ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let threads = resolve_threads(config.threads);
-        let mut index = index.with_threads(threads).with_top_k(config.top_k);
+        let service = Service::new(
+            options,
+            config.threads,
+            config.cache_capacity,
+            (config.max_steps, config.deadline_ms),
+        );
+        let mut index = index.with_threads(service.threads).with_top_k(config.top_k);
         if let Some(steps) = config.max_steps {
             index = index.with_budget(steps);
         }
@@ -232,57 +202,38 @@ impl Server {
             index = index.with_deadline_ms(ms);
         }
         let bad = |message: String| io::Error::new(io::ErrorKind::InvalidInput, message);
-        let (shard, shards, indexed) = match identity {
-            None => (0, 1, Indexed::new(index)),
-            Some(identity) => {
-                if identity.shards == 0 || identity.shard >= identity.shards {
-                    return Err(bad(format!(
-                        "shard {} out of range for {} shard(s)",
-                        identity.shard, identity.shards,
-                    )));
-                }
-                if identity.global_slots.len() != index.len() {
-                    return Err(bad(format!(
-                        "{} global slot(s) for {} live model(s)",
-                        identity.global_slots.len(),
-                        index.len(),
-                    )));
-                }
-                if !identity.global_slots.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(bad("global slots must be strictly ascending".into()));
-                }
-                for &slot in &identity.global_slots {
-                    if slot as usize % identity.shards != identity.shard {
-                        return Err(bad(format!(
-                            "global slot {slot} is not owned by shard {}/{}",
-                            identity.shard, identity.shards,
-                        )));
-                    }
-                    if slot >= identity.universe {
-                        return Err(bad(format!(
-                            "global slot {slot} beyond the declared universe {}",
-                            identity.universe,
-                        )));
-                    }
-                }
-                (
-                    identity.shard,
-                    identity.shards,
-                    Indexed::with_identity(index, identity.global_slots, identity.universe),
-                )
+        let ShardIdentity { shard, shards, global_slots: slots, universe } = identity;
+        if shards == 0 || shard >= shards {
+            return Err(bad(format!("shard {shard} out of range for {shards} shard(s)")));
+        }
+        if slots.len() != index.len() {
+            return Err(bad(format!(
+                "{} global slot(s) for {} live model(s)",
+                slots.len(),
+                index.len(),
+            )));
+        }
+        if !slots.windows(2).all(|w| w[0] < w[1]) {
+            return Err(bad("global slots must be strictly ascending".into()));
+        }
+        for &slot in &slots {
+            if slot as usize % shards != shard {
+                let message = format!("global slot {slot} is not owned by shard {shard}/{shards}");
+                return Err(bad(message));
             }
-        };
+            if slot >= universe {
+                let message = format!("global slot {slot} beyond the declared universe {universe}");
+                return Err(bad(message));
+            }
+        }
+        let ids = index.corpus().iter().map(|p| p.model().id.clone()).collect();
+        let indexed = Indexed { index, ids, slots, universe };
         let state = Arc::new(ServeState {
-            cache: Mutex::new(QueryCache::new(config.cache_capacity)),
-            metrics: Metrics::new(),
+            service,
             indexed: RwLock::new(indexed),
-            options,
-            config,
-            threads,
             addr: local,
             shard,
             shards,
-            compose_pool: Arc::new(WorkerPool::for_host()),
         });
         Ok(Server { listener, state })
     }
@@ -299,22 +250,8 @@ impl Server {
     /// never pin a worker.
     pub fn run(self) -> io::Result<()> {
         let Server { listener, state } = self;
-        let threads = state.threads;
-        let handler: FrameHandler = Arc::new(move |payload: &[u8]| {
-            let started = Instant::now();
-            Metrics::bump(&state.metrics.requests);
-            let mut shutdown = false;
-            let response: Arc<[u8]> = match Request::decode(payload) {
-                Ok(request) => respond(&state, request, &mut shutdown),
-                Err(message) => {
-                    Metrics::bump(&state.metrics.errors);
-                    encode(Response::Err { kind: ErrKind::Proto, message })
-                }
-            };
-            state.metrics.record_latency_us(started.elapsed().as_micros() as u64);
-            FrameOutcome { response, shutdown }
-        });
-        serve_frames(listener, threads, handler)
+        let threads = state.service.threads;
+        serve_frames(listener, threads, frame_handler(state, |s| &s.service, respond))
     }
 }
 
@@ -499,65 +436,6 @@ fn drain_connection(mut stream: TcpStream, handler: &FrameHandler) {
     }
 }
 
-fn encode(response: Response) -> Arc<[u8]> {
-    Arc::from(response.encode().into_boxed_slice())
-}
-
-/// Parse one request document, or answer `ERR parse` (counted as an
-/// error). Shared by the daemon and the cluster coordinator.
-pub fn parse_model(xml: &str, metrics: &Metrics) -> Result<Model, Arc<[u8]>> {
-    parse_sbml(xml).map_err(|e| {
-        Metrics::bump(&metrics.errors);
-        encode(Response::Err { kind: ErrKind::Parse, message: e.to_string() })
-    })
-}
-
-/// Answer a COMPOSE: parse every document, push each into one session
-/// under this request's own budget (`max_steps`, `deadline_ms`), write the
-/// composed model. A hostile request is cut off with a structured error
-/// and the caller keeps serving. Shared by the daemon and the cluster
-/// coordinator, which compose locally.
-pub fn compose_documents(
-    models_xml: &[String],
-    options: &ComposeOptions,
-    pool: &Arc<WorkerPool>,
-    (max_steps, deadline_ms): (Option<u64>, Option<u64>),
-    metrics: &Metrics,
-) -> Arc<[u8]> {
-    if models_xml.len() < 2 {
-        Metrics::bump(&metrics.errors);
-        return encode(Response::Err {
-            kind: ErrKind::Proto,
-            message: "COMPOSE needs at least two documents".into(),
-        });
-    }
-    let mut models = Vec::with_capacity(models_xml.len());
-    for xml in models_xml {
-        match parse_model(xml, metrics) {
-            Ok(model) => models.push(model),
-            Err(response) => return response,
-        }
-    }
-    let mut budget = Budget::unlimited();
-    if let Some(steps) = max_steps {
-        budget = budget.with_max_steps(steps);
-    }
-    if let Some(ms) = deadline_ms {
-        budget = budget.with_deadline_ms(ms);
-    }
-    let meter = budget.start();
-    let mut session = CompositionSession::new(options);
-    session.set_pool(Arc::clone(pool));
-    for model in &models {
-        if let Err(error) = session.push_guarded(model, Some(&meter)) {
-            Metrics::bump(&metrics.budget_cuts);
-            return encode(Response::Err { kind: ErrKind::Budget, message: error.to_string() });
-        }
-    }
-    let result = session.finish();
-    encode(Response::Ok { code: 0, body: write_sbml(&result.model).into_bytes() })
-}
-
 /// Read-lock the live index; a poisoned lock (a panicked mutation
 /// holding it) still yields the data — mutations are applied in one
 /// in-place call, so the state is consistent.
@@ -569,82 +447,77 @@ fn write_indexed(state: &ServeState) -> RwLockWriteGuard<'_, Indexed> {
     state.indexed.write().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A corpus mutation happened: every cached answer may be stale.
-fn invalidate_cache(state: &ServeState) {
-    if let Ok(mut cache) = state.cache.lock() {
-        cache.clear();
+/// The daemon's reads: parse → cache key → cached compute over the
+/// read-locked index.
+fn read(
+    state: &ServeState,
+    verb: &str,
+    query_xml: String,
+    compute: impl FnOnce(&Indexed, &Model) -> Arc<[u8]>,
+) -> Arc<[u8]> {
+    state.service.read(verb, query_xml, |query, _| Ok(compute(&read_indexed(state), &query)))
+}
+
+/// Run the full corpus search, counting a budget cut when any candidate
+/// went undecided.
+fn query_corpus(state: &ServeState, ix: &Indexed, query: &Model) -> CorpusMatches {
+    let result = ix.index.query_corpus(query);
+    if !result.truncated.is_empty() {
+        Metrics::bump(&state.service.metrics.budget_cuts);
     }
+    result
 }
 
 /// Serve one decoded request. Returns the fully encoded response
 /// payload — on a cache hit, the exact bytes of the first answer.
 fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8]> {
+    let service = &state.service;
+    let metrics = &service.metrics;
     match request {
         Request::Match { query_xml } => {
-            Metrics::bump(&state.metrics.match_requests);
-            let query = match parse_model(&query_xml, &state.metrics) {
-                Ok(query) => query,
-                Err(response) => return response,
-            };
-            let key = cache_key("MATCH", &query, &state.options);
-            with_cache(state, key, || {
-                let ix = read_indexed(state);
-                let result = ix.index.query_corpus(&query);
-                if !result.truncated.is_empty() {
-                    Metrics::bump(&state.metrics.budget_cuts);
-                }
+            Metrics::bump(&metrics.match_requests);
+            read(state, "MATCH", query_xml, |ix, query| {
+                let result = query_corpus(state, ix, query);
                 let (code, text) = format_matches(&result, &ix.ids, &ix.ids);
-                Response::Ok { code, body: text.into_bytes() }
+                ok(code, text)
             })
         }
         Request::Query { query_xml } => {
-            Metrics::bump(&state.metrics.query_requests);
-            let query = match parse_model(&query_xml, &state.metrics) {
-                Ok(query) => query,
-                Err(response) => return response,
-            };
-            let key = cache_key("QUERY", &query, &state.options);
-            with_cache(state, key, || {
-                let ix = read_indexed(state);
-                let candidates = ix.index.candidates(&query);
-                let mut body =
-                    format!("candidates {}/{}\n", candidates.len(), ix.index.len());
-                for &m in &candidates {
-                    body.push_str("candidate ");
-                    body.push_str(&ix.ids[m]);
-                    body.push('\n');
-                }
-                let code = if candidates.is_empty() { 1 } else { 0 };
-                Response::Ok { code, body: body.into_bytes() }
+            Metrics::bump(&metrics.query_requests);
+            read(state, "QUERY", query_xml, |ix, query| {
+                let candidates = ix.index.candidates(query);
+                let ids = candidates.iter().map(|&m| ix.ids[m].as_str());
+                let (code, text) = format_candidates(ids, ix.index.len() as u64);
+                ok(code, text)
             })
         }
-        Request::Compose { models_xml } => {
-            Metrics::bump(&state.metrics.compose_requests);
-            let config = &state.config;
-            compose_documents(
-                &models_xml,
-                &state.options,
-                &state.compose_pool,
-                (config.max_steps, config.deadline_ms),
-                &state.metrics,
-            )
+        Request::PartialMatch { query_xml } => {
+            Metrics::bump(&metrics.match_requests);
+            read(state, "PMATCH", query_xml, |ix, query| {
+                let result = query_corpus(state, ix, query);
+                ok(0, PartialMatches::from_result(&result, &ix.ids, &ix.slots).encode())
+            })
         }
+        Request::PartialQuery { query_xml } => {
+            Metrics::bump(&metrics.query_requests);
+            read(state, "PQUERY", query_xml, |ix, query| {
+                let candidates = ix.index.candidates(query);
+                ok(0, PartialCandidates::from_candidates(&candidates, &ix.ids, &ix.slots).encode())
+            })
+        }
+        Request::Compose { models_xml } => service.compose(&models_xml),
         Request::Upsert { model_xml, slot } => {
-            Metrics::bump(&state.metrics.upsert_requests);
-            let model = match parse_model(&model_xml, &state.metrics) {
+            Metrics::bump(&metrics.upsert_requests);
+            let model = match service.parse(&model_xml) {
                 Ok(model) => model,
                 Err(response) => return response,
             };
             // Prepare outside the write lock: canonicalisation is the
             // expensive part, the index mutation is an append.
-            let batch = BatchComposer::new(Composer::new(state.options.clone()));
+            let batch = BatchComposer::new(Composer::new(service.options.clone()));
             let prepared = batch.prepare_corpus(std::slice::from_ref(&model));
             let Some(prepared) = prepared.into_iter().next() else {
-                Metrics::bump(&state.metrics.errors);
-                return encode(Response::Err {
-                    kind: ErrKind::Parse,
-                    message: "model did not survive preparation".into(),
-                });
+                return service.reject(ErrKind::Parse, "model did not survive preparation".into());
             };
             let mut ix = write_indexed(state);
             // A pinned slot must be fresh (appends keep the global-slot
@@ -654,37 +527,23 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
             let global = match slot {
                 Some(slot) => {
                     if slot < ix.universe {
-                        Metrics::bump(&state.metrics.errors);
-                        return encode(Response::Err {
-                            kind: ErrKind::Proto,
-                            message: format!(
-                                "stale slot {slot}: universe is already {}",
-                                ix.universe,
-                            ),
-                        });
+                        let message =
+                            format!("stale slot {slot}: universe is already {}", ix.universe);
+                        return service.reject(ErrKind::Proto, message);
                     }
                     if slot as usize % state.shards != state.shard {
-                        Metrics::bump(&state.metrics.errors);
-                        return encode(Response::Err {
-                            kind: ErrKind::Proto,
-                            message: format!(
-                                "slot {slot} is not owned by shard {}/{}",
-                                state.shard, state.shards,
-                            ),
-                        });
+                        let message = format!(
+                            "slot {slot} is not owned by shard {}/{}",
+                            state.shard, state.shards,
+                        );
+                        return service.reject(ErrKind::Proto, message);
                     }
                     slot
                 }
                 // Standalone behaviour: take the next owned slot.
                 None => {
-                    let n = state.shards as u64;
-                    let i = state.shard as u64;
-                    let r = ix.universe % n;
-                    if r <= i {
-                        ix.universe + (i - r)
-                    } else {
-                        ix.universe + (n - r) + i
-                    }
+                    let (n, i) = (state.shards as u64, state.shard as u64);
+                    ix.universe + (i + n - ix.universe % n) % n
                 }
             };
             let replaced = ix.ids.iter().position(|id| *id == model.id);
@@ -698,110 +557,47 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
             ix.slots.push(global);
             ix.universe = global + 1;
             drop(ix);
-            invalidate_cache(state);
-            let verb = if replaced.is_some() { "replaced" } else { "inserted" };
-            encode(Response::Ok {
-                code: 0,
-                body: format!("{verb} {} model {rank}\n", model.id).into_bytes(),
-            })
+            service.invalidate();
+            upserted(replaced.is_some(), &model.id, rank as u64)
         }
         Request::Remove { model_id } => {
-            Metrics::bump(&state.metrics.remove_requests);
+            Metrics::bump(&metrics.remove_requests);
             let mut ix = write_indexed(state);
             let Some(rank) = ix.ids.iter().position(|id| *id == model_id) else {
-                return encode(Response::Ok {
-                    code: 1,
-                    body: format!("no such model {model_id}\n").into_bytes(),
-                });
+                return removed(false, &model_id);
             };
             ix.index.remove(rank);
             ix.ids.remove(rank);
             ix.slots.remove(rank);
             drop(ix);
-            invalidate_cache(state);
-            encode(Response::Ok {
-                code: 0,
-                body: format!("removed {model_id}\n").into_bytes(),
-            })
-        }
-        Request::PartialMatch { query_xml } => {
-            Metrics::bump(&state.metrics.match_requests);
-            let query = match parse_model(&query_xml, &state.metrics) {
-                Ok(query) => query,
-                Err(response) => return response,
-            };
-            let key = cache_key("PMATCH", &query, &state.options);
-            with_cache(state, key, || {
-                let ix = read_indexed(state);
-                let result = ix.index.query_corpus(&query);
-                if !result.truncated.is_empty() {
-                    Metrics::bump(&state.metrics.budget_cuts);
-                }
-                let part = PartialMatches::from_result(&result, &ix.ids, &ix.slots);
-                Response::Ok { code: 0, body: part.encode() }
-            })
-        }
-        Request::PartialQuery { query_xml } => {
-            Metrics::bump(&state.metrics.query_requests);
-            let query = match parse_model(&query_xml, &state.metrics) {
-                Ok(query) => query,
-                Err(response) => return response,
-            };
-            let key = cache_key("PQUERY", &query, &state.options);
-            with_cache(state, key, || {
-                let ix = read_indexed(state);
-                let candidates = ix.index.candidates(&query);
-                let part = PartialCandidates::from_candidates(&candidates, &ix.ids, &ix.slots);
-                Response::Ok { code: 0, body: part.encode() }
-            })
+            service.invalidate();
+            removed(true, &model_id)
         }
         Request::Stats => {
-            Metrics::bump(&state.metrics.stats_requests);
-            let cache_entries = state.cache.lock().map(|c| c.len()).unwrap_or(0);
+            Metrics::bump(&metrics.stats_requests);
             let ix = read_indexed(state);
-            let mut body = state.metrics.report().render(
-                cache_entries,
-                ix.index.len(),
-                state.threads,
-            );
+            let mut body = service.stats(ix.index.len());
+            // Then the index, and the cluster identity lines a
+            // coordinator's bind handshake reads to validate topology
+            // and adopt the universe.
             body.push_str(&format!(
-                "index_generation {}\nshards {}\nlive_models {}\ntombstoned_models {}\n",
+                "index_generation {}\nshards {}\nlive_models {}\ntombstoned_models {}\n\
+                 shard_index {}\nshard_total {}\nuniverse {}\nfingerprint {:016x}\nsemantics {}\n",
                 ix.index.generation(),
                 ix.index.shard_count(),
                 ix.index.len(),
                 ix.index.tombstoned_len(),
-            ));
-            // Cluster identity lines: a coordinator's bind handshake
-            // reads these to validate topology and adopt the universe.
-            body.push_str(&format!(
-                "shard_index {}\nshard_total {}\nuniverse {}\nfingerprint {:016x}\nsemantics {}\n",
                 state.shard,
                 state.shards,
                 ix.universe,
-                state.options.fingerprint().stable_hash(),
-                semantics_token(state.options.semantics),
+                service.options.fingerprint().stable_hash(),
+                semantics_token(service.options.semantics),
             ));
-            encode(Response::Ok { code: 0, body: body.into_bytes() })
+            ok(0, body)
         }
         Request::Shutdown => {
             *shutdown = true;
-            encode(Response::Ok { code: 0, body: b"shutting down\n".to_vec() })
+            ok(0, "shutting down\n")
         }
     }
-}
-
-/// Answer from the cache, or compute, cache and answer.
-fn with_cache(state: &ServeState, key: String, compute: impl FnOnce() -> Response) -> Arc<[u8]> {
-    if let Ok(mut cache) = state.cache.lock() {
-        if let Some(hit) = cache.get(&key) {
-            Metrics::bump(&state.metrics.cache_hits);
-            return hit;
-        }
-    }
-    Metrics::bump(&state.metrics.cache_misses);
-    let response = encode(compute());
-    if let Ok(mut cache) = state.cache.lock() {
-        cache.put(key, Arc::clone(&response));
-    }
-    response
 }

@@ -314,6 +314,19 @@ fn killed_shard_degrades_reads_and_fails_writes_loudly() {
         }
         other => panic!("UPSERT through a dead cluster member must fail loudly: {other:?}"),
     }
+    // Slot 9 lives on shard 0, which acknowledged that insert; only the
+    // evict step failed. The partial write spent its slot: the next
+    // UPSERT takes slot 10 (on the dead shard 1) instead of reusing 9.
+    match coord
+        .roundtrip(&Request::Upsert { model_xml: write_sbml(&scale_model(301)), slot: None })
+        .expect("upsert")
+    {
+        Response::Err { message, .. } => {
+            assert!(message.contains("shard 1 ("), "names the dead shard: {message}");
+            assert!(!message.contains("stale slot"), "the write path is not wedged: {message}");
+        }
+        other => panic!("UPSERT onto the dead shard must fail loudly: {other:?}"),
+    }
 
     cluster.shutdown();
 }
