@@ -44,6 +44,15 @@ echo "== incremental ≡ rebuild property suite (sharded MatchIndex) =="
 # built from scratch, or UPSERT/REMOVE silently corrupt the daemon.
 cargo test -q -p sbml-match --test properties
 
+echo "== certified ≡ VF2 suite (forced-embedding certification) =="
+# Wherever the refiner certifies a forced node map instead of searching,
+# its answer must equal the VF2 search's under the same limits: Found
+# with the same map, NotFound, or BudgetExhausted — over corpus_187,
+# scale-tier and conflict fragments (and synonym twins) at every
+# semantics level, every budget up to one past the step bound, and an
+# already-passed deadline. Release build: the budget sweeps are long.
+cargo test -q --release -p sbml-match --lib vf2::certified_equivalence
+
 echo "== panic audit (fan-out modules, SBML I/O) =="
 # Containment boundaries (catch_unwind) only help if the code inside them
 # is not sprinkled with *new* input-reachable unwrap/expect/panic sites.
@@ -59,7 +68,9 @@ panic_audit() {
         exit 1
     fi
 }
-panic_audit crates/sbml-compose/src/batch.rs 6
+# batch.rs 6 -> 1: its two thread::scope fan-outs moved onto the pool's
+# striped path, taking their join expects with them.
+panic_audit crates/sbml-compose/src/batch.rs 1
 # session.rs 14 -> 9 with the merge-pass DAG executor's removal (its
 # pipelined rung and the pool expect are gone; one audited expect covers
 # the unmetered push, which has no deadline to miss).

@@ -443,7 +443,16 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
             drop(write);
             service.invalidate();
             match failure {
-                Some(message) => service.reject(ErrKind::Budget, message),
+                // The write is half applied and cannot be rolled back:
+                // say so, or the answer reads like a refused write.
+                Some(message) => service.reject(
+                    ErrKind::Budget,
+                    format!(
+                        "UPSERT {} applied on shard {target} ({}) at slot {global}, \
+                         but evicting the id from the other shards failed: {message}",
+                        model.id, state.links[target].addr,
+                    ),
+                ),
                 None => upserted(replaced_on_target || evicted > 0, &model.id, rank),
             }
         }

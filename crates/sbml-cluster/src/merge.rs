@@ -27,7 +27,7 @@
 //! [`sbml_serve::format_matches`] over the unsplit result.
 
 use sbml_serve::wire::{ApproxEntry, ExactEntry, PartialCandidates, PartialMatches, SlotEntry};
-use sbml_serve::{format_candidates, MatchRows};
+use sbml_serve::{format_candidates, MatchRows, Witness};
 
 /// Merge shard `PMATCH` answers and render the cluster-wide `MATCH`
 /// response. `top_k` must equal the shards' configured top-k (the
@@ -57,7 +57,7 @@ pub fn merge_matches(parts: &[PartialMatches], top_k: usize) -> (u8, String) {
         failed: failed.iter().map(|e| (&e.id[..], &e.id[..])).collect(),
         exact: exact
             .iter()
-            .map(|e| ((&e.id[..], &e.id[..]), &e.species[..], &e.reactions[..]))
+            .map(|e| ((&e.id[..], &e.id[..]), Witness::Pairs(&e.species, &e.reactions)))
             .collect(),
         approximate: approximate
             .iter()
@@ -149,10 +149,7 @@ mod tests {
 
     #[test]
     fn exact_hits_merge_bit_identically_at_every_shard_count() {
-        let embedding = |q: &str, t: &str| Embedding {
-            species: vec![(q.into(), t.into())],
-            reactions: vec![("r".into(), "s".into())],
-        };
+        let embedding = |q: &str, t: &str| Embedding::from_pairs(&[(q, t)], &[("r", "s")]);
         let result = CorpusMatches {
             exact: vec![
                 CorpusHit { model: 1, embedding: embedding("a", "x") },

@@ -143,23 +143,31 @@ impl BatchComposer {
     /// preparations across worker threads. The result is the shared
     /// read-only key store every later batch call borrows from.
     pub fn prepare_corpus(&self, models: &[Model]) -> Vec<Arc<PreparedModel>> {
-        let workers = self.worker_count(models.len());
-        if workers <= 1 {
-            return models.iter().map(|m| Arc::new(self.composer.prepare(m))).collect();
-        }
-        self.striped(models.len(), workers, |i| Arc::new(self.composer.prepare(&models[i])))
+        self.striped(models.len(), self.worker_count(models.len()), |i| {
+            Arc::new(self.composer.prepare(&models[i]))
+        })
     }
 
-    /// Shared engine of the corpus fan-outs: run `job` for `0..jobs`
+    /// The one engine of the corpus fan-outs: run `job` for `0..jobs`
     /// striped across `workers` stripes on the shared pool (the caller
     /// thread runs stripe 0 and drains unclaimed stripes, per
     /// [`WorkerPool::run_scoped`]), returning results in job order
-    /// regardless of scheduling.
+    /// regardless of scheduling. There are at most as many stripes as
+    /// the pool has lanes — the caller would run any extra stripe itself
+    /// after its own, splitting the work unevenly — and one stripe runs
+    /// inline. A job may itself fan out on the shared pool: the nested
+    /// `run_scoped`'s caller drains its own batch, so it never waits on a
+    /// worker that is waiting on it.
     fn striped<T, J>(&self, jobs: usize, workers: usize, job: J) -> Vec<T>
     where
         T: Send,
         J: Fn(usize) -> T + Sync,
     {
+        if workers <= 1 {
+            return (0..jobs).map(job).collect();
+        }
+        let pool = self.shared_pool();
+        let workers = workers.min(pool.threads());
         let mut stripes: Vec<Vec<(usize, T)>> = Vec::new();
         stripes.resize_with(workers, Vec::new);
         {
@@ -182,7 +190,7 @@ impl BatchComposer {
                 })
                 .collect();
             let head_cell = &mut head[0];
-            self.shared_pool().run_scoped(|| *head_cell = run_stripe(0), tasks);
+            pool.run_scoped(|| *head_cell = run_stripe(0), tasks);
         }
         let mut slots: Vec<Option<T>> = Vec::new();
         slots.resize_with(jobs, || None);
@@ -204,11 +212,7 @@ impl BatchComposer {
         T: Send,
         F: Fn(usize, &PreparedModel) -> T + Sync,
     {
-        let workers = self.worker_count(prepared.len());
-        if workers <= 1 {
-            return prepared.iter().enumerate().map(|(i, p)| f(i, p)).collect();
-        }
-        self.striped(prepared.len(), workers, |i| f(i, &prepared[i]))
+        self.striped(prepared.len(), self.worker_count(prepared.len()), |i| f(i, &prepared[i]))
     }
 
     /// Compose every unordered pair `(i, j), i < j` of the prepared
@@ -242,37 +246,18 @@ impl BatchComposer {
         let n = prepared.len();
         let pairs: Vec<(usize, usize)> =
             (0..n).flat_map(|i| (i + 1..n).map(move |j| (i, j))).collect();
-        let workers = self.worker_count(pairs.len());
         let pool = self.shared_pool();
-        let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
-            let composer = &self.composer;
-            let (pairs, prepared, map, pool) = (&pairs, prepared, &map, &pool);
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut k = w;
-                        while k < pairs.len() {
-                            let (i, j) = pairs[k];
-                            let result = composer.compose_shared_on(
-                                Arc::clone(&prepared[i]),
-                                &prepared[j],
-                                Some(Arc::clone(pool)),
-                            );
-                            out.push((k, map(i, j, result)));
-                            k += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("pair worker panicked"))
-                .collect()
-        });
-        results.sort_unstable_by_key(|(k, _)| *k);
-        results.into_iter().map(|(_, value)| value).collect()
+        // Each pair's session fans out on the same pool its stripe runs
+        // on; the nested `run_scoped` cannot deadlock (see `striped`).
+        self.striped(pairs.len(), self.worker_count(pairs.len()), |k| {
+            let (i, j) = pairs[k];
+            let result = self.composer.compose_shared_on(
+                Arc::clone(&prepared[i]),
+                &prepared[j],
+                Some(Arc::clone(&pool)),
+            );
+            map(i, j, result)
+        })
     }
 
     /// The Fig. 8 workload: every unordered corpus pair, summarised. Runs
@@ -432,32 +417,7 @@ impl BatchComposer {
             }
         };
 
-        let workers = self.worker_count(jobs);
-        if workers <= 1 {
-            return BatchReport { items: (0..jobs).map(outcome).collect() };
-        }
-        let mut results: Vec<(usize, ItemOutcome<T>)> = std::thread::scope(|scope| {
-            let outcome = &outcome;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut k = w;
-                        while k < jobs {
-                            out.push((k, outcome(k)));
-                            k += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|handle| handle.join().expect("guarded batch worker"))
-                .collect()
-        });
-        results.sort_unstable_by_key(|(k, _)| *k);
-        BatchReport { items: results.into_iter().map(|(_, o)| o).collect() }
+        BatchReport { items: self.striped(jobs, self.worker_count(jobs), outcome) }
     }
 }
 
@@ -540,6 +500,39 @@ mod tests {
         let b = threaded.map_corpus(&prepared, |i, p| (i, p.model().id.clone()));
         assert_eq!(a, expected);
         assert_eq!(b, expected);
+    }
+
+    #[test]
+    fn jobs_fanning_out_on_the_shared_pool_never_deadlock() {
+        // Every job of a striped sweep (plain and guarded) runs its own
+        // `run_scoped` on the pool its stripe already occupies. On a
+        // watchdog, so a deadlock fails instead of hanging.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let batch = BatchComposer::new(Composer::default()).with_threads(4);
+            let prepared = batch.prepare_corpus(&corpus(9));
+            let nested = |i: usize| {
+                let hits = std::sync::atomic::AtomicUsize::new(0);
+                let bump = || {
+                    hits.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                };
+                let tasks: Vec<Box<dyn FnOnce() + Send + '_>> =
+                    (0..3).map(|_| Box::new(bump) as Box<dyn FnOnce() + Send + '_>).collect();
+                batch.shared_pool().run_scoped(bump, tasks);
+                (i, hits.into_inner())
+            };
+            let plain = batch.map_corpus(&prepared, |i, _| nested(i));
+            let guarded = batch.try_map_corpus(&prepared, &Budget::unlimited(), |i, _| nested(i));
+            let guarded_ok =
+                guarded.items.iter().filter(|o| matches!(o, ItemOutcome::Ok((_, 4)))).count();
+            let _ = done.send((plain, guarded_ok));
+        });
+        let outcome = finished.recv_timeout(std::time::Duration::from_secs(120));
+        assert!(outcome.is_ok(), "a nested run_scoped deadlocked");
+        if let Ok((plain, guarded)) = outcome {
+            assert_eq!(plain, (0..9).map(|i| (i, 4)).collect::<Vec<_>>());
+            assert_eq!(guarded, 9);
+        }
     }
 
     #[test]

@@ -269,9 +269,9 @@ impl MatchGraph {
         self.by_key.get(key).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Distinct node keys with their multiplicities.
-    pub(crate) fn node_key_counts(&self) -> impl Iterator<Item = (&Arc<str>, usize)> {
-        self.by_key.iter().map(|(k, nodes)| (k, nodes.len()))
+    /// Distinct node keys with the nodes carrying each, ascending.
+    pub(crate) fn node_key_groups(&self) -> impl Iterator<Item = (&Arc<str>, &[u32])> {
+        self.by_key.iter().map(|(k, nodes)| (k, nodes.as_slice()))
     }
 
     /// Distinct edge keys present.
@@ -390,7 +390,7 @@ mod tests {
         assert_eq!(g.in_edges(0), &[]);
         assert_eq!(g.in_edges(1), &[(0, 0)]);
         assert_eq!(g.node_key(1).as_ref(), "G6P");
-        assert_eq!(g.node_key_counts().count(), 3);
+        assert_eq!(g.node_key_groups().count(), 3);
         assert_eq!(g.edge_keys().count(), 2);
     }
 }

@@ -61,10 +61,18 @@
 //!
 //! 1. **scatter** — each shard generates candidates (posting-list
 //!    intersection, smallest list first, tombstones masked) and refines
-//!    them with the VF2 refiner ([`crate::vf2::find_embedding`]); shards
-//!    fan out one-per-worker on the [`BatchComposer`]'s shared
-//!    [`WorkerPool`](sbml_compose::pool::WorkerPool). Shard count 1 runs
-//!    the same code inline — the serial reference stays exercised.
+//!    them with [`crate::vf2::find_embedding_limited`]: a candidate in
+//!    which every query node key has one carrier is decided by
+//!    certifying the forced node map in one pass over the query's edges,
+//!    any other by the VF2 search. A hit's [`Embedding`] is indices — the
+//!    node map, `(query reaction, target reaction)` pairs, the target's
+//!    `Arc<PreparedModel>` and the query's shared ids — so it costs two
+//!    allocations; id strings are read only when the answer is rendered.
+//!    Shards fan out one-per-worker on the [`BatchComposer`]'s shared
+//!    [`WorkerPool`](sbml_compose::pool::WorkerPool); a single shard
+//!    refines a large candidate set per-candidate on the same pool.
+//!    Shard count 1 runs the shard step inline — the serial reference
+//!    stays exercised.
 //! 2. **gather** — exact hits merge in corpus order (slot-sorted, then
 //!    remapped to ranks); when no model embeds the query, every model
 //!    sharing a posting is scored per shard
@@ -75,7 +83,6 @@
 //! Results are deterministic for a given index and query — independent
 //! of thread count, shard count, and compaction timing.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,14 +103,91 @@ pub const DEFAULT_BUDGET: u64 = 2_000_000;
 /// lists in place (see [`MatchIndex::with_compaction_threshold`]).
 pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.3;
 
-/// A concrete embedding of the query into one corpus model.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A concrete embedding of the query into one corpus model, held as
+/// indices rather than id strings: the target's shared preparation, the
+/// query's ids (one `Arc` shared by every hit of a query), the node map
+/// the refiner returned, and `(query reaction, target reaction)` index
+/// pairs. Building one costs two allocations whatever the ids; the id
+/// strings are read only when the witness is rendered, through
+/// [`Embedding::species`] and [`Embedding::reactions`]. Equality,
+/// `Debug` and those iterators all speak in ids.
+#[derive(Clone)]
 pub struct Embedding {
+    target: Arc<PreparedModel>,
+    query: Arc<QueryIds>,
+    /// `species[q]` is the target species index of query species `q`.
+    species: Vec<u32>,
+    /// `(query reaction, target reaction)` indices, ascending by query
+    /// reaction; one entry per query reaction that contributed edges.
+    reactions: Vec<(u32, u32)>,
+}
+
+/// A query's species and reaction ids, positional with its model.
+#[derive(Debug)]
+struct QueryIds {
+    species: Vec<String>,
+    reactions: Vec<String>,
+}
+
+impl Embedding {
     /// Query species id → target species id, in query species order.
-    pub species: Vec<(String, String)>,
+    pub fn species(&self) -> impl ExactSizeIterator<Item = (&str, &str)> + '_ {
+        let target = &self.target.model().species;
+        self.query
+            .species
+            .iter()
+            .zip(&self.species)
+            .map(move |(q, &t)| (q.as_str(), target[t as usize].id.as_str()))
+    }
+
     /// Query reaction id → a target reaction id whose edge carried the
-    /// match, one entry per query reaction that contributed edges.
-    pub reactions: Vec<(String, String)>,
+    /// match, one entry per query reaction that contributed edges, in
+    /// query reaction order.
+    pub fn reactions(&self) -> impl ExactSizeIterator<Item = (&str, &str)> + '_ {
+        let target = &self.target.model().reactions;
+        self.reactions.iter().map(move |&(q, t)| {
+            (self.query.reactions[q as usize].as_str(), target[t as usize].id.as_str())
+        })
+    }
+
+    /// A witness spelled out as id pairs — for answers assembled by hand
+    /// (renderer and wire tests): the target is a synthetic model
+    /// carrying exactly the listed target ids, under default options.
+    pub fn from_pairs(species: &[(&str, &str)], reactions: &[(&str, &str)]) -> Embedding {
+        let mut target = Model::new("witness");
+        let mut query = QueryIds { species: Vec::new(), reactions: Vec::new() };
+        for (q, t) in species {
+            query.species.push((*q).to_owned());
+            target.species.push(sbml_model::Species::new(*t, "cell", 0.0));
+        }
+        for (q, t) in reactions {
+            query.reactions.push((*q).to_owned());
+            target.reactions.push(Reaction::new(*t));
+        }
+        Embedding {
+            target: Arc::new(PreparedModel::from_model(target, &ComposeOptions::default())),
+            query: Arc::new(query),
+            species: (0..species.len() as u32).collect(),
+            reactions: (0..reactions.len() as u32).map(|i| (i, i)).collect(),
+        }
+    }
+}
+
+impl PartialEq for Embedding {
+    fn eq(&self, other: &Embedding) -> bool {
+        self.species().eq(other.species()) && self.reactions().eq(other.reactions())
+    }
+}
+
+impl Eq for Embedding {}
+
+impl std::fmt::Debug for Embedding {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Embedding")
+            .field("species", &self.species().collect::<Vec<_>>())
+            .field("reactions", &self.reactions().collect::<Vec<_>>())
+            .finish()
+    }
 }
 
 /// An exact corpus hit: the query embeds in `model`.
@@ -158,10 +242,9 @@ pub struct CorpusMatches {
 /// analysis out of composition.
 pub struct PreparedQuery {
     graph: MatchGraph,
-    /// Query species ids, positional with graph nodes.
-    species_ids: Vec<String>,
-    /// Query reaction ids, positional with `model.reactions`.
-    reaction_ids: Vec<String>,
+    /// Query species ids (positional with graph nodes) and reaction ids
+    /// (positional with `model.reactions`), shared by every hit.
+    ids: Arc<QueryIds>,
     /// Distinct node keys of the query graph.
     node_keys: Vec<Arc<str>>,
     /// Distinct edge keys of the query graph.
@@ -431,7 +514,7 @@ impl IndexShard {
                 list.push(slot);
             }
         }
-        for (key, _) in analysed.graph.node_key_counts() {
+        for (key, _) in analysed.graph.node_key_groups() {
             push(&mut self.node_postings, key, slot);
         }
         for key in analysed.graph.edge_keys() {
@@ -1215,10 +1298,8 @@ impl MatchIndex {
     /// candidate/query calls against this index.
     pub fn prepare_query(&self, query: &Model) -> PreparedQuery {
         let graph = MatchGraph::build(query, &self.semantics, &self.options, None);
-        // Node i of the graph is query.species[i].
-        let species_ids: Vec<String> = query.species.iter().map(|s| s.id.clone()).collect();
         let mut node_keys: Vec<Arc<str>> =
-            graph.node_key_counts().map(|(k, _)| Arc::clone(k)).collect();
+            graph.node_key_groups().map(|(k, _)| Arc::clone(k)).collect();
         node_keys.sort_unstable();
         let mut edge_keys: Vec<Arc<str>> = graph.edge_keys().cloned().collect();
         edge_keys.sort_unstable();
@@ -1228,9 +1309,13 @@ impl MatchIndex {
             .iter()
             .map(|r| Arc::<str>::from(participant_key(&label_of, r).as_str()))
             .collect();
+        // Node i of the graph is query.species[i].
+        let ids = QueryIds {
+            species: query.species.iter().map(|s| s.id.clone()).collect(),
+            reactions: query.reactions.iter().map(|r| r.id.clone()).collect(),
+        };
         PreparedQuery {
-            species_ids,
-            reaction_ids: query.reactions.iter().map(|r| r.id.clone()).collect(),
+            ids: Arc::new(ids),
             node_keys,
             edge_keys,
             participant_keys,
@@ -1360,42 +1445,38 @@ impl MatchIndex {
         };
         let tg = self.graph(slot);
         let limits = SearchLimits { budget: self.budget, deadline };
-        let mapping = match find_embedding_limited(&qa.graph, tg, limits) {
+        let species = match find_embedding_limited(&qa.graph, tg, limits) {
             SearchOutcome::Found(mapping) => mapping,
             SearchOutcome::NotFound => return Refined::Miss,
             SearchOutcome::BudgetExhausted => return Refined::Truncated,
         };
-        let target_model = prepared.model();
-        let species = mapping
-            .iter()
-            .enumerate()
-            .map(|(q, &t)| {
-                (qa.species_ids[q].clone(), target_model.species[t as usize].id.clone())
-            })
-            .collect();
-        // For each query edge, the first key-equal target edge between the
-        // images witnesses the reaction correspondence.
-        let mut reactions: BTreeMap<usize, String> = BTreeMap::new();
+        // For each query reaction, its first edge's first key-equal
+        // target edge between the images witnesses the reaction
+        // correspondence. A query graph's edges come grouped by reaction
+        // in ascending order (`MatchGraph::build`), so comparing with
+        // the last entry keeps one pair per reaction, ascending.
+        let mut reactions: Vec<(u32, u32)> = Vec::with_capacity(qa.ids.reactions.len());
         for e in 0..qa.graph.edge_count() as u32 {
             let edge = qa.graph.edge(e);
-            let qr = qa.graph.reaction_of(e);
-            if reactions.contains_key(&qr) {
+            let qr = qa.graph.reaction_of(e) as u32;
+            if reactions.last().is_some_and(|&(last, _)| last == qr) {
                 continue;
             }
-            let (tf, tt) = (mapping[edge.from as usize], mapping[edge.to as usize]);
+            let (tf, tt) = (species[edge.from as usize], species[edge.to as usize]);
             if let Some(&(_, te)) = tg
                 .out_edges(tf)
                 .iter()
                 .find(|&&(n, te)| n == tt && tg.edge(te).key == edge.key)
             {
-                reactions.insert(qr, target_model.reactions[tg.reaction_of(te)].id.clone());
+                reactions.push((qr, tg.reaction_of(te) as u32));
             }
         }
-        let reactions = reactions
-            .into_iter()
-            .map(|(qr, tid)| (qa.reaction_ids[qr].clone(), tid))
-            .collect();
-        Refined::Hit(Embedding { species, reactions })
+        Refined::Hit(Embedding {
+            target: Arc::clone(prepared),
+            query: Arc::clone(&qa.ids),
+            species,
+            reactions,
+        })
     }
 
     /// Exact match against one live corpus model: the witnessing
@@ -1551,7 +1632,10 @@ impl MatchIndex {
         } else {
             (0..candidates.len()).map(refine_one).collect()
         };
-        let mut answer = ShardAnswer { candidates: Vec::new(), ..ShardAnswer::default() };
+        let mut answer = ShardAnswer {
+            exact: Vec::with_capacity(candidates.len()),
+            ..ShardAnswer::default()
+        };
         for (&slot, outcome) in candidates.iter().zip(refined) {
             match outcome {
                 Refined::Hit(embedding) => answer.exact.push((slot, embedding)),
@@ -1755,8 +1839,8 @@ mod tests {
             assert_eq!(models, vec![0, 2], "fragment occurs in glyco and super");
             assert!(result.approximate.is_empty(), "exact hits suppress ranking");
             let hit = &result.exact[0];
-            assert!(hit.embedding.species.contains(&("glc".into(), "glc".into())));
-            assert!(hit.embedding.reactions.contains(&("hex".into(), "hex".into())));
+            assert!(hit.embedding.species().any(|pair| pair == ("glc", "glc")));
+            assert!(hit.embedding.reactions().any(|pair| pair == ("hex", "hex")));
         }
     }
 

@@ -81,8 +81,8 @@
 //! assert_eq!(matches.exact.len(), 1);
 //! let hit = &matches.exact[0];
 //! assert_eq!(hit.model, 0, "only glycolysis contains the step");
-//! assert!(hit.embedding.species.contains(&("glc".into(), "glc".into())));
-//! assert!(hit.embedding.reactions.contains(&("hexokinase".into(), "hexokinase".into())));
+//! assert!(hit.embedding.species().any(|pair| pair == ("glc", "glc")));
+//! assert!(hit.embedding.reactions().any(|pair| pair == ("hexokinase", "hexokinase")));
 //! ```
 
 pub mod graph;

@@ -23,6 +23,33 @@
 //! wall-clock deadline ([`SearchLimits`]), checked every
 //! [`DEADLINE_CHECK_INTERVAL`] steps, which exhausts the search the same
 //! way — the outcome vocabulary stays the same, only the cause differs.
+//!
+//! # Forced embeddings
+//!
+//! When every query node's key has exactly one carrier in the target, at
+//! most one key-compatible injective node map exists: each query node
+//! goes to its key's sole carrier (distinct keys have distinct carriers,
+//! so the map is injective). The embedding, if any, is that *forced*
+//! map, and VF2 — a complete search — returns it or reports
+//! [`SearchOutcome::NotFound`]. [`find_embedding_limited`] therefore
+//! **certifies** the forced map instead of searching for it: after the
+//! pigeonhole and edge-key tests it checks every query edge against the
+//! map in one pass and answers `Found(map)` or `NotFound`, exactly VF2's
+//! answer.
+//!
+//! The answers must also agree on exhaustion, so certification stands in
+//! for VF2 only where VF2 provably finishes within its limits. With keys
+//! forced, every candidate but the forced image fails the key test, so
+//! VF2 walks the one forced path and tries, per query node, at most the
+//! candidates of that node: one from the key index when no neighbour is
+//! mapped yet, else the adjacency of a mapped neighbour's image. The sum
+//! over query nodes of `max(1, largest such adjacency)` bounds VF2's
+//! steps. Certification runs only when that bound is within the step
+//! budget and, under a deadline, below [`DEADLINE_CHECK_INTERVAL`] — VF2
+//! would then read the clock once, at its first step, and the certifier
+//! reads it at the same point: a deadline already passed yields
+//! [`SearchOutcome::BudgetExhausted`]. Every other case — an ambiguous
+//! key, a bound over the limits — runs VF2.
 
 use std::time::Instant;
 
@@ -243,23 +270,123 @@ pub fn find_embedding_limited(
     target: &MatchGraph,
     limits: SearchLimits,
 ) -> SearchOutcome {
-    let SearchLimits { budget, deadline } = limits;
-    if query.node_count() == 0 {
-        return SearchOutcome::Found(Vec::new());
+    match screen(query, target) {
+        Screen::Empty => SearchOutcome::Found(Vec::new()),
+        Screen::Rejected => SearchOutcome::NotFound,
+        Screen::Forced(forced) => certify(query, target, forced, limits)
+            .unwrap_or_else(|| search(query, target, limits)),
+        Screen::Open => search(query, target, limits),
     }
-    // Pigeonhole: the node map is injective, so each key needs enough
-    // carriers on the target side.
-    for (key, count) in query.node_key_counts() {
-        if target.nodes_with_key(key).len() < count {
-            return SearchOutcome::NotFound;
+}
+
+/// What the whole-graph tests leave to decide.
+enum Screen {
+    /// The query has no nodes: it embeds anywhere.
+    Empty,
+    /// The pigeonhole or edge-key test failed: no embedding exists.
+    Rejected,
+    /// Every query node's key has exactly one carrier in the target;
+    /// here is the forced map (see the [module docs](self)).
+    Forced(Vec<u32>),
+    /// Some key is ambiguous: only a search decides.
+    Open,
+}
+
+/// The whole-graph tests that run before any search: the pigeonhole
+/// test (each node key needs at least as many carriers in the target as
+/// in the query — the node map is injective) and the edge-key test
+/// (every query edge key occurs in the target), plus, in the same pass
+/// over the query's node keys, the forced map when no key is ambiguous.
+fn screen(query: &MatchGraph, target: &MatchGraph) -> Screen {
+    if query.node_count() == 0 {
+        return Screen::Empty;
+    }
+    let mut forced = Some(vec![UNMAPPED; query.node_count()]);
+    for (key, nodes) in query.node_key_groups() {
+        let carriers = target.nodes_with_key(key);
+        if carriers.len() < nodes.len() {
+            return Screen::Rejected;
+        }
+        match (&mut forced, nodes, carriers) {
+            (Some(mapping), &[q], &[t]) => mapping[q as usize] = t,
+            _ => forced = None,
         }
     }
-    // Every query edge key must occur in the target at all.
     for key in query.edge_keys() {
         if !target.has_edge_key(key) {
-            return SearchOutcome::NotFound;
+            return Screen::Rejected;
         }
     }
+    match forced {
+        Some(mapping) => Screen::Forced(mapping),
+        None => Screen::Open,
+    }
+}
+
+/// Decide a forced map without searching — VF2's exact answer, or
+/// `None` when VF2 might hit `limits` first (see the
+/// [module docs](self)).
+fn certify(
+    query: &MatchGraph,
+    target: &MatchGraph,
+    forced: Vec<u32>,
+    limits: SearchLimits,
+) -> Option<SearchOutcome> {
+    let bound = step_bound(query, target, &forced);
+    if bound > limits.budget {
+        return None;
+    }
+    if let Some(deadline) = limits.deadline {
+        if bound >= DEADLINE_CHECK_INTERVAL {
+            return None;
+        }
+        if Instant::now() >= deadline {
+            return Some(SearchOutcome::BudgetExhausted);
+        }
+    }
+    // Every query edge needs a key-equal target edge between the images
+    // (a self-loop included: both ends map to the same node).
+    for q in 0..query.node_count() as u32 {
+        let tq = forced[q as usize];
+        for &(nbr, e) in query.out_edges(q) {
+            let (t_nbr, key) = (forced[nbr as usize], &query.edge(e).key);
+            if !target
+                .out_edges(tq)
+                .iter()
+                .any(|&(t2, te)| t2 == t_nbr && &target.edge(te).key == key)
+            {
+                return Some(SearchOutcome::NotFound);
+            }
+        }
+    }
+    Some(SearchOutcome::Found(forced))
+}
+
+/// Upper bound on the steps VF2 takes over a forced map: per query node,
+/// the most candidates it can be offered — one from the key index, or
+/// the adjacency of a neighbour's image (out-neighbours offer the
+/// image's in-adjacency, in-neighbours its out-adjacency).
+fn step_bound(query: &MatchGraph, target: &MatchGraph, forced: &[u32]) -> u64 {
+    (0..query.node_count() as u32)
+        .map(|q| {
+            let offered_out = query
+                .out_edges(q)
+                .iter()
+                .filter(|&&(nbr, _)| nbr != q)
+                .map(|&(nbr, _)| target.in_edges(forced[nbr as usize]).len());
+            let offered_in = query
+                .in_edges(q)
+                .iter()
+                .filter(|&&(nbr, _)| nbr != q)
+                .map(|&(nbr, _)| target.out_edges(forced[nbr as usize]).len());
+            offered_out.chain(offered_in).fold(1, usize::max) as u64
+        })
+        .sum()
+}
+
+/// The VF2 search proper, for a query that passed [`screen`].
+fn search(query: &MatchGraph, target: &MatchGraph, limits: SearchLimits) -> SearchOutcome {
+    let SearchLimits { budget, deadline } = limits;
     let order = search_order(query, target);
     let mut search = Search {
         query,
@@ -279,6 +406,9 @@ pub fn find_embedding_limited(
         Ok(false) => SearchOutcome::NotFound,
     }
 }
+
+#[cfg(test)]
+mod certified_equivalence;
 
 #[cfg(test)]
 mod tests {

@@ -96,13 +96,13 @@ proptest! {
             let result = idx.query_corpus(&m);
             let hit = result.exact.iter().find(|h| h.model == 0);
             let hit = hit.expect("a model must embed in itself");
-            prop_assert_eq!(hit.embedding.species.len(), m.species.len());
+            prop_assert_eq!(hit.embedding.species().len(), m.species.len());
             // The species map is injective into the host.
-            let targets: BTreeSet<&String> =
-                hit.embedding.species.iter().map(|(_, t)| t).collect();
+            let targets: BTreeSet<&str> =
+                hit.embedding.species().map(|(_, t)| t).collect();
             prop_assert_eq!(targets.len(), m.species.len());
             if distinct_node_keys(&m, &options) {
-                for (q, t) in &hit.embedding.species {
+                for (q, t) in hit.embedding.species() {
                     prop_assert_eq!(q, t, "unambiguous keys force the identity mapping");
                 }
             }
@@ -127,10 +127,10 @@ proptest! {
         let hit = hit.expect("a verbatim fragment must embed in its host");
 
         // The returned mapping is over real host components.
-        for (_, target) in &hit.embedding.species {
+        for (_, target) in hit.embedding.species() {
             prop_assert!(m.species_by_id(target).is_some());
         }
-        for (_, target) in &hit.embedding.reactions {
+        for (_, target) in hit.embedding.reactions() {
             prop_assert!(m.reaction_by_id(target).is_some());
         }
 

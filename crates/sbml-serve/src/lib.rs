@@ -83,7 +83,7 @@ pub use cache::QueryCache;
 pub use client::Client;
 pub use metrics::{Metrics, MetricsReport};
 pub use protocol::{read_frame, write_frame, ErrKind, Request, Response, MAX_FRAME};
-pub use report::{format_candidates, format_matches, MatchRows};
+pub use report::{format_candidates, format_matches, MatchRows, Witness};
 pub use server::{serve_frames, FrameHandler, FrameOutcome, Server, ServerConfig, ShardIdentity};
 pub use service::Service;
 pub use snapshot::{

@@ -13,7 +13,7 @@
 
 use std::fmt::Write as _;
 
-use sbml_match::CorpusMatches;
+use sbml_match::{CorpusMatches, Embedding};
 
 /// A `MATCH` answer as borrowed rows, each list in display order. Every
 /// row starts with the model's (display label, model id).
@@ -23,12 +23,21 @@ pub struct MatchRows<'a> {
     pub truncated: Vec<(&'a str, &'a str)>,
     /// Candidates whose refinement panicked (contained).
     pub failed: Vec<(&'a str, &'a str)>,
-    /// Exact hits with their species and reaction witnesses, each a list
-    /// of query id → target id pairs.
-    pub exact: Vec<((&'a str, &'a str), &'a [(String, String)], &'a [(String, String)])>,
+    /// Exact hits with their witnesses.
+    pub exact: Vec<((&'a str, &'a str), Witness<'a>)>,
     /// Ranked near misses (score, Jaccard, mapped fraction), rendered
     /// only when there is no exact hit.
     pub approximate: Vec<((&'a str, &'a str), [f64; 3])>,
+}
+
+/// An exact hit's witness: its species and its reaction query id →
+/// target id pairs, in witness order.
+#[derive(Debug, Clone, Copy)]
+pub enum Witness<'a> {
+    /// A refiner's embedding, read through its id iterators.
+    Embedding(&'a Embedding),
+    /// Species and reaction pairs decoded from a shard's `PMATCH` body.
+    Pairs(&'a [(String, String)], &'a [(String, String)]),
 }
 
 impl MatchRows<'_> {
@@ -61,20 +70,31 @@ impl MatchRows<'_> {
             let code = if self.truncated.is_empty() && self.failed.is_empty() { 1 } else { 4 };
             return (code, out);
         }
-        for ((label, id), species, reactions) in &self.exact {
+        for ((label, id), witness) in &self.exact {
             let _ = write!(out, "exact {label} ({id}): species [");
-            push_pairs(&mut out, species);
+            match witness {
+                Witness::Embedding(e) => push_pairs(&mut out, e.species()),
+                Witness::Pairs(species, _) => push_pairs(&mut out, as_strs(species)),
+            }
             out.push_str("] reactions [");
-            push_pairs(&mut out, reactions);
+            match witness {
+                Witness::Embedding(e) => push_pairs(&mut out, e.reactions()),
+                Witness::Pairs(_, reactions) => push_pairs(&mut out, as_strs(reactions)),
+            }
             out.push_str("]\n");
         }
         (0, out)
     }
 }
 
+/// Owned id pairs as borrowed ones.
+fn as_strs(pairs: &[(String, String)]) -> impl Iterator<Item = (&str, &str)> {
+    pairs.iter().map(|(q, t)| (q.as_str(), t.as_str()))
+}
+
 /// `q->t, q->t, ...`
-fn push_pairs(out: &mut String, pairs: &[(String, String)]) {
-    for (i, (q, t)) in pairs.iter().enumerate() {
+fn push_pairs<'p>(out: &mut String, pairs: impl Iterator<Item = (&'p str, &'p str)>) {
+    for (i, (q, t)) in pairs.enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
@@ -95,7 +115,7 @@ pub fn format_matches(result: &CorpusMatches, labels: &[String], ids: &[String])
         exact: result
             .exact
             .iter()
-            .map(|h| (row(h.model), &h.embedding.species[..], &h.embedding.reactions[..]))
+            .map(|h| (row(h.model), Witness::Embedding(&h.embedding)))
             .collect(),
         approximate: result
             .approximate
@@ -126,7 +146,7 @@ pub fn format_candidates<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sbml_match::{ApproxHit, CorpusHit, Embedding};
+    use sbml_match::{ApproxHit, CorpusHit};
 
     fn names(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("m{i}")).collect()
@@ -137,10 +157,7 @@ mod tests {
         let result = CorpusMatches {
             exact: vec![CorpusHit {
                 model: 1,
-                embedding: Embedding {
-                    species: vec![("a".into(), "x".into())],
-                    reactions: vec![("r".into(), "s".into())],
-                },
+                embedding: Embedding::from_pairs(&[("a", "x")], &[("r", "s")]),
             }],
             approximate: vec![],
             candidates: vec![1],

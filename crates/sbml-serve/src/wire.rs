@@ -131,6 +131,11 @@ fn read_pairs(r: &mut Reader<'_>, what: &str) -> Result<Vec<(String, String)>, S
     Ok(out)
 }
 
+/// Borrowed id pairs as owned ones.
+fn owned<'p>(pairs: impl Iterator<Item = (&'p str, &'p str)>) -> Vec<(String, String)> {
+    pairs.map(|(q, t)| (q.to_owned(), t.to_owned())).collect()
+}
+
 impl PartialMatches {
     /// Translate a shard-local [`CorpusMatches`] into the wire form.
     /// `ids[m]` / `slots[m]` are the id and global slot of local rank
@@ -146,8 +151,8 @@ impl PartialMatches {
                 .map(|hit| ExactEntry {
                     slot: slots[hit.model],
                     id: ids[hit.model].clone(),
-                    species: hit.embedding.species.clone(),
-                    reactions: hit.embedding.reactions.clone(),
+                    species: owned(hit.embedding.species()),
+                    reactions: owned(hit.embedding.reactions()),
                 })
                 .collect(),
             truncated: result.truncated.iter().map(|&m| entry(m)).collect(),
@@ -322,7 +327,7 @@ mod tests {
         let result = CorpusMatches {
             exact: vec![CorpusHit {
                 model: 1,
-                embedding: Embedding { species: vec![("q".into(), "t".into())], reactions: vec![] },
+                embedding: Embedding::from_pairs(&[("q", "t")], &[]),
             }],
             approximate: vec![ApproxHit { model: 0, score: 0.5, jaccard: 0.5, mapped_fraction: 0.5 }],
             candidates: vec![0, 1],

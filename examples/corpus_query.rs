@@ -56,8 +56,8 @@ fn main() {
         println!(
             "  exact hit in {} ({} mapped species, {} mapped reactions)",
             models[hit.model].id,
-            hit.embedding.species.len(),
-            hit.embedding.reactions.len()
+            hit.embedding.species().len(),
+            hit.embedding.reactions().len()
         );
     }
     assert!(

@@ -125,6 +125,29 @@ fn prepare(options: &ComposeOptions, models: &[Model]) -> Vec<std::sync::Arc<sbm
     BatchComposer::new(Composer::new(options.clone())).with_threads(2).prepare_corpus(models)
 }
 
+/// The `models` counts of a coordinator STATS answer: the coordinator's
+/// own, then one entry per shard block (`None` for a dead shard).
+fn stats_models(coord: &mut Client) -> (u64, Vec<Option<u64>>) {
+    let body = match coord.roundtrip(&Request::Stats).expect("stats") {
+        Response::Ok { code: 0, body } => String::from_utf8(body).expect("utf-8 stats"),
+        other => panic!("STATS failed: {other:?}"),
+    };
+    let mut own = None;
+    let mut shards: Vec<Option<u64>> = Vec::new();
+    for line in body.lines() {
+        if line.starts_with("-- ") {
+            shards.push(None);
+        } else if let Some(count) = line.strip_prefix("models ") {
+            let count = Some(count.parse().expect("models count"));
+            match shards.last_mut() {
+                Some(shard) => *shard = count,
+                None => own = count,
+            }
+        }
+    }
+    (own.expect("coordinator models line"), shards)
+}
+
 /// Send `request` to both daemons and require byte-identical frames —
 /// response header, exit code, and body all at once.
 fn lockstep(oracle: &mut Client, cluster: &mut Client, request: &Request, what: &str) {
@@ -269,6 +292,11 @@ fn killed_shard_degrades_reads_and_fails_writes_loudly() {
         other => panic!("healthy MATCH failed: {other:?}"),
     }
 
+    // What shard 1 holds when it dies: it can change no more after.
+    let (models_before, shards_before) = stats_models(&mut coord);
+    assert_eq!(models_before, shards_before.iter().flatten().sum::<u64>());
+    let dead_models = shards_before[1].expect("shard 1 is up");
+
     // Kill shard 1 mid-flight (drained SHUTDOWN straight to the daemon).
     cluster.kill_shard(1);
 
@@ -310,10 +338,22 @@ fn killed_shard_degrades_reads_and_fails_writes_loudly() {
         .expect("upsert")
     {
         Response::Err { message, .. } => {
-            assert!(message.contains("shard "), "names a shard: {message}");
+            // The insert landed; only the evict scatter failed. The
+            // answer must not read like a refused write.
+            assert!(
+                message.contains("applied on shard 0 (") && message.contains("at slot 9"),
+                "says where the write was applied: {message}"
+            );
+            assert!(message.contains("shard 1 ("), "names the shard that failed: {message}");
         }
         other => panic!("UPSERT through a dead cluster member must fail loudly: {other:?}"),
     }
+    // The coordinator counts the applied model: its total is what the
+    // shards hold, the dead one included.
+    let (models, shards) = stats_models(&mut coord);
+    assert_eq!(shards[1], None, "shard 1 is dead");
+    let held: u64 = shards.iter().flatten().sum::<u64>() + dead_models;
+    assert_eq!(models, held, "coordinator models = sum of the shards' models");
     // Slot 9 lives on shard 0, which acknowledged that insert; only the
     // evict step failed. The partial write spent its slot: the next
     // UPSERT takes slot 10 (on the dead shard 1) instead of reusing 9.
