@@ -53,7 +53,7 @@ echo "== certified ≡ VF2 suite (forced-embedding certification) =="
 # already-passed deadline. Release build: the budget sweeps are long.
 cargo test -q --release -p sbml-match --lib vf2::certified_equivalence
 
-echo "== panic audit (fan-out modules, SBML I/O) =="
+echo "== panic audit (fan-out modules, SBML I/O, snapshot decode) =="
 # Containment boundaries (catch_unwind) only help if the code inside them
 # is not sprinkled with *new* input-reachable unwrap/expect/panic sites.
 # Ceilings are the audited counts (tests included); raising one requires
@@ -79,9 +79,17 @@ panic_audit crates/sbml-compose/src/session.rs 9
 # (spawn + chunking expects, two injected-panic test sites) and the
 # parallel incoming-key build in prepared.rs.
 panic_audit crates/sbml-compose/src/pool.rs 4
-panic_audit crates/sbml-compose/src/prepared.rs 17
+# prepared.rs 17 -> 16: the parallel incoming-key build runs on the
+# worker pool only; its thread::scope fallback (and join expect) is gone.
+panic_audit crates/sbml-compose/src/prepared.rs 16
 panic_audit crates/sbml-match/src/index.rs 0
 panic_audit crates/sbml-match/src/vf2.rs 3
+# Snapshot loading and lazy model decode read untrusted bytes after the
+# load has returned (a model decodes on its first query): no site at all
+# in the loader or the lazy handle; codec.rs's 3 are in unit tests.
+panic_audit crates/sbml-serve/src/snapshot.rs 0
+panic_audit crates/sbml-serve/src/codec.rs 3
+panic_audit crates/sbml-match/src/lazy.rs 0
 # The streaming SBML reader and writer (every MATCH/COMPOSE/UPSERT body
 # goes through them on a worker thread): no input-reachable site; the
 # counted ones are in unit tests and doc examples.

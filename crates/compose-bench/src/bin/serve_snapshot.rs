@@ -7,15 +7,21 @@
 //!   corpus document from SBML text, canonicalise and prepare each model
 //!   ([`BatchComposer::prepare_corpus`]), then build the posting-list
 //!   [`MatchIndex`] from scratch;
-//! * **snapshot load** — [`Snapshot::load_bytes`]: one pass over a
-//!   versioned binary image that decodes straight into the prepared
-//!   corpus and index, no re-canonicalisation and no re-analysis.
+//! * **snapshot load** — [`Snapshot::load_bytes`]: one copy of a
+//!   versioned binary image, a checksum pass over it and a decode of the
+//!   index skeleton — no re-canonicalisation, no re-analysis, and no
+//!   model decoded until a query first needs it.
 //!
 //! Before any timing, the loaded index is asserted to answer a query
 //! battery identically to the freshly built one. The second comparison is
 //! per-request steady state: **cold** runs the full indexed query
 //! ([`MatchIndex::query_corpus_prepared`]); **warm** replays the daemon's
 //! content-key cache hit path ([`QueryCache::get`] on rendered bytes).
+//!
+//! Each load also reports where its time went
+//! ([`sbml_serve::LoadStages`]: checksums, MODELS offset table, LAYOUT,
+//! SHARD sections, index assembly); the JSON records every stage's
+//! min / median / p95 over the load samples next to `host_parallelism`.
 //!
 //! Writes `BENCH_serve.json`; `ci.sh` gates `speedup_snapshot_load` at
 //! ≥ 10x — if loading a snapshot is not an order of magnitude faster than
@@ -28,7 +34,7 @@ use std::io::Write as _;
 use std::sync::Arc;
 
 use biomodels_corpus::{corpus_187, query_fragment};
-use compose_bench::{best, host_parallelism, time_median, workspace_root};
+use compose_bench::{best, host_parallelism, stats, time_median, workspace_root};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::{parse_sbml, write_sbml};
@@ -105,14 +111,36 @@ fn main() {
     // penalise the wrong side. Loads are also ~10x cheaper, so they get
     // extra samples.
     let mut rebuild_fn = rebuild;
-    let mut load_fn =
-        || Snapshot::load_bytes(&bytes, &options, 0).expect("snapshot loads");
+    let mut stage_samples = Vec::new();
+    let mut load_fn = || {
+        let loaded = Snapshot::load_bytes(&bytes, &options, 0).expect("snapshot loads");
+        stage_samples.push(loaded.stages);
+        loaded
+    };
     let load_runs = runs * 2 - 1;
     let load_s = best((0..load_runs).map(|_| sample_build(&mut load_fn)).collect());
     let rebuild_s = best((0..runs).map(|_| sample_build(&mut rebuild_fn)).collect());
     let load_speedup = rebuild_s / load_s.max(1e-12);
     println!("full rebuild (parse + prepare + index): {rebuild_s:.4}s");
     println!("snapshot load:                          {load_s:.4}s  ({load_speedup:.1}x)");
+    let stage_names = ["checksums", "models", "layout", "shards", "index"];
+    let stage_stats: Vec<_> = stage_names
+        .iter()
+        .enumerate()
+        .map(|(k, name)| {
+            let series: Vec<f64> = stage_samples
+                .iter()
+                .map(|s| [s.checksums_s, s.models_s, s.layout_s, s.shards_s, s.index_s][k])
+                .collect();
+            (*name, stats(&series))
+        })
+        .collect();
+    for (name, s) in &stage_stats {
+        println!(
+            "  load stage {name:<9}  min {:.4}s  median {:.4}s  p95 {:.4}s",
+            s.min, s.median, s.p95
+        );
+    }
 
     // Steady state. Cold: the full indexed query per request. Warm: the
     // daemon's cache hit path — a content-key lookup returning the bytes
@@ -166,7 +194,7 @@ fn main() {
         "    \"rebuild\": \"parse every SBML document, prepare the corpus, build the match index from scratch\",\n",
     );
     json.push_str(
-        "    \"snapshot_load\": \"decode a versioned binary snapshot straight into the prepared corpus and index\"\n",
+        "    \"snapshot_load\": \"copy a versioned binary snapshot into one checksummed image, decode the index skeleton; models decode on first touch\"\n",
     );
     json.push_str("  },\n");
     json.push_str(&format!("  \"models\": {n},\n"));
@@ -178,6 +206,16 @@ fn main() {
     json.push_str(&format!("  \"posting_participant_keys\": {participant_keys},\n"));
     json.push_str(&format!("  \"rebuild_seconds\": {rebuild_s:.6},\n"));
     json.push_str(&format!("  \"snapshot_load_seconds\": {load_s:.6},\n"));
+    json.push_str(&format!("  \"load_samples\": {load_runs},\n"));
+    json.push_str("  \"load_stage_seconds\": {\n");
+    for (k, (name, s)) in stage_stats.iter().enumerate() {
+        let comma = if k + 1 < stage_stats.len() { "," } else { "" };
+        json.push_str(&format!(
+            "    \"{name}\": {{ \"min\": {:.6}, \"median\": {:.6}, \"p95\": {:.6} }}{comma}\n",
+            s.min, s.median, s.p95
+        ));
+    }
+    json.push_str("  },\n");
     json.push_str(&format!("  \"cold_query_microseconds\": {cold_us:.3},\n"));
     json.push_str(&format!("  \"warm_query_microseconds\": {warm_us:.3},\n"));
     json.push_str(&format!("  \"speedup_warm_cache\": {warm_speedup:.2},\n"));

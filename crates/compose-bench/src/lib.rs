@@ -152,6 +152,8 @@ pub struct Stats {
     pub median: f64,
     /// Arithmetic mean.
     pub mean: f64,
+    /// 95th percentile (nearest rank).
+    pub p95: f64,
     /// Maximum.
     pub max: f64,
 }
@@ -165,6 +167,7 @@ pub fn stats(series: &[f64]) -> Stats {
         min: sorted[0],
         median: sorted[sorted.len() / 2],
         mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
+        p95: sorted[(sorted.len() * 95).div_ceil(100) - 1],
         max: *sorted.last().expect("non-empty"),
     }
 }
@@ -180,6 +183,14 @@ mod tests {
         let manifest = fs::read_to_string(root.join("Cargo.toml")).expect("root manifest");
         assert!(manifest.contains("[workspace]"), "{}", root.display());
         assert!(root.join("crates").join("compose-bench").is_dir(), "{}", root.display());
+    }
+
+    #[test]
+    fn stats_percentiles_are_nearest_rank() {
+        let s = stats(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!((s.min, s.median, s.p95, s.max), (1.0, 3.0, 5.0, 5.0));
+        let hundred: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(stats(&hundred).p95, 95.0);
     }
 
     #[test]

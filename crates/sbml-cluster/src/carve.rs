@@ -8,10 +8,8 @@
 //! [`sbml_serve::Snapshot::load_shard`]; this path serves in-process
 //! tests and benches that already hold the full index.
 
-use std::sync::Arc;
-
-use sbml_compose::{ComposeOptions, PreparedModel};
-use sbml_match::MatchIndex;
+use sbml_compose::ComposeOptions;
+use sbml_match::{LazyModel, MatchIndex};
 use sbml_serve::ShardIdentity;
 
 /// Carve shard `shard` out of `index` (whose physical shard count
@@ -36,11 +34,13 @@ pub fn carve(
             corpus.len(),
         ));
     }
-    let owned: Vec<Arc<PreparedModel>> = live
+    // Handing a model on decodes nothing: the carved index shares the
+    // handle, and with it any decode either side later does.
+    let owned: Vec<LazyModel> = live
         .iter()
         .zip(corpus.iter())
         .filter(|&(&slot, _)| slot as usize % shards == shard)
-        .map(|(_, p)| Arc::clone(p))
+        .map(|(_, model)| model.clone())
         .collect();
     let local = MatchIndex::from_raw(local_raw, &owned, options, threads)?;
     let identity = ShardIdentity {

@@ -466,7 +466,16 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
                 service.invalidate();
             }
             match failure {
-                Some(message) => service.reject(ErrKind::Budget, message),
+                // The live shards' removals stand and cannot be rolled
+                // back: say how far the write got, or the answer reads
+                // like a refused REMOVE.
+                Some(message) => service.reject(
+                    ErrKind::Budget,
+                    format!(
+                        "REMOVE {model_id} removed by {hits} live shard(s), \
+                         but removing it from every shard failed: {message}",
+                    ),
+                ),
                 None => removed(hits > 0, &model_id),
             }
         }

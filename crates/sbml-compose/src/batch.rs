@@ -204,15 +204,26 @@ impl BatchComposer {
     /// threads — the same thread-per-shard fan-out as
     /// [`BatchComposer::all_pairs`], but one job per *model* instead of
     /// per pair. Results come back in corpus order regardless of
-    /// scheduling. This is the read-only corpus sweep behind parallel
-    /// matching (`sbml-match`'s `MatchIndex::query_corpus` refines each
-    /// candidate model on one of these shards).
+    /// scheduling.
     pub fn map_corpus<T, F>(&self, prepared: &[Arc<PreparedModel>], f: F) -> Vec<T>
     where
         T: Send,
         F: Fn(usize, &PreparedModel) -> T + Sync,
     {
-        self.striped(prepared.len(), self.worker_count(prepared.len()), |i| f(i, &prepared[i]))
+        self.map_jobs(prepared.len(), |i| f(i, &prepared[i]))
+    }
+
+    /// Run `job` for `0..jobs` on the batch's worker threads, results in
+    /// job order regardless of scheduling — [`BatchComposer::map_corpus`]
+    /// without a corpus. This is the read-only sweep behind parallel
+    /// matching (`sbml-match`'s `MatchIndex::query_corpus` refines each
+    /// candidate model as one job).
+    pub fn map_jobs<T, J>(&self, jobs: usize, job: J) -> Vec<T>
+    where
+        T: Send,
+        J: Fn(usize) -> T + Sync,
+    {
+        self.striped(jobs, self.worker_count(jobs), job)
     }
 
     /// Compose every unordered pair `(i, j), i < j` of the prepared

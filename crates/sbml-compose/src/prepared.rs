@@ -441,17 +441,15 @@ impl IncomingKeys {
     /// The session invokes this for raw pushes at or above
     /// [`ComposeOptions::parallel_push_threshold`] components, then feeds
     /// the keys to the merge passes exactly as prepared-model keys.
-    /// An optional persistent [`WorkerPool`] carries the chunks: with
-    /// `Some(pool)` the per-chunk jobs run on the pool's parked lanes (the
-    /// calling thread takes the first chunk) instead of spawning fresh
-    /// scoped threads per push; with `None` a `thread::scope` is used.
-    /// Chunk assignment, and therefore the artifact, is identical either
-    /// way.
+    /// The chunks run on `pool`'s parked lanes (the calling thread takes
+    /// the first chunk); no thread is spawned per push. Chunk assignment
+    /// depends on `workers` alone, never on the pool, so the artifact is
+    /// identical for every pool size.
     pub(crate) fn build_parallel_on(
         model: &Model,
         options: &ComposeOptions,
         workers: usize,
-        pool: Option<&WorkerPool>,
+        pool: &WorkerPool,
     ) -> IncomingKeys {
         let counts = [
             model.function_definitions.len(),
@@ -495,48 +493,24 @@ impl IncomingKeys {
                 loads[w] += weights[job];
                 chunks[w].push(job);
             }
-            match pool {
-                Some(pool) => {
-                    let offsets = &offsets;
-                    let out = std::sync::Mutex::new(Vec::with_capacity(total));
-                    let mut chunks = chunks.into_iter();
-                    let first = chunks.next().unwrap_or_default();
-                    let run_chunk = |jobs: Vec<usize>| {
-                        let ctx = MatchContext::new(options);
-                        let part: Vec<(usize, ComputedKey)> = jobs
-                            .into_iter()
-                            .map(|job| (job, compute_key_job(model, &ctx, offsets, job)))
-                            .collect();
-                        out.lock().expect("push key results").extend(part);
-                    };
-                    let run_chunk = &run_chunk;
-                    let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
-                        .map(|jobs| {
-                            Box::new(move || run_chunk(jobs)) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    pool.run_scoped(move || run_chunk(first), tasks);
-                    out.into_inner().expect("push key results")
-                }
-                None => std::thread::scope(|scope| {
-                    let offsets = &offsets;
-                    let handles: Vec<_> = chunks
-                        .into_iter()
-                        .map(|jobs| {
-                            scope.spawn(move || {
-                                let ctx = MatchContext::new(options);
-                                jobs.into_iter()
-                                    .map(|job| (job, compute_key_job(model, &ctx, offsets, job)))
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|handle| handle.join().expect("push key worker panicked"))
-                        .collect()
-                }),
-            }
+            let offsets = &offsets;
+            let out = std::sync::Mutex::new(Vec::with_capacity(total));
+            let mut chunks = chunks.into_iter();
+            let first = chunks.next().unwrap_or_default();
+            let run_chunk = |jobs: Vec<usize>| {
+                let ctx = MatchContext::new(options);
+                let part: Vec<(usize, ComputedKey)> = jobs
+                    .into_iter()
+                    .map(|job| (job, compute_key_job(model, &ctx, offsets, job)))
+                    .collect();
+                out.lock().expect("push key results").extend(part);
+            };
+            let run_chunk = &run_chunk;
+            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = chunks
+                .map(|jobs| Box::new(move || run_chunk(jobs)) as Box<dyn FnOnce() + Send + '_>)
+                .collect();
+            pool.run_scoped(move || run_chunk(first), tasks);
+            out.into_inner().expect("push key results")
         };
         computed.sort_unstable_by_key(|(job, _)| *job);
 
@@ -1249,18 +1223,19 @@ mod tests {
     #[test]
     fn parallel_incoming_keys_equal_serial_for_every_worker_count() {
         let model = every_kind();
+        // Pools smaller and larger than most chunk counts: chunking
+        // follows `workers` alone.
+        let pools = [WorkerPool::new(1), WorkerPool::new(4)];
         for options in
             [ComposeOptions::heavy(), ComposeOptions::light(), ComposeOptions::none()]
         {
             let mut serial = IncomingKeys::default();
             ModelAnalysis::build(&model, &options, Some(&mut serial));
             for workers in [1, 2, 3, 5, 8, 64] {
-                let parallel = IncomingKeys::build_parallel_on(&model, &options, workers, None);
-                assert_eq!(parallel, serial, "workers={workers}");
-                let pool = WorkerPool::new(workers.min(4));
-                let pooled =
-                    IncomingKeys::build_parallel_on(&model, &options, workers, Some(&pool));
-                assert_eq!(pooled, serial, "workers={workers} (pooled)");
+                for pool in &pools {
+                    let pooled = IncomingKeys::build_parallel_on(&model, &options, workers, pool);
+                    assert_eq!(pooled, serial, "workers={workers} lanes={}", pool.threads());
+                }
             }
         }
     }
@@ -1281,9 +1256,10 @@ mod tests {
         let options = ComposeOptions::default();
         let mut serial = IncomingKeys::default();
         ModelAnalysis::build(&m, &options, Some(&mut serial));
+        let pool = WorkerPool::new(4);
         for workers in [2, 3, 7, 16] {
             assert_eq!(
-                IncomingKeys::build_parallel_on(&m, &options, workers, None),
+                IncomingKeys::build_parallel_on(&m, &options, workers, &pool),
                 serial,
                 "{workers}"
             );
@@ -1356,11 +1332,7 @@ mod tests {
             let pool = WorkerPool::new(2);
             for workers in [1, 4] {
                 assert_eq!(
-                    IncomingKeys::build_parallel_on(&model, &options, workers, None),
-                    serial
-                );
-                assert_eq!(
-                    IncomingKeys::build_parallel_on(&model, &options, workers, Some(&pool)),
+                    IncomingKeys::build_parallel_on(&model, &options, workers, &pool),
                     serial
                 );
             }

@@ -601,7 +601,7 @@ impl<'o> CompositionSession<'o> {
             return None;
         }
         let pool = self.ensure_pool();
-        Some(IncomingKeys::build_parallel_on(b, self.options(), pool.threads(), Some(&pool)))
+        Some(IncomingKeys::build_parallel_on(b, self.options(), pool.threads(), &pool))
     }
 
     fn options(&self) -> &'o ComposeOptions {

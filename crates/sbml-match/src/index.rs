@@ -20,6 +20,11 @@
 //! Per model it also keeps the [`MatchGraph`] (refinement never re-derives
 //! it) and the full canonical content-key set of the preparation
 //! ([`sbml_compose::PreparedModel::content_keys`]) for Jaccard scoring.
+//! The preparation itself sits in a [`LazyModel`]: an index loaded from
+//! a snapshot decodes a model only when a near miss is scored against it
+//! (or a caller asks for it) — candidate generation and refinement need
+//! only the postings and the graph, and a hit's witness reads the
+//! target's ids in place from its record.
 //!
 //! # Slots, shards, tombstones
 //!
@@ -66,8 +71,9 @@
 //!    certifying the forced node map in one pass over the query's edges,
 //!    any other by the VF2 search. A hit's [`Embedding`] is indices — the
 //!    node map, `(query reaction, target reaction)` pairs, the target's
-//!    `Arc<PreparedModel>` and the query's shared ids — so it costs two
-//!    allocations; id strings are read only when the answer is rendered.
+//!    [`LazyModel`] handle and the query's shared ids — so it costs two
+//!    allocations; id strings are read only when the answer is rendered,
+//!    from the model or in place from its snapshot record.
 //!    Shards fan out one-per-worker on the [`BatchComposer`]'s shared
 //!    [`WorkerPool`](sbml_compose::pool::WorkerPool); a single shard
 //!    refines a large candidate set per-candidate on the same pool.
@@ -93,6 +99,7 @@ use sbml_compose::{BatchComposer, ComposeOptions, Composer, PreparedModel};
 use sbml_model::{Model, Reaction};
 
 use crate::graph::{MatchGraph, RawGraph};
+use crate::lazy::LazyModel;
 use crate::semantics::MatchSemantics;
 use crate::vf2::{find_embedding, find_embedding_limited, SearchLimits, SearchOutcome};
 
@@ -104,7 +111,7 @@ pub const DEFAULT_BUDGET: u64 = 2_000_000;
 pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.3;
 
 /// A concrete embedding of the query into one corpus model, held as
-/// indices rather than id strings: the target's shared preparation, the
+/// indices rather than id strings: the target's shared handle, the
 /// query's ids (one `Arc` shared by every hit of a query), the node map
 /// the refiner returned, and `(query reaction, target reaction)` index
 /// pairs. Building one costs two allocations whatever the ids; the id
@@ -113,7 +120,9 @@ pub const DEFAULT_COMPACTION_THRESHOLD: f64 = 0.3;
 /// `Debug` and those iterators all speak in ids.
 #[derive(Clone)]
 pub struct Embedding {
-    target: Arc<PreparedModel>,
+    /// The refiner checked that the target's ids read and that every
+    /// index below is in range for them.
+    target: LazyModel,
     query: Arc<QueryIds>,
     /// `species[q]` is the target species index of query species `q`.
     species: Vec<u32>,
@@ -132,21 +141,20 @@ struct QueryIds {
 impl Embedding {
     /// Query species id → target species id, in query species order.
     pub fn species(&self) -> impl ExactSizeIterator<Item = (&str, &str)> + '_ {
-        let target = &self.target.model().species;
-        self.query
-            .species
-            .iter()
-            .zip(&self.species)
-            .map(move |(q, &t)| (q.as_str(), target[t as usize].id.as_str()))
+        let target = self.target.ids().ok();
+        self.query.species.iter().zip(&self.species).map(move |(q, &t)| {
+            (q.as_str(), target.map_or("", |ids| ids.species(t as usize)))
+        })
     }
 
     /// Query reaction id → a target reaction id whose edge carried the
     /// match, one entry per query reaction that contributed edges, in
     /// query reaction order.
     pub fn reactions(&self) -> impl ExactSizeIterator<Item = (&str, &str)> + '_ {
-        let target = &self.target.model().reactions;
+        let target = self.target.ids().ok();
         self.reactions.iter().map(move |&(q, t)| {
-            (self.query.reactions[q as usize].as_str(), target[t as usize].id.as_str())
+            let query = self.query.reactions.get(q as usize).map_or("", String::as_str);
+            (query, target.map_or("", |ids| ids.reaction(t as usize)))
         })
     }
 
@@ -165,7 +173,10 @@ impl Embedding {
             target.reactions.push(Reaction::new(*t));
         }
         Embedding {
-            target: Arc::new(PreparedModel::from_model(target, &ComposeOptions::default())),
+            target: LazyModel::from(Arc::new(PreparedModel::from_model(
+                target,
+                &ComposeOptions::default(),
+            ))),
             query: Arc::new(query),
             species: (0..species.len() as u32).collect(),
             reactions: (0..reactions.len() as u32).map(|i| (i, i)).collect(),
@@ -590,7 +601,7 @@ pub struct MatchIndex {
     semantics: MatchSemantics,
     /// Slot-addressed storage; `None` marks a tombstoned slot. Slot ids
     /// are monotonic and never reused.
-    slots: Vec<Option<Arc<PreparedModel>>>,
+    slots: Vec<Option<LazyModel>>,
     /// Per slot: the match graph (refinement never re-derives it).
     graphs: Vec<LazyGraph>,
     /// Per slot: full canonical content-key set (Jaccard denominator),
@@ -610,7 +621,7 @@ pub struct MatchIndex {
     live: Vec<u32>,
     /// The live models in live order — what [`MatchIndex::corpus`]
     /// returns and what a fresh `build` would be given.
-    live_corpus: Vec<Arc<PreparedModel>>,
+    live_corpus: Vec<LazyModel>,
     /// The posting partitions; slot `s` belongs to
     /// `shards[s % shards.len()]`.
     shards: Vec<IndexShard>,
@@ -799,7 +810,7 @@ impl MatchIndex {
             options: options.clone(),
         };
         for (p, a) in corpus.iter().zip(analysed) {
-            index.append(Arc::clone(p), a);
+            index.append(LazyModel::from(Arc::clone(p)), a);
         }
         index
     }
@@ -807,7 +818,7 @@ impl MatchIndex {
     /// Append an analysed model in the next slot. Shared by the bulk
     /// build and [`MatchIndex::insert`], so "built all at once" and
     /// "grown one insert at a time" produce identical posting state.
-    fn append(&mut self, prepared: Arc<PreparedModel>, analysed: Analysed) -> usize {
+    fn append(&mut self, prepared: LazyModel, analysed: Analysed) -> usize {
         let slot = self.slots.len() as u32;
         let si = slot as usize % self.shards.len();
         self.shards[si].absorb(slot, &analysed);
@@ -819,7 +830,7 @@ impl MatchIndex {
         self.participant_sets.push(filled(analysed.participants));
         self.content_key_sets.push(filled(analysed.content));
         self.graphs.push(LazyGraph::from_built(analysed.graph));
-        self.slots.push(Some(Arc::clone(&prepared)));
+        self.slots.push(Some(prepared.clone()));
         self.live.push(slot);
         self.live_corpus.push(prepared);
         self.live.len() - 1
@@ -846,7 +857,7 @@ impl MatchIndex {
             prepared.model().id,
         );
         let analysed = analyse(&prepared, &self.semantics, &self.options);
-        self.append(prepared, analysed)
+        self.append(LazyModel::from(prepared), analysed)
     }
 
     /// Remove the live model at index `model` (as reported by query
@@ -860,7 +871,7 @@ impl MatchIndex {
     /// themselves linger until the shard's tombstone fraction crosses
     /// [`MatchIndex::with_compaction_threshold`] and the shard compacts
     /// in place. Slot ids are never reused.
-    pub fn remove(&mut self, model: usize) -> Option<Arc<PreparedModel>> {
+    pub fn remove(&mut self, model: usize) -> Option<LazyModel> {
         if model >= self.live.len() {
             return None;
         }
@@ -1036,31 +1047,33 @@ impl MatchIndex {
     /// Rebuild a [`MatchIndex`] from a skeleton and its **live** corpus
     /// (the models in live order, as returned by [`MatchIndex::corpus`]),
     /// skipping graph extraction, key resolution, and posting inversion
-    /// entirely — the snapshot fast path. Content-key sets come straight
-    /// off each [`PreparedModel`] as `Arc` clones (no
-    /// re-canonicalisation). Every structural claim the skeleton makes
-    /// is validated — the slot universe must be exactly `live ∪ dead`
-    /// and dense from 0, shard membership must follow `slot % count`,
-    /// posting lists must be ascending over member-or-tombstoned slots,
-    /// graphs must be consistent; violations return a structured error,
-    /// never a panic, because the skeleton may come from an untrusted
-    /// snapshot file.
+    /// entirely — the snapshot fast path. The corpus may be preparations
+    /// or [`LazyModel`]s still encoded: nothing here decodes a model.
+    /// Content-key sets come off each [`PreparedModel`] as `Arc` clones
+    /// (no re-canonicalisation) on first use. Every structural claim the
+    /// skeleton makes is validated — the slot universe must be exactly
+    /// `live ∪ dead` and dense from 0, shard membership must follow
+    /// `slot % count`, posting lists must be ascending over
+    /// member-or-tombstoned slots, graphs must be consistent; violations
+    /// return a structured error, never a panic, because the skeleton may
+    /// come from an untrusted snapshot file.
     ///
     /// # Errors
     /// If a preparation's fingerprint does not match `options`, or the
     /// skeleton is inconsistent with the corpus.
-    pub fn from_raw(
+    pub fn from_raw<M: Clone + Into<LazyModel>>(
         raw: RawIndex,
-        corpus: &[Arc<PreparedModel>],
+        corpus: &[M],
         options: &ComposeOptions,
         threads: usize,
     ) -> Result<MatchIndex, String> {
+        let corpus: Vec<LazyModel> = corpus.iter().cloned().map(Into::into).collect();
         let fingerprint = options.fingerprint();
-        for p in corpus {
+        for p in &corpus {
             if p.fingerprint() != fingerprint {
                 return Err(format!(
                     "PreparedModel for {:?} was prepared under different options",
-                    p.model().id,
+                    p.id(),
                 ));
             }
         }
@@ -1118,8 +1131,11 @@ impl MatchIndex {
                         ));
                     }
                     for &slot in list {
-                        let owned = shard.members.binary_search(&slot).is_ok()
-                            || shard.dead.binary_search(&slot).is_ok();
+                        // The universe is dense and every member and
+                        // tombstone sits in its home shard (both checked
+                        // above), so shard `si` owns exactly the slots
+                        // below the universe size that are `si` mod count.
+                        let owned = (slot as usize) < slot_count && slot as usize % count == si;
                         if !owned {
                             return Err(format!(
                                 "shard {si} {family} posting {key:?} references slot {slot} \
@@ -1136,14 +1152,14 @@ impl MatchIndex {
         // the model, keeping the load itself a pure decode.
         let mut graphs: Vec<LazyGraph> = Vec::new();
         graphs.resize_with(slot_count, LazyGraph::empty);
-        let mut slots: Vec<Option<Arc<PreparedModel>>> = vec![None; slot_count];
+        let mut slots: Vec<Option<LazyModel>> = vec![None; slot_count];
         for (i, g) in raw.graphs.into_iter().enumerate() {
             if let Err(e) = MatchGraph::validate_raw(&g) {
                 return Err(format!("graph {i}: {e}"));
             }
             let slot = raw.live[i] as usize;
             graphs[slot] = LazyGraph::deferred(g);
-            slots[slot] = Some(Arc::clone(&corpus[i]));
+            slots[slot] = Some(corpus[i].clone());
         }
         let shards: Vec<IndexShard> = raw
             .shards
@@ -1174,7 +1190,7 @@ impl MatchIndex {
             participant_raw: (0..slot_count).map(|_| std::sync::OnceLock::new()).collect(),
             participant_sets: (0..slot_count).map(|_| std::sync::OnceLock::new()).collect(),
             live: raw.live,
-            live_corpus: corpus.to_vec(),
+            live_corpus: corpus,
             shards,
             generation: raw.generation,
             compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
@@ -1235,7 +1251,8 @@ impl MatchIndex {
     }
 
     /// The live indexed corpus, in the order query results index into.
-    pub fn corpus(&self) -> &[Arc<PreparedModel>] {
+    /// Models loaded from a snapshot decode on first read.
+    pub fn corpus(&self) -> &[LazyModel] {
         &self.live_corpus
     }
 
@@ -1396,40 +1413,52 @@ impl MatchIndex {
         self.graphs[slot].get()
     }
 
+    /// The preparation in `slot`, decoded on first use after a snapshot
+    /// load. A tombstoned slot (never reached by queries) and a record
+    /// that does not decode are both errors.
+    fn prepared(&self, slot: usize) -> Result<&Arc<PreparedModel>, &str> {
+        match &self.slots[slot] {
+            Some(model) => model.prepared(),
+            None => Err("tombstoned slot"),
+        }
+    }
+
     /// The content-key set of the model in `slot` (Jaccard denominator),
     /// derived from the preparation on first use after a snapshot load.
-    fn content_keys_of(&self, slot: usize) -> &FastSet<Arc<str>> {
-        self.content_key_sets[slot].get_or_init(|| match &self.slots[slot] {
-            Some(p) => p.content_keys().cloned().collect(),
-            None => FastSet::default(),
-        })
+    fn content_keys_of(&self, slot: usize) -> Result<&FastSet<Arc<str>>, &str> {
+        if let Some(keys) = self.content_key_sets[slot].get() {
+            return Ok(keys);
+        }
+        let keys = self.prepared(slot)?.content_keys().cloned().collect();
+        Ok(self.content_key_sets[slot].get_or_init(|| keys))
     }
 
     /// The sorted participant-key list of the model in `slot`, re-derived
     /// from the prepared model on first use after a snapshot load.
-    fn participant_raw_of(&self, slot: usize) -> &[Arc<str>] {
-        self.participant_raw[slot].get_or_init(|| match &self.slots[slot] {
-            Some(p) => {
-                let model = p.model();
-                let label_of = species_label_keys(model, &self.semantics);
-                let pset: FastSet<Arc<str>> = model
-                    .reactions
-                    .iter()
-                    .map(|r| Arc::<str>::from(participant_key(&label_of, r).as_str()))
-                    .collect();
-                let mut sorted: Vec<Arc<str>> = pset.into_iter().collect();
-                sorted.sort_unstable();
-                sorted
-            }
-            None => Vec::new(),
-        })
+    fn participant_raw_of(&self, slot: usize) -> Result<&[Arc<str>], &str> {
+        if let Some(keys) = self.participant_raw[slot].get() {
+            return Ok(keys);
+        }
+        let model = self.prepared(slot)?.model();
+        let label_of = species_label_keys(model, &self.semantics);
+        let pset: FastSet<Arc<str>> = model
+            .reactions
+            .iter()
+            .map(|r| Arc::<str>::from(participant_key(&label_of, r).as_str()))
+            .collect();
+        let mut sorted: Vec<Arc<str>> = pset.into_iter().collect();
+        sorted.sort_unstable();
+        Ok(self.participant_raw[slot].get_or_init(|| sorted))
     }
 
     /// The participant-key set of the model in `slot`, derived from the
     /// sorted key list on first use after a snapshot load.
-    fn participants_of(&self, slot: usize) -> &FastSet<Arc<str>> {
-        self.participant_sets[slot]
-            .get_or_init(|| self.participant_raw_of(slot).iter().cloned().collect())
+    fn participants_of(&self, slot: usize) -> Result<&FastSet<Arc<str>>, &str> {
+        if let Some(keys) = self.participant_sets[slot].get() {
+            return Ok(keys);
+        }
+        let keys = self.participant_raw_of(slot)?.iter().cloned().collect();
+        Ok(self.participant_sets[slot].get_or_init(|| keys))
     }
 
     fn refine_limited(
@@ -1440,7 +1469,7 @@ impl MatchIndex {
     ) -> Refined {
         // Dead slots never reach refinement (candidates are masked);
         // degrade to a miss rather than panicking if one ever did.
-        let Some(prepared) = &self.slots[slot] else {
+        let Some(target) = &self.slots[slot] else {
             return Refined::Miss;
         };
         let tg = self.graph(slot);
@@ -1449,6 +1478,14 @@ impl MatchIndex {
             SearchOutcome::Found(mapping) => mapping,
             SearchOutcome::NotFound => return Refined::Miss,
             SearchOutcome::BudgetExhausted => return Refined::Truncated,
+        };
+        // The witness reads the target's ids — in place, for a model
+        // still encoded in its snapshot record. Ids that cannot be read,
+        // or that disagree with the graph, fail the candidate instead of
+        // inventing an answer.
+        let ids = match target.ids() {
+            Ok(ids) if ids.species_count() == tg.node_count() => ids,
+            _ => return Refined::Failed,
         };
         // For each query reaction, its first edge's first key-equal
         // target edge between the images witnesses the reaction
@@ -1468,11 +1505,15 @@ impl MatchIndex {
                 .iter()
                 .find(|&&(n, te)| n == tt && tg.edge(te).key == edge.key)
             {
-                reactions.push((qr, tg.reaction_of(te) as u32));
+                let tr = tg.reaction_of(te);
+                if tr >= ids.reaction_count() {
+                    return Refined::Failed;
+                }
+                reactions.push((qr, tr as u32));
             }
         }
         Refined::Hit(Embedding {
-            target: Arc::clone(prepared),
+            target: target.clone(),
             query: Arc::clone(&qa.ids),
             species,
             reactions,
@@ -1529,8 +1570,15 @@ impl MatchIndex {
         truncated.sort_unstable();
         failed.sort_unstable();
         let approximate = if exact.is_empty() {
-            let mut hits: Vec<ApproxHit> =
-                self.scatter(|shard| self.rank_shard(shard, qa)).into_iter().flatten().collect();
+            let mut hits: Vec<ApproxHit> = Vec::new();
+            for (ranked, unreadable) in self.scatter(|shard| self.rank_shard(shard, qa)) {
+                hits.extend(ranked);
+                failed.extend(unreadable);
+            }
+            // A candidate whose record failed refinement fails ranking
+            // too; it is reported once.
+            failed.sort_unstable();
+            failed.dedup();
             // Rank-stable top-k merge: score descending, slot (== rank
             // order) ascending on ties — the same total order the
             // single-shard ranking sorts by.
@@ -1622,13 +1670,7 @@ impl MatchIndex {
         const PARALLEL_REFINE_THRESHOLD: usize = 16;
         let parallel = self.shards.len() == 1 && candidates.len() >= PARALLEL_REFINE_THRESHOLD;
         let refined: Vec<Refined> = if parallel {
-            let subset: Vec<Arc<PreparedModel>> =
-                candidates.iter().filter_map(|&s| self.slots[s as usize].clone()).collect();
-            if subset.len() == candidates.len() {
-                self.batch.map_corpus(&subset, |k, _| refine_one(k))
-            } else {
-                (0..candidates.len()).map(refine_one).collect()
-            }
+            self.batch.map_jobs(candidates.len(), refine_one)
         } else {
             (0..candidates.len()).map(refine_one).collect()
         };
@@ -1672,9 +1714,10 @@ impl MatchIndex {
 
     /// One shard's ranking step: every live model of the shard sharing
     /// at least one node, edge or participant posting with the query,
-    /// scored by content-key Jaccard plus mapped fraction. Hit `model`
+    /// scored by content-key Jaccard plus mapped fraction, plus the slots
+    /// whose preparation could not be decoded to score them. Hit `model`
     /// fields are slots; the gather remaps them.
-    fn rank_shard(&self, shard: &IndexShard, qa: &PreparedQuery) -> Vec<ApproxHit> {
+    fn rank_shard(&self, shard: &IndexShard, qa: &PreparedQuery) -> (Vec<ApproxHit>, Vec<u32>) {
         let mut pool: Vec<u32> = Vec::new();
         for key in &qa.node_keys {
             if let Some(list) = shard.node_postings.get(key.as_ref()) {
@@ -1695,37 +1738,43 @@ impl MatchIndex {
         pool.dedup();
         pool.retain(|&s| !shard.is_dead(s));
 
-        pool.into_iter()
-            .map(|s| {
-                let slot = s as usize;
-                let jaccard = self.jaccard(&qa.content_keys, slot);
-                let mapped_fraction = self.mapped_fraction(qa, slot);
-                ApproxHit {
+        let mut hits = Vec::with_capacity(pool.len());
+        let mut unreadable = Vec::new();
+        for s in pool {
+            let slot = s as usize;
+            let scored = self
+                .jaccard(&qa.content_keys, slot)
+                .and_then(|jaccard| Ok((jaccard, self.mapped_fraction(qa, slot)?)));
+            match scored {
+                Ok((jaccard, mapped_fraction)) => hits.push(ApproxHit {
                     model: slot,
                     score: (jaccard + mapped_fraction) / 2.0,
                     jaccard,
                     mapped_fraction,
-                }
-            })
-            .collect()
+                }),
+                Err(_) => unreadable.push(s),
+            }
+        }
+        (hits, unreadable)
     }
 
-    fn jaccard(&self, query_keys: &FastSet<Arc<str>>, slot: usize) -> f64 {
-        let model_keys = self.content_keys_of(slot);
+    fn jaccard(&self, query_keys: &FastSet<Arc<str>>, slot: usize) -> Result<f64, &str> {
+        let model_keys = self.content_keys_of(slot)?;
         if query_keys.is_empty() && model_keys.is_empty() {
-            return 1.0;
+            return Ok(1.0);
         }
         let shared = query_keys.iter().filter(|k| model_keys.contains(k.as_ref())).count();
         let union = query_keys.len() + model_keys.len() - shared;
-        shared as f64 / union as f64
+        Ok(shared as f64 / union as f64)
     }
 
-    fn mapped_fraction(&self, qa: &PreparedQuery, slot: usize) -> f64 {
+    fn mapped_fraction(&self, qa: &PreparedQuery, slot: usize) -> Result<f64, &str> {
         let graph = self.graph(slot);
         let total = qa.graph.node_count() + qa.graph.edge_count();
         if total == 0 {
-            return 1.0;
+            return Ok(1.0);
         }
+        let participants = self.participants_of(slot)?;
         let mut mapped = 0usize;
         for n in 0..qa.graph.node_count() as u32 {
             if !graph.nodes_with_key(qa.graph.node_key(n)).is_empty() {
@@ -1735,12 +1784,11 @@ impl MatchIndex {
         for e in 0..qa.graph.edge_count() as u32 {
             let edge = qa.graph.edge(e);
             let pkey = &qa.participant_keys[qa.graph.reaction_of(e)];
-            if graph.has_edge_key(&edge.key) || self.participants_of(slot).contains(pkey.as_ref())
-            {
+            if graph.has_edge_key(&edge.key) || participants.contains(pkey.as_ref()) {
                 mapped += 1;
             }
         }
-        mapped as f64 / total as f64
+        Ok(mapped as f64 / total as f64)
     }
 }
 
@@ -2018,6 +2066,9 @@ mod tests {
         let mut idx = MatchIndex::build(&corpus, &options);
         let Some(glyco) = idx.remove(0) else {
             unreachable!("model 0 exists")
+        };
+        let Ok(glyco) = glyco.prepared().cloned() else {
+            unreachable!("a built model is born decoded")
         };
         assert_eq!(idx.insert(glyco), 2, "re-inserted model goes to the end");
         // Live order is now tca, super, glyco — the fragment hits super

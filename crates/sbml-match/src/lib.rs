@@ -87,6 +87,7 @@
 
 pub mod graph;
 pub mod index;
+pub mod lazy;
 pub mod semantics;
 pub mod vf2;
 
@@ -95,5 +96,6 @@ pub use index::{
     ApproxHit, CorpusHit, CorpusMatches, Embedding, IndexShard, MatchIndex, PreparedQuery,
     RawIndex, RawShard, DEFAULT_BUDGET, DEFAULT_COMPACTION_THRESHOLD,
 };
+pub use lazy::{IdRanges, LazyModel, ModelIds, ModelImage, Stored};
 pub use semantics::MatchSemantics;
 pub use vf2::{find_embedding, SearchOutcome};

@@ -75,6 +75,68 @@ const CONSTANTS: [Constant; 6] = [
 /// [`CsymbolKind`] decode table (tag = declaration order).
 const CSYMBOLS: [CsymbolKind; 3] = [CsymbolKind::Time, CsymbolKind::Avogadro, CsymbolKind::Delay];
 
+/// Seed of [`checksum`]'s lanes (the hexadecimal digits of pi).
+const CHECKSUM_SEED: u64 = 0x243F_6A88_85A3_08D3;
+/// Odd multiplier of [`checksum`]'s step (the 64-bit golden ratio).
+const CHECKSUM_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One checksum step: fold `word` into `state`. For a fixed word it is a
+/// bijection of the state, and for a fixed state a bijection of the
+/// word (xor, multiplication by an odd constant and rotation are all
+/// invertible).
+#[inline(always)]
+fn checksum_step(state: u64, word: u64) -> u64 {
+    (state ^ word).wrapping_mul(CHECKSUM_MUL).rotate_left(29)
+}
+
+/// A little-endian word from an exactly-8-byte chunk.
+#[inline(always)]
+fn le_word(chunk: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(chunk);
+    u64::from_le_bytes(word)
+}
+
+/// The snapshot format's 64-bit corruption check over `bytes`. Four
+/// independent lanes each fold one little-endian 8-byte word per step
+/// (32 bytes per round, so the multiplies overlap), then the length,
+/// the lanes and the unaligned tail fold into one state, which a final
+/// xor-shift-multiply spreads over all 64 bits.
+///
+/// Every step is a bijection of its state for a fixed word and of its
+/// word for a fixed state, so a change confined to one aligned 8-byte
+/// word — in particular every single-bit flip — always changes the
+/// sum; wider damage is caught with probability 1 − 2⁻⁶⁴ per section.
+/// It detects corruption, not forgery: a writer that recomputes the
+/// sum can change the bytes, which is why a lazily decoded model
+/// re-checks its own record when it is first decoded.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut lanes = [CHECKSUM_SEED, CHECKSUM_SEED ^ 1, CHECKSUM_SEED ^ 2, CHECKSUM_SEED ^ 3];
+    let mut rounds = bytes.chunks_exact(32);
+    for round in &mut rounds {
+        for (lane, chunk) in lanes.iter_mut().zip(round.chunks_exact(8)) {
+            *lane = checksum_step(*lane, le_word(chunk));
+        }
+    }
+    let mut state = (bytes.len() as u64).wrapping_mul(CHECKSUM_MUL);
+    for lane in lanes {
+        state = checksum_step(state, lane);
+    }
+    let mut words = rounds.remainder().chunks_exact(8);
+    for chunk in &mut words {
+        state = checksum_step(state, le_word(chunk));
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut word = [0u8; 8];
+        word[..tail.len()].copy_from_slice(tail);
+        state = checksum_step(state, u64::from_le_bytes(word));
+    }
+    state ^= state >> 33;
+    state = state.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    state ^ (state >> 33)
+}
+
 /// Append-only little-endian encoder.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -250,6 +312,11 @@ impl<'a> Reader<'a> {
     /// Raw byte.
     pub fn u8(&mut self, what: &str) -> Result<u8, String> {
         Ok(self.fixed::<1>(what)?[0])
+    }
+
+    /// The next `n` bytes, borrowed from the input.
+    pub fn bytes(&mut self, n: usize, what: &str) -> Result<&'a [u8], String> {
+        self.take(n, what)
     }
 
     /// Little-endian `u32`.
@@ -971,6 +1038,28 @@ mod tests {
         let mut r = Reader::new(&bytes);
         let err = read_expr(&mut r).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
+    }
+
+    #[test]
+    fn checksum_catches_every_single_bit_flip_and_truncation() {
+        // 100 bytes: three full 32-byte rounds, one spare word and a
+        // 4-byte tail, so every folding path is covered.
+        let bytes: Vec<u8> = (0..100u32).map(|i| (i.wrapping_mul(37) ^ 0x5a) as u8).collect();
+        let sum = checksum(&bytes);
+        assert_eq!(sum, checksum(&bytes.clone()), "deterministic");
+        for at in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 1 << bit;
+                assert_ne!(checksum(&flipped), sum, "flip of bit {bit} at byte {at}");
+            }
+        }
+        for cut in 0..bytes.len() {
+            assert_ne!(checksum(&bytes[..cut]), sum, "truncation to {cut} bytes");
+        }
+        // A zero tail is not the same as no tail.
+        assert_ne!(checksum(&[0u8; 3]), checksum(&[0u8; 4]));
+        assert_ne!(checksum(&[]), checksum(&[0u8]));
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //!   [`sbml_compose::PreparedModel`]'s canonical content keys and
 //!   initial values) together with the full
 //!   index skeleton (match graphs + posting lists). `Snapshot::load` is
-//!   a single file read plus a slice-based decode — no XML parsing, no
-//!   re-canonicalisation, no re-analysis — and every corruption mode
-//!   (truncation, bit flips, hostile counts) surfaces as a structured
-//!   [`SnapshotError`], never a panic or an OOM.
+//!   a single file read, a checksum pass and a decode of the index
+//!   skeleton — no XML parsing, no re-canonicalisation, no re-analysis,
+//!   and each model decoded only when a query first needs it — and
+//!   every corruption mode (truncation, bit flips, hostile counts)
+//!   surfaces as a structured [`SnapshotError`], never a panic or an
+//!   OOM.
 //! * **[`server`]** — `sbmlcompose serve`: a daemon on
 //!   `std::net::TcpListener` (the workspace is offline — no HTTP
 //!   crates) speaking a length-prefixed frame protocol
@@ -87,7 +89,7 @@ pub use report::{format_candidates, format_matches, MatchRows, Witness};
 pub use server::{serve_frames, FrameHandler, FrameOutcome, Server, ServerConfig, ShardIdentity};
 pub use service::Service;
 pub use snapshot::{
-    preset_options, semantics_from_token, semantics_token, ClusterInfo, LoadedSnapshot, Snapshot,
-    SnapshotError, SnapshotInfo, SnapshotShardInfo, FORMAT_VERSION, MAGIC,
+    preset_options, semantics_from_token, semantics_token, ClusterInfo, LoadStages, LoadedSnapshot,
+    Snapshot, SnapshotError, SnapshotInfo, SnapshotShardInfo, FORMAT_VERSION, MAGIC,
 };
 pub use wire::{PartialCandidates, PartialMatches};

@@ -226,7 +226,9 @@ impl Server {
                 return Err(bad(message));
             }
         }
-        let ids = index.corpus().iter().map(|p| p.model().id.clone()).collect();
+        // Ids are known without decoding: a loaded corpus stays encoded
+        // until a query needs a model.
+        let ids = index.corpus().iter().map(|m| m.id().to_owned()).collect();
         let indexed = Indexed { index, ids, slots, universe };
         let state = Arc::new(ServeState {
             service,

@@ -3,13 +3,14 @@
 //! A snapshot persists a *prepared* corpus — every
 //! [`PreparedModel`]'s model, canonical content keys and initial
 //! values — plus the full [`MatchIndex`] skeleton (graphs and posting
-//! lists), so a daemon restart is a single file read and a slice-based
-//! decode instead of re-parsing, re-canonicalising and re-indexing 187
-//! models. State that is a pure function of the model (free-reference
-//! sets, per-kind lookup indexes, graph adjacency) is *not* stored:
-//! the loaded corpus re-derives it lazily on first use.
+//! lists), so a daemon restart is one copy of the file into memory, a
+//! checksum pass and a decode of the index skeleton, instead of
+//! re-parsing, re-canonicalising and re-indexing the corpus. State that
+//! is a pure function of the model (free-reference sets, per-kind lookup
+//! indexes, graph adjacency) is *not* stored: the loaded corpus
+//! re-derives it lazily on first use.
 //!
-//! # On-disk layout (format version 2)
+//! # On-disk layout (format version 3)
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -23,19 +24,62 @@
 //! │ per shard: generation u64, live u32, dead u32,               │
 //! │            node / edge / participant postings 3×u32          │
 //! │ section count (u32 le)                              4 bytes  │
-//! │ section table: (tag u8, byte length u64 le) × n              │
-//! │ section payloads, in table order                             │
-//! │   tag 0 MODELS — RawPrepared per live model, sequential      │
+//! │ section table: (tag u8, byte length u64,                     │
+//! │                 payload checksum u64) × n                    │
+//! │ header checksum (u64, over every byte above)        8 bytes  │
+//! │ section payloads, in table order, filling the file exactly   │
+//! │   tag 0 MODELS — model count u32; per model (record end u64, │
+//! │                  model id); then the records, back to back:  │
+//! │                  record checksum u64, then the payload:      │
+//! │                  species ids, reaction ids (the id           │
+//! │                  directory), RawPrepared                     │
 //! │   tag 2 LAYOUT — live slot list + per-model match graphs     │
 //! │   tag 3 SHARD  — one per shard: membership + posting lists   │
+//! │   tag 4 CLUSTER — per-shard files only: shard identity       │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Every section carries its **own** string-interning dictionary, so a
-//! SHARD section is a self-contained byte range: when only one shard of
-//! a mutated index changed, [`Snapshot::write_update`] re-encodes that
-//! shard and splices the other shards' bytes from the previous file
-//! verbatim (generation counters in the header say which is which).
+//! Checksums are [`crate::codec::checksum`]. A load verifies the header
+//! checksum and every section's checksum before it decodes anything, so
+//! truncation and bit flips anywhere in the file fail the load itself,
+//! never a later query.
+//!
+//! # What is lazy
+//!
+//! [`Snapshot::load_bytes`] copies the file once into a shared
+//! `Arc<[u8]>` image. The LAYOUT and SHARD sections (graph skeletons
+//! and posting lists) are decoded at load, but no model is: the MODELS
+//! offset table becomes one [`LazyModel`] per live model — its id, the
+//! byte range of its record in the image, and once-cells. Candidate
+//! generation and refinement read only the index. A hit's witness needs
+//! only the target's species and reaction ids, which the handle reads
+//! in place from the record's id directory. The first reader that needs
+//! the model itself (a near miss's score, a compose, a caller of
+//! [`LazyModel::prepared`]) decodes the record with
+//! [`PreparedModel::from_raw`], exactly what an eager load ran, and
+//! every later reader shares the result. Writing a snapshot decodes
+//! nothing either: a model from an image is written by copying its
+//! record.
+//!
+//! Answers therefore cannot change: every section is verified before
+//! anything is served; each record is self-contained (its own interning
+//! dictionary) and decoded by the same function whenever it is first
+//! needed, so a lazily loaded model is bit-identical to an eagerly
+//! decoded one; and the id directory is written from the same model,
+//! which the decode checks it against. A record also carries its own
+//! checksum, which the id read and the decode both re-check, so a model
+//! whose bytes were altered after the load's checks (or written with a
+//! forged section checksum) fails its first query with a structured
+//! error — the candidate is reported `failed` — instead of answering
+//! from wrong bytes.
+//!
+//! Every section carries its **own** string-interning dictionary (every
+//! model record too), so a SHARD section or a model record is a
+//! self-contained byte range: when only one shard of a mutated index
+//! changed, [`Snapshot::write_update`] re-encodes that shard and splices
+//! the other shards' bytes and checksums from the previous file
+//! verbatim (generation counters in the header say which is which), and
+//! every model that came from an image is written by copying its record.
 //! Per-shard stats — generation, live/tombstoned models, posting counts
 //! per family — live in the fixed header, so `sbmlcompose snapshot
 //! inspect` reports them without touching any payload.
@@ -49,22 +93,29 @@
 
 use std::fmt;
 use std::fs;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
+use std::time::Instant;
 
-use sbml_compose::{ComposeOptions, PreparedModel, RawPrepared, SemanticsLevel};
-use sbml_match::{MatchIndex, RawGraph, RawIndex, RawShard};
+use sbml_compose::{ComposeOptions, PreparedModel, RawPrepared, SemanticsLevel, WorkerPool};
+use sbml_match::{
+    IdRanges, LazyModel, MatchIndex, ModelImage, RawGraph, RawIndex, RawShard, Stored,
+};
 
-use crate::codec::{read_model, write_model, Reader, Writer};
+use crate::codec::{checksum, read_model, write_model, Reader, Writer};
 
 /// The 8-byte magic prefix of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"SBMLSNAP";
 
 /// Current snapshot format version. Version 2 introduced sharded
 /// indexes: per-shard self-contained sections, per-shard header stats,
-/// and the live-slot layout section (version 1 files are not readable
-/// by this build — regenerate with `sbmlcompose snapshot build`).
-pub const FORMAT_VERSION: u32 = 2;
+/// and the live-slot layout section. Version 3 added the header and
+/// per-section checksums and made every model record self-contained
+/// behind an offset table, so models decode on first touch. Older
+/// files are not readable by this build — regenerate with
+/// `sbmlcompose snapshot build`.
+pub const FORMAT_VERSION: u32 = 3;
 
 const SECTION_MODELS: u8 = 0;
 const SECTION_LAYOUT: u8 = 2;
@@ -230,12 +281,33 @@ impl ClusterInfo {
     }
 }
 
-/// A fully decoded snapshot: the shared corpus and the hot index over
-/// it, ready to serve queries.
+/// How long each stage of one load took, in seconds — what the
+/// `serve_snapshot` bench reports per stage. A two-lane load runs the
+/// SHARD stage (and its sections' checksums) beside the others, so the
+/// stages can add up to more than the load's wall time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LoadStages {
+    /// Copying the file into the shared image, then verifying the header
+    /// and every section checksum.
+    pub checksums_s: f64,
+    /// Reading the MODELS offset table into lazy model handles.
+    pub models_s: f64,
+    /// Decoding the LAYOUT section (live slots and graph skeletons).
+    pub layout_s: f64,
+    /// Decoding the SHARD sections (membership and posting lists).
+    pub shards_s: f64,
+    /// Validating the skeleton and assembling the [`MatchIndex`]
+    /// (for a shard load, the carve too).
+    pub index_s: f64,
+}
+
+/// A loaded snapshot: the shared corpus and the hot index over it, ready
+/// to serve queries.
 pub struct LoadedSnapshot {
-    /// The prepared corpus; the index holds `Arc` clones of the same
-    /// preparations.
-    pub corpus: Vec<Arc<PreparedModel>>,
+    /// The live corpus, in live order; each model decodes on first
+    /// touch, and the index holds clones of the same handles (a model
+    /// decoded through one is decoded for both).
+    pub corpus: Vec<LazyModel>,
     /// The match index rebuilt from the stored skeleton.
     pub index: MatchIndex,
     /// The options the snapshot was built (and now loaded) under.
@@ -246,6 +318,8 @@ pub struct LoadedSnapshot {
     /// corpus (a per-shard file, or a [`Snapshot::load_shard`] carve).
     /// `None` for ordinary standalone snapshots.
     pub cluster: Option<ClusterInfo>,
+    /// Where the load's time went.
+    pub stages: LoadStages,
 }
 
 /// The preset [`ComposeOptions`] a snapshot's semantics byte denotes.
@@ -377,6 +451,165 @@ fn read_prepared(r: &mut Reader<'_>) -> Result<RawPrepared, String> {
         event_keys,
         initial_values,
     })
+}
+
+/// Encode one model record: the checksum of the payload, then the
+/// payload — the model's id directory (its species ids, then its
+/// reaction ids, each list length-prefixed) followed by a
+/// [`RawPrepared`] written through its own interning dictionary, so the
+/// record decodes on its own and a witness can read target ids in place.
+fn write_record(out: &mut Vec<u8>, prepared: &PreparedModel) {
+    let model = prepared.model();
+    let mut w = Writer::new();
+    w.count(model.species.len());
+    for species in &model.species {
+        w.str(&species.id);
+    }
+    w.count(model.reactions.len());
+    for reaction in &model.reactions {
+        w.str(&reaction.id);
+    }
+    write_prepared(&mut w, &prepared.to_raw());
+    let payload = w.into_bytes();
+    out.extend_from_slice(&checksum(&payload).to_le_bytes());
+    out.extend_from_slice(&payload);
+}
+
+/// The payload of a record whose own checksum holds.
+fn checked_payload(record: &[u8]) -> Result<&[u8], String> {
+    let mut r = Reader::new(record);
+    let stored = r.u64("record checksum")?;
+    let payload = r.bytes(r.remaining(), "record payload")?;
+    if checksum(payload) != stored {
+        return Err("record checksum mismatch".into());
+    }
+    Ok(payload)
+}
+
+/// Read one id list of a record's id directory: the byte range of each
+/// id within the record, each checked to be UTF-8.
+fn read_id_list(
+    r: &mut Reader<'_>,
+    payload_len: usize,
+    what: &str,
+) -> Result<Vec<Range<u32>>, String> {
+    let n = r.count(4, what)?;
+    let mut ranges = Vec::with_capacity(n);
+    for _ in 0..n {
+        let len = r.count(1, what)?;
+        let start = payload_len - r.remaining();
+        std::str::from_utf8(r.bytes(len, what)?).map_err(|_| format!("{what}: invalid UTF-8"))?;
+        // Ranges are stored record-relative as u32, past the 8-byte
+        // record checksum.
+        let at = |offset: usize| {
+            u32::try_from(offset + 8).map_err(|_| format!("{what}: record exceeds 4 GiB"))
+        };
+        ranges.push(at(start)?..at(start + len)?);
+    }
+    Ok(ranges)
+}
+
+/// Find a record's species and reaction ids without decoding the model
+/// — the [`sbml_match::lazy::IdsFn`] of every loaded image. The record's
+/// own checksum is checked first; ranges are relative to the record.
+fn record_ids(record: &[u8]) -> Result<IdRanges, String> {
+    let payload = checked_payload(record)?;
+    let mut r = Reader::new(payload);
+    Ok(IdRanges {
+        species: read_id_list(&mut r, payload.len(), "species id")?,
+        reactions: read_id_list(&mut r, payload.len(), "reaction id")?,
+    })
+}
+
+/// Decode one model record written by [`write_record`] — the
+/// [`sbml_match::lazy::DecodeFn`] of every loaded image. The record's
+/// own checksum is re-checked first, and the id directory must agree
+/// with the decoded model.
+fn read_record(record: &[u8], options: &ComposeOptions) -> Result<PreparedModel, String> {
+    let payload = checked_payload(record)?;
+    let mut r = Reader::new(payload);
+    let species = read_id_list(&mut r, payload.len(), "species id")?;
+    let reactions = read_id_list(&mut r, payload.len(), "reaction id")?;
+    let raw = read_prepared(&mut r)?;
+    if !r.is_done() {
+        return Err(format!("record holds {} undecoded trailing byte(s)", r.remaining()));
+    }
+    let listed = |range: &Range<u32>| record.get(range.start as usize..range.end as usize);
+    let model = &raw.model;
+    if species.len() != model.species.len()
+        || reactions.len() != model.reactions.len()
+        || species.iter().zip(&model.species).any(|(r, s)| listed(r) != Some(s.id.as_bytes()))
+        || reactions.iter().zip(&model.reactions).any(|(r, x)| listed(r) != Some(x.id.as_bytes()))
+    {
+        return Err("id directory disagrees with the model".into());
+    }
+    PreparedModel::from_raw(raw, options)
+}
+
+/// The MODELS section: the model count, an offset table of (record end,
+/// model id) pairs, then the records back to back. A model that came
+/// from an image is written by copying its record.
+fn write_models(corpus: &[LazyModel]) -> Vec<u8> {
+    let mut table = Writer::new();
+    table.count(corpus.len());
+    let mut records: Vec<u8> = Vec::new();
+    for model in corpus {
+        match model.stored() {
+            Stored::Record(record) => records.extend_from_slice(record),
+            Stored::Prepared(prepared) => write_record(&mut records, prepared),
+        }
+        table.u64(records.len() as u64);
+        table.str(model.id());
+    }
+    let mut out = table.into_bytes();
+    out.extend_from_slice(&records);
+    out
+}
+
+/// Read the MODELS section at `section` of the image into lazy handles,
+/// keeping the models whose live position satisfies `keep`. Only the
+/// offset table is decoded; the record ranges are checked to tile the
+/// record area exactly.
+fn read_models(
+    image: &Arc<ModelImage>,
+    section: Range<usize>,
+    expected: usize,
+    keep: impl Fn(usize) -> bool,
+) -> Result<Vec<LazyModel>, String> {
+    let payload = image.bytes().get(section.clone()).unwrap_or_default();
+    let mut r = Reader::new(payload);
+    // Each table entry is at least a u64 end and a u32 id length.
+    let n = r.count(12, "model count")?;
+    if n != expected {
+        return Err(format!("MODELS section holds {n} model(s), header says {expected}"));
+    }
+    let mut table = Vec::with_capacity(n);
+    for _ in 0..n {
+        let end = r.u64("record end")?;
+        table.push((end, r.str("model id")?));
+    }
+    let records = section.start + (payload.len() - r.remaining());
+    let area = r.remaining() as u64;
+    let mut corpus = Vec::new();
+    let mut start = 0u64;
+    for (i, (end, id)) in table.into_iter().enumerate() {
+        // A record holds at least its checksum.
+        if end < start.saturating_add(8) || end > area {
+            return Err(format!(
+                "model {i}: record ends at {end}, after a record ending at {start}, \
+                 in a {area}-byte record area",
+            ));
+        }
+        if keep(i) {
+            let range = records + start as usize..records + end as usize;
+            corpus.push(LazyModel::encoded(id, image, range)?);
+        }
+        start = end;
+    }
+    if start != area {
+        return Err(format!("MODELS section holds {} byte(s) past its last record", area - start));
+    }
+    Ok(corpus)
 }
 
 fn write_postings_arc(w: &mut Writer, postings: &[(Arc<str>, Vec<u32>)]) {
@@ -515,16 +748,180 @@ fn read_cluster(section: &[u8]) -> Result<ClusterInfo, SnapshotError> {
     Ok(ClusterInfo { shard, shards, universe })
 }
 
+/// One entry of the section table: the payload's tag, its byte range in
+/// the file and its stored checksum.
+#[derive(Debug, Clone)]
+struct Section {
+    tag: u8,
+    range: Range<usize>,
+    checksum: u64,
+}
+
+/// The sections a load reads, picked out of the table.
+struct Parts {
+    models: Range<usize>,
+    layout: Range<usize>,
+    shards: Vec<Range<usize>>,
+    cluster: Option<Range<usize>>,
+}
+
+impl Parts {
+    fn find(sections: &[Section], info: &SnapshotInfo) -> Result<Parts, SnapshotError> {
+        let (mut models, mut layout, mut cluster) = (None, None, None);
+        let mut shards = Vec::new();
+        for section in sections {
+            let range = section.range.clone();
+            match section.tag {
+                SECTION_MODELS => models = Some(range),
+                SECTION_LAYOUT => layout = Some(range),
+                SECTION_SHARD => shards.push(range),
+                SECTION_CLUSTER => cluster = Some(range),
+                // Unknown sections are skipped: a future writer may
+                // append new ones without breaking this reader.
+                _ => {}
+            }
+        }
+        if shards.len() != info.shards.len() {
+            return Err(corrupt(format!(
+                "{} SHARD section(s) but the header declares {} shard(s)",
+                shards.len(),
+                info.shards.len(),
+            )));
+        }
+        Ok(Parts {
+            models: models.ok_or_else(|| corrupt("missing MODELS section".into()))?,
+            layout: layout.ok_or_else(|| corrupt("missing LAYOUT section".into()))?,
+            shards,
+            cluster,
+        })
+    }
+}
+
+/// A file opened for loading: header and options checked, copied into
+/// the shared image, sections located. No payload is verified or
+/// decoded yet.
+struct Opened {
+    image: Arc<ModelImage>,
+    info: SnapshotInfo,
+    sections: Vec<Section>,
+    parts: Parts,
+    /// Seconds spent opening: the header check and the copy.
+    copy_s: f64,
+}
+
+impl Opened {
+    fn bytes(&self, range: &Range<usize>) -> &[u8] {
+        self.image.bytes().get(range.clone()).unwrap_or_default()
+    }
+
+    /// Check the payload checksum of every section whose tag `which`
+    /// selects.
+    fn verify(&self, which: impl Fn(u8) -> bool) -> Result<(), SnapshotError> {
+        Snapshot::verify(self.image.bytes(), self.sections.iter().filter(|s| which(s.tag)))
+    }
+}
+
+/// Run `a` on the calling thread and `b` beside it on a pool worker when
+/// `threads` allows two lanes (`0` = one per core), else `a` then `b`
+/// inline. Both always run to completion; `a`'s error wins.
+fn side_by_side<A, B: Send>(
+    threads: usize,
+    a: impl FnOnce() -> Result<A, SnapshotError>,
+    b: impl FnOnce() -> Result<B, SnapshotError> + Send,
+) -> Result<(A, B), SnapshotError> {
+    let lanes = match threads {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        n => n,
+    };
+    if lanes < 2 {
+        let a = a();
+        let b = b();
+        return Ok((a?, b?));
+    }
+    let (mut out_a, mut out_b) = (None, None);
+    WorkerPool::new(2).run_scoped(|| out_a = Some(a()), vec![Box::new(|| out_b = Some(b()))]);
+    let missing = || corrupt("a decode lane did not run".into());
+    let a = out_a.ok_or_else(missing)?;
+    let b = out_b.ok_or_else(missing)?;
+    Ok((a?, b?))
+}
+
+/// Decode the LAYOUT section: live slots and graph skeletons.
+fn decode_layout(section: &[u8]) -> Result<(Vec<u32>, Vec<RawGraph>), SnapshotError> {
+    let mut r = Reader::new(section);
+    let layout = read_layout(&mut r).map_err(corrupt)?;
+    // Forward compatibility lives at the section level (unknown tags
+    // are skipped); *within* a section, bytes left over after a full
+    // decode mean the payload and the decoder disagree.
+    if !r.is_done() {
+        return Err(corrupt(format!(
+            "LAYOUT section holds {} undecoded trailing byte(s)",
+            r.remaining(),
+        )));
+    }
+    Ok(layout)
+}
+
+/// Decode SHARD section `i` and check it against its header entry.
+fn decode_shard(
+    i: usize,
+    section: &[u8],
+    si: &SnapshotShardInfo,
+) -> Result<RawShard, SnapshotError> {
+    let mut r = Reader::new(section);
+    let mut shard = read_shard(&mut r).map_err(|e| corrupt(format!("shard {i}: {e}")))?;
+    if !r.is_done() {
+        return Err(corrupt(format!(
+            "SHARD section {i} holds {} undecoded trailing byte(s)",
+            r.remaining(),
+        )));
+    }
+    // The payload must agree with the header stats — they gate
+    // shard-section reuse on the next incremental write.
+    if shard.members.len() != si.live || shard.dead.len() != si.dead {
+        return Err(corrupt(format!(
+            "shard {i} holds {} live / {} dead slot(s), header says {} / {}",
+            shard.members.len(),
+            shard.dead.len(),
+            si.live,
+            si.dead,
+        )));
+    }
+    let stats =
+        (shard.node_postings.len(), shard.edge_postings.len(), shard.participant_postings.len());
+    if stats != (si.node_postings, si.edge_postings, si.participant_postings) {
+        return Err(corrupt(format!(
+            "shard {i} posting counts {stats:?} disagree with header ({}, {}, {})",
+            si.node_postings, si.edge_postings, si.participant_postings,
+        )));
+    }
+    shard.generation = si.generation;
+    Ok(shard)
+}
+
+/// A previous file's SHARD section bytes and their stored checksum,
+/// spliced verbatim into a new encode.
+type Splice<'a> = (&'a [u8], u64);
+
+/// Seconds since `*mark`, moving the mark to now.
+fn lap(mark: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let seconds = now.duration_since(*mark).as_secs_f64();
+    *mark = now;
+    seconds
+}
+
 /// Entry points for writing and reading snapshot files; see the
 /// [module docs](self) for the format.
 pub struct Snapshot;
 
 impl Snapshot {
-    /// Encode an index — its live prepared corpus
-    /// ([`MatchIndex::corpus`]) plus the full skeleton — into snapshot
-    /// bytes. Deterministic: the same index state and options always
-    /// produce the same bytes (postings and key sets are sorted on the
-    /// way out).
+    /// Encode an index — its live corpus ([`MatchIndex::corpus`]) plus
+    /// the full skeleton — into snapshot bytes. Deterministic: the same
+    /// index state and options always produce the same bytes (postings
+    /// and key sets are sorted on the way out, and a model's record is
+    /// a function of the model alone, whether copied from the image it
+    /// was loaded from or encoded afresh). Encoding decodes no model.
     pub fn encode(index: &MatchIndex, options: &ComposeOptions) -> Vec<u8> {
         Snapshot::encode_update(index, options, None).0
     }
@@ -532,9 +929,11 @@ impl Snapshot {
     /// [`Snapshot::encode`] with incremental shard reuse: when
     /// `previous` holds the bytes of a snapshot written from an earlier
     /// state of the *same* index (same options, same shard count), every
-    /// shard whose generation and header stats are unchanged is spliced
-    /// into the output verbatim — only mutated shards re-encode. Returns
-    /// the bytes and how many shard sections were reused.
+    /// shard whose generation and header stats are unchanged, and whose
+    /// previous section still matches its checksum, is spliced into the
+    /// output verbatim with that checksum — only mutated shards
+    /// re-encode. Returns the bytes and how many shard sections were
+    /// reused.
     pub fn encode_update(
         index: &MatchIndex,
         options: &ComposeOptions,
@@ -551,32 +950,35 @@ impl Snapshot {
         previous: Option<&[u8]>,
         cluster: Option<&ClusterInfo>,
     ) -> (Vec<u8>, usize) {
-        let corpus = index.corpus();
         let raw = index.to_raw();
-        let reusable: Vec<Option<&[u8]>> = previous
+        let reusable: Vec<Option<Splice<'_>>> = previous
             .and_then(|bytes| Snapshot::reusable_shards(bytes, options, &raw))
             .unwrap_or_default();
 
-        let mut models = Writer::new();
-        models.count(corpus.len());
-        for p in corpus {
-            write_prepared(&mut models, &p.to_raw());
-        }
-        let models = models.into_bytes();
-        let layout = write_layout(&raw);
+        let mut payloads: Vec<(u8, Vec<u8>, u64)> = Vec::with_capacity(3 + raw.shards.len());
+        let fresh = |tag: u8, bytes: Vec<u8>| {
+            let sum = checksum(&bytes);
+            (tag, bytes, sum)
+        };
+        payloads.push(fresh(SECTION_MODELS, write_models(index.corpus())));
+        payloads.push(fresh(SECTION_LAYOUT, write_layout(&raw)));
         let mut reused = 0usize;
-        let shard_bytes: Vec<Vec<u8>> = raw
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, rs)| match reusable.get(i).copied().flatten() {
-                Some(bytes) => {
+        for (i, rs) in raw.shards.iter().enumerate() {
+            payloads.push(match reusable.get(i).copied().flatten() {
+                Some((bytes, sum)) => {
                     reused += 1;
-                    bytes.to_vec()
+                    (SECTION_SHARD, bytes.to_vec(), sum)
                 }
-                None => write_shard(rs),
-            })
-            .collect();
+                None => fresh(SECTION_SHARD, write_shard(rs)),
+            });
+        }
+        if let Some(c) = cluster {
+            let mut cw = Writer::new();
+            cw.u32(c.shard as u32);
+            cw.u32(c.shards as u32);
+            cw.u64(c.universe);
+            payloads.push(fresh(SECTION_CLUSTER, cw.into_bytes()));
+        }
 
         let mut w = Writer::new();
         for b in MAGIC {
@@ -585,7 +987,7 @@ impl Snapshot {
         w.u32(FORMAT_VERSION);
         w.u8(semantics_tag(options.semantics));
         w.u64(options.fingerprint().stable_hash());
-        w.count(corpus.len());
+        w.count(index.len());
         w.u64(raw.generation);
         w.count(raw.shards.len());
         for rs in &raw.shards {
@@ -596,58 +998,43 @@ impl Snapshot {
             w.count(rs.edge_postings.len());
             w.count(rs.participant_postings.len());
         }
-        let cluster_bytes = cluster.map(|c| {
-            let mut cw = Writer::new();
-            cw.u32(c.shard as u32);
-            cw.u32(c.shards as u32);
-            cw.u64(c.universe);
-            cw.into_bytes()
-        });
-        w.count(2 + shard_bytes.len() + usize::from(cluster_bytes.is_some()));
-        w.u8(SECTION_MODELS);
-        w.u64(models.len() as u64);
-        w.u8(SECTION_LAYOUT);
-        w.u64(layout.len() as u64);
-        for sb in &shard_bytes {
-            w.u8(SECTION_SHARD);
-            w.u64(sb.len() as u64);
-        }
-        if let Some(cb) = &cluster_bytes {
-            w.u8(SECTION_CLUSTER);
-            w.u64(cb.len() as u64);
+        w.count(payloads.len());
+        for (tag, bytes, sum) in &payloads {
+            w.u8(*tag);
+            w.u64(bytes.len() as u64);
+            w.u64(*sum);
         }
         let mut bytes = w.into_bytes();
-        bytes.extend_from_slice(&models);
-        bytes.extend_from_slice(&layout);
-        for sb in &shard_bytes {
-            bytes.extend_from_slice(sb);
-        }
-        if let Some(cb) = &cluster_bytes {
-            bytes.extend_from_slice(cb);
+        let header_sum = checksum(&bytes);
+        bytes.extend_from_slice(&header_sum.to_le_bytes());
+        for (_, payload, _) in &payloads {
+            bytes.extend_from_slice(payload);
         }
         (bytes, reused)
     }
 
-    /// Which of `raw`'s shards can reuse their encoded section from a
-    /// previous snapshot's bytes: the previous file must parse, carry
-    /// the same fingerprint and shard count, and the shard's generation
-    /// and header stats must be unchanged. Any mismatch (or an
-    /// unreadable previous file) simply disables reuse — never an error.
+    /// Which of `raw`'s shards can reuse their encoded section (and its
+    /// checksum) from a previous snapshot's bytes: the previous file's
+    /// header must verify and carry the same fingerprint and shard
+    /// count, the shard's generation and header stats must be
+    /// unchanged, and its section must still match its checksum. Any
+    /// mismatch (or an unreadable previous file) simply disables reuse —
+    /// never an error.
     fn reusable_shards<'a>(
         bytes: &'a [u8],
         options: &ComposeOptions,
         raw: &RawIndex,
-    ) -> Option<Vec<Option<&'a [u8]>>> {
+    ) -> Option<Vec<Option<Splice<'a>>>> {
         let (info, sections) = Snapshot::header(bytes).ok()?;
         if info.fingerprint != options.fingerprint().stable_hash()
             || info.shards.len() != raw.shards.len()
         {
             return None;
         }
-        let shard_sections: Vec<&[u8]> = sections
+        let shard_sections: Vec<(&[u8], u64)> = sections
             .iter()
-            .filter(|&&(tag, _, _)| tag == SECTION_SHARD)
-            .map(|&(_, start, end)| &bytes[start..end])
+            .filter(|section| section.tag == SECTION_SHARD)
+            .map(|section| (bytes.get(section.range.clone()).unwrap_or_default(), section.checksum))
             .collect();
         if shard_sections.len() != info.shards.len() {
             return None;
@@ -656,14 +1043,15 @@ impl Snapshot {
             raw.shards
                 .iter()
                 .zip(info.shards.iter().zip(shard_sections))
-                .map(|(rs, (si, section))| {
+                .map(|(rs, (si, (section, sum)))| {
                     (si.generation == rs.generation
                         && si.live == rs.members.len()
                         && si.dead == rs.dead.len()
                         && si.node_postings == rs.node_postings.len()
                         && si.edge_postings == rs.edge_postings.len()
-                        && si.participant_postings == rs.participant_postings.len())
-                        .then_some(section)
+                        && si.participant_postings == rs.participant_postings.len()
+                        && checksum(section) == sum)
+                        .then_some((section, sum))
                 })
                 .collect(),
         )
@@ -697,9 +1085,12 @@ impl Snapshot {
         Ok(reused)
     }
 
-    /// Decode the header and section table; returns the info plus the
-    /// `(tag, start, end)` byte ranges of every section.
-    fn header(bytes: &[u8]) -> Result<(SnapshotInfo, Vec<(u8, usize, usize)>), SnapshotError> {
+    /// Decode the header and section table and verify the header
+    /// checksum; returns the info plus every section's tag, byte range
+    /// and stored checksum. The payload lengths must fill the file
+    /// exactly. Payload checksums are not checked here (see
+    /// [`Snapshot::verify`]).
+    fn header(bytes: &[u8]) -> Result<(SnapshotInfo, Vec<Section>), SnapshotError> {
         let mut r = Reader::new(bytes);
         let mut magic = [0u8; 8];
         for b in &mut magic {
@@ -732,27 +1123,35 @@ impl Snapshot {
                     .map_err(corrupt)?,
             });
         }
-        let nsec = r.count(9, "section count").map_err(corrupt)?;
+        // Each table entry is 1 + 8 + 8 = 17 bytes.
+        let nsec = r.count(17, "section count").map_err(corrupt)?;
         let mut table = Vec::with_capacity(nsec);
         let mut declared: u64 = 0;
         for _ in 0..nsec {
             let tag = r.u8("section tag").map_err(corrupt)?;
             let len = r.u64("section length").map_err(corrupt)?;
+            let sum = r.u64("section checksum").map_err(corrupt)?;
             declared = declared.saturating_add(len);
-            table.push((tag, len));
+            table.push((tag, len, sum));
         }
-        // Cap every declared section length against the bytes that are
-        // actually in the file before anything is sliced or allocated.
-        if declared > r.remaining() as u64 {
+        let header_len = bytes.len() - r.remaining();
+        let stored = r.u64("header checksum").map_err(corrupt)?;
+        if checksum(bytes.get(..header_len).unwrap_or_default()) != stored {
+            return Err(corrupt("header checksum mismatch".into()));
+        }
+        // Every declared section length is capped against the bytes
+        // actually in the file before anything is sliced or allocated,
+        // and together they must account for every byte that follows.
+        if declared != r.remaining() as u64 {
             return Err(corrupt(format!(
-                "section table declares {declared} payload byte(s) but only {} remain",
+                "section table declares {declared} payload byte(s) but {} follow the header",
                 r.remaining(),
             )));
         }
         let mut offset = bytes.len() - r.remaining();
         let mut sections = Vec::with_capacity(table.len());
-        for (tag, len) in table {
-            sections.push((tag, offset, offset + len as usize));
+        for (tag, len, sum) in table {
+            sections.push(Section { tag, range: offset..offset + len as usize, checksum: sum });
             offset += len as usize;
         }
         let sum = |f: fn(&SnapshotShardInfo) -> usize| shards.iter().map(f).sum();
@@ -769,6 +1168,23 @@ impl Snapshot {
             bytes: bytes.len(),
         };
         Ok((info, sections))
+    }
+
+    /// Check each section's payload against its stored checksum.
+    fn verify<'s>(
+        bytes: &[u8],
+        sections: impl IntoIterator<Item = &'s Section>,
+    ) -> Result<(), SnapshotError> {
+        for section in sections {
+            let payload = bytes.get(section.range.clone()).unwrap_or_default();
+            if checksum(payload) != section.checksum {
+                return Err(corrupt(format!(
+                    "section at bytes {:?} (tag {}) fails its checksum",
+                    section.range, section.tag
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Read the header of a snapshot file — version, fingerprint, model
@@ -806,13 +1222,11 @@ impl Snapshot {
         Snapshot::load_bytes(&bytes, &options, threads)
     }
 
-    /// [`Snapshot::load`] over bytes already in memory — the corruption
-    /// property tests drive this directly.
-    pub fn load_bytes(
-        bytes: &[u8],
-        options: &ComposeOptions,
-        threads: usize,
-    ) -> Result<LoadedSnapshot, SnapshotError> {
+    /// Check the header and the options, copy `bytes` into a shared
+    /// image and locate the sections; the payload checksums are left to
+    /// the caller, which verifies each section before decoding it.
+    fn open(bytes: &[u8], options: &ComposeOptions) -> Result<Opened, SnapshotError> {
+        let started = Instant::now();
         let (info, sections) = Snapshot::header(bytes)?;
         let expected = options.fingerprint().stable_hash();
         if info.fingerprint != expected {
@@ -826,106 +1240,60 @@ impl Snapshot {
                 "semantics byte disagrees with options of the same fingerprint".into(),
             ));
         }
-        let mut models_section: Option<&[u8]> = None;
-        let mut layout_section: Option<&[u8]> = None;
-        let mut shard_sections: Vec<&[u8]> = Vec::new();
-        let mut cluster_section: Option<&[u8]> = None;
-        for (tag, start, end) in sections {
-            match tag {
-                SECTION_MODELS => models_section = Some(&bytes[start..end]),
-                SECTION_LAYOUT => layout_section = Some(&bytes[start..end]),
-                SECTION_SHARD => shard_sections.push(&bytes[start..end]),
-                SECTION_CLUSTER => cluster_section = Some(&bytes[start..end]),
-                // Unknown sections are skipped: a future writer may
-                // append new ones without breaking this reader.
-                _ => {}
-            }
-        }
-        let cluster = cluster_section.map(read_cluster).transpose()?;
-        let models_section =
-            models_section.ok_or_else(|| corrupt("missing MODELS section".into()))?;
-        let layout_section =
-            layout_section.ok_or_else(|| corrupt("missing LAYOUT section".into()))?;
-        if shard_sections.len() != info.shards.len() {
-            return Err(corrupt(format!(
-                "{} SHARD section(s) but the header declares {} shard(s)",
-                shard_sections.len(),
-                info.shards.len(),
-            )));
-        }
+        let parts = Parts::find(&sections, &info)?;
+        // One copy, then every check reads the copy: what is verified is
+        // exactly what the lazy models will decode from.
+        let image = ModelImage::new(Arc::from(bytes), options, read_record, record_ids);
+        let copy_s = started.elapsed().as_secs_f64();
+        Ok(Opened { image, info, sections, parts, copy_s })
+    }
 
-        let mut r = Reader::new(models_section);
-        let n = r.count(1, "model count").map_err(corrupt)?;
-        if n != info.models {
-            return Err(corrupt(format!(
-                "MODELS section holds {n} model(s), header says {}",
-                info.models,
-            )));
-        }
-        let mut corpus = Vec::with_capacity(n);
-        for i in 0..n {
-            let raw = read_prepared(&mut r).map_err(|e| corrupt(format!("model {i}: {e}")))?;
-            let prepared = PreparedModel::from_raw(raw, options)
-                .map_err(|e| corrupt(format!("model {i}: {e}")))?;
-            corpus.push(Arc::new(prepared));
-        }
-        // Forward compatibility lives at the section level (unknown tags
-        // are skipped above); *within* a section, bytes left over after a
-        // full decode mean the payload and the decoder disagree.
-        if !r.is_done() {
-            return Err(corrupt(format!(
-                "MODELS section holds {} undecoded trailing byte(s)",
-                r.remaining(),
-            )));
-        }
-
-        let mut r = Reader::new(layout_section);
-        let (live, graphs) = read_layout(&mut r).map_err(corrupt)?;
-        if !r.is_done() {
-            return Err(corrupt(format!(
-                "LAYOUT section holds {} undecoded trailing byte(s)",
-                r.remaining(),
-            )));
-        }
-
-        let mut raw_shards = Vec::with_capacity(shard_sections.len());
-        for (i, (section, si)) in shard_sections.iter().zip(&info.shards).enumerate() {
-            let mut r = Reader::new(section);
-            let mut shard = read_shard(&mut r).map_err(|e| corrupt(format!("shard {i}: {e}")))?;
-            if !r.is_done() {
-                return Err(corrupt(format!(
-                    "SHARD section {i} holds {} undecoded trailing byte(s)",
-                    r.remaining(),
-                )));
-            }
-            // The payload must agree with the header stats — they gate
-            // shard-section reuse on the next incremental write.
-            if shard.members.len() != si.live || shard.dead.len() != si.dead {
-                return Err(corrupt(format!(
-                    "shard {i} holds {} live / {} dead slot(s), header says {} / {}",
-                    shard.members.len(),
-                    shard.dead.len(),
-                    si.live,
-                    si.dead,
-                )));
-            }
-            let stats =
-                (shard.node_postings.len(), shard.edge_postings.len(), shard.participant_postings.len());
-            if stats != (si.node_postings, si.edge_postings, si.participant_postings) {
-                return Err(corrupt(format!(
-                    "shard {i} posting counts {stats:?} disagree with header ({}, {}, {})",
-                    si.node_postings, si.edge_postings, si.participant_postings,
-                )));
-            }
-            shard.generation = si.generation;
-            raw_shards.push(shard);
-        }
+    /// [`Snapshot::load`] over bytes already in memory — the corruption
+    /// property tests drive this directly. The bytes are copied once
+    /// into the image the loaded models decode from; no model is
+    /// decoded here (see the [module docs](self)). The posting side
+    /// (SHARD sections) and the rest (MODELS table, LAYOUT) are
+    /// independent byte ranges, so with two lanes (`threads` 0 on a
+    /// multi-core host, or ≥ 2) each side verifies and decodes its own
+    /// sections beside the other.
+    pub fn load_bytes(
+        bytes: &[u8],
+        options: &ComposeOptions,
+        threads: usize,
+    ) -> Result<LoadedSnapshot, SnapshotError> {
+        let opened = Snapshot::open(bytes, options)?;
+        let info = &opened.info;
+        let parts = &opened.parts;
+        let front = || {
+            let mut mark = Instant::now();
+            opened.verify(|tag| tag != SECTION_SHARD)?;
+            let checksums_s = lap(&mut mark);
+            let cluster = parts.cluster.as_ref().map(|c| read_cluster(opened.bytes(c)));
+            let corpus = read_models(&opened.image, parts.models.clone(), info.models, |_| true)
+                .map_err(corrupt)?;
+            let models_s = lap(&mut mark);
+            let layout = decode_layout(opened.bytes(&parts.layout))?;
+            Ok((cluster.transpose()?, corpus, layout, [checksums_s, models_s, lap(&mut mark)]))
+        };
+        let back = || {
+            let mut mark = Instant::now();
+            opened.verify(|tag| tag == SECTION_SHARD)?;
+            let checksums_s = lap(&mut mark);
+            let decoded = (parts.shards.iter().zip(&info.shards).enumerate())
+                .map(|(i, (section, si))| decode_shard(i, opened.bytes(section), si))
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok((decoded, [checksums_s, lap(&mut mark)]))
+        };
+        let ((cluster, corpus, (live, graphs), front_s), (raw_shards, back_s)) =
+            side_by_side(threads, front, back)?;
+        let [front_checks_s, models_s, layout_s] = front_s;
+        let [back_checks_s, shards_s] = back_s;
+        let mut mark = Instant::now();
 
         let raw_index =
             RawIndex { generation: info.generation, live, graphs, shards: raw_shards };
         let index = MatchIndex::from_raw(raw_index, &corpus, options, threads)
             .map_err(|e| corrupt(format!("index: {e}")))?;
-
         if let Some(c) = &cluster {
             // The file's local slot universe must account for exactly
             // the global slots its residue class owns — anything else
@@ -942,8 +1310,17 @@ impl Snapshot {
                 )));
             }
         }
-
-        Ok(LoadedSnapshot { corpus, index, options: options.clone(), info, cluster })
+        let index_s = lap(&mut mark);
+        let checksums_s = opened.copy_s + front_checks_s + back_checks_s;
+        let stages = LoadStages { checksums_s, models_s, layout_s, shards_s, index_s };
+        Ok(LoadedSnapshot {
+            corpus,
+            index,
+            options: options.clone(),
+            info: opened.info,
+            cluster,
+            stages,
+        })
     }
 
     /// Read just the CLUSTER identity of a snapshot file, if it has one
@@ -956,21 +1333,23 @@ impl Snapshot {
     /// [`Snapshot::cluster_info`] over bytes already in memory.
     pub fn cluster_info_bytes(bytes: &[u8]) -> Result<Option<ClusterInfo>, SnapshotError> {
         let (_, sections) = Snapshot::header(bytes)?;
-        sections
-            .iter()
-            .find(|&&(tag, _, _)| tag == SECTION_CLUSTER)
-            .map(|&(_, start, end)| read_cluster(&bytes[start..end]))
-            .transpose()
+        let Some(section) = sections.iter().find(|section| section.tag == SECTION_CLUSTER) else {
+            return Ok(None);
+        };
+        Snapshot::verify(bytes, [section])?;
+        read_cluster(bytes.get(section.range.clone()).unwrap_or_default()).map(Some)
     }
 
     /// Carve one shard's partition out of a full snapshot: decode the
-    /// layout, retain only the models whose slot satisfies
+    /// layout, keep only the models whose slot satisfies
     /// `slot % shards == shard`, decode **only** that shard's SHARD
-    /// section (the others' byte ranges are never touched — the same
-    /// splice-awareness [`Snapshot::write_update`] exploits), and remap
-    /// the partition to a dense local slot space. The returned
+    /// section (the others' byte ranges are verified but never decoded —
+    /// the same splice-awareness [`Snapshot::write_update`] exploits),
+    /// and remap the partition to a dense local slot space. The returned
     /// [`LoadedSnapshot`] holds a single-shard index over the owned
-    /// models with `cluster` describing the global identity.
+    /// models with `cluster` describing the global identity. The owned
+    /// models are lazy handles into the whole file's image, exactly as
+    /// in [`Snapshot::load_bytes`].
     ///
     /// `shards` must equal the snapshot's physical shard count (built
     /// with `snapshot build --shards n`) — slot ownership on disk is
@@ -997,19 +1376,11 @@ impl Snapshot {
         shard: usize,
         shards: usize,
     ) -> Result<LoadedSnapshot, SnapshotError> {
-        let (info, sections) = Snapshot::header(bytes)?;
-        let expected = options.fingerprint().stable_hash();
-        if info.fingerprint != expected {
-            return Err(SnapshotError::FingerprintMismatch {
-                expected,
-                found: info.fingerprint,
-            });
-        }
-        if options.semantics != info.semantics {
-            return Err(corrupt(
-                "semantics byte disagrees with options of the same fingerprint".into(),
-            ));
-        }
+        let opened = Snapshot::open(bytes, options)?;
+        let info = &opened.info;
+        let mut mark = Instant::now();
+        opened.verify(|_| true)?;
+        let checksums_s = opened.copy_s + lap(&mut mark);
         if shards == 0 || shard >= shards {
             return Err(corrupt(format!("shard {shard}/{shards} is not a valid identity")));
         }
@@ -1020,37 +1391,8 @@ impl Snapshot {
                 info.shards.len(),
             )));
         }
-        let mut models_section: Option<&[u8]> = None;
-        let mut layout_section: Option<&[u8]> = None;
-        let mut shard_sections: Vec<&[u8]> = Vec::new();
-        for (tag, start, end) in sections {
-            match tag {
-                SECTION_MODELS => models_section = Some(&bytes[start..end]),
-                SECTION_LAYOUT => layout_section = Some(&bytes[start..end]),
-                SECTION_SHARD => shard_sections.push(&bytes[start..end]),
-                _ => {}
-            }
-        }
-        let models_section =
-            models_section.ok_or_else(|| corrupt("missing MODELS section".into()))?;
-        let layout_section =
-            layout_section.ok_or_else(|| corrupt("missing LAYOUT section".into()))?;
-        if shard_sections.len() != info.shards.len() {
-            return Err(corrupt(format!(
-                "{} SHARD section(s) but the header declares {} shard(s)",
-                shard_sections.len(),
-                info.shards.len(),
-            )));
-        }
-
-        let mut r = Reader::new(layout_section);
-        let (live, graphs) = read_layout(&mut r).map_err(corrupt)?;
-        if !r.is_done() {
-            return Err(corrupt(format!(
-                "LAYOUT section holds {} undecoded trailing byte(s)",
-                r.remaining(),
-            )));
-        }
+        let (live, graphs) = decode_layout(opened.bytes(&opened.parts.layout))?;
+        let layout_s = lap(&mut mark);
         if live.len() != info.models {
             return Err(corrupt(format!(
                 "LAYOUT lists {} live slot(s), header says {} model(s)",
@@ -1058,55 +1400,18 @@ impl Snapshot {
                 info.models,
             )));
         }
-
-        // The MODELS section is one sequential stream (a shared
-        // interning dictionary), so every model is decoded — but only
-        // the owned residue class pays preparation and retention.
-        let mut r = Reader::new(models_section);
-        let n = r.count(1, "model count").map_err(corrupt)?;
-        if n != info.models {
-            return Err(corrupt(format!(
-                "MODELS section holds {n} model(s), header says {}",
-                info.models,
-            )));
-        }
-        let mut corpus = Vec::new();
-        for i in 0..n {
-            let raw = read_prepared(&mut r).map_err(|e| corrupt(format!("model {i}: {e}")))?;
-            if live[i] as usize % shards == shard {
-                let prepared = PreparedModel::from_raw(raw, options)
-                    .map_err(|e| corrupt(format!("model {i}: {e}")))?;
-                corpus.push(Arc::new(prepared));
-            }
-        }
-        if !r.is_done() {
-            return Err(corrupt(format!(
-                "MODELS section holds {} undecoded trailing byte(s)",
-                r.remaining(),
-            )));
-        }
+        let owned = |i: usize| live.get(i).is_some_and(|&slot| slot as usize % shards == shard);
+        let corpus = read_models(&opened.image, opened.parts.models.clone(), info.models, owned)
+            .map_err(corrupt)?;
+        let models_s = lap(&mut mark);
 
         // Decode only the owned SHARD section.
-        let si = &info.shards[shard];
-        let mut r = Reader::new(shard_sections[shard]);
-        let mut owned =
-            read_shard(&mut r).map_err(|e| corrupt(format!("shard {shard}: {e}")))?;
-        if !r.is_done() {
-            return Err(corrupt(format!(
-                "SHARD section {shard} holds {} undecoded trailing byte(s)",
-                r.remaining(),
-            )));
-        }
-        if owned.members.len() != si.live || owned.dead.len() != si.dead {
-            return Err(corrupt(format!(
-                "shard {shard} holds {} live / {} dead slot(s), header says {} / {}",
-                owned.members.len(),
-                owned.dead.len(),
-                si.live,
-                si.dead,
-            )));
-        }
-        owned.generation = si.generation;
+        let section = opened.parts.shards.get(shard).map(|s| opened.bytes(s)).unwrap_or_default();
+        let Some(si) = info.shards.get(shard) else {
+            return Err(corrupt(format!("shard {shard} has no header entry")));
+        };
+        let owned = decode_shard(shard, section, si)?;
+        let shards_s = lap(&mut mark);
 
         // A full RawIndex with every *other* shard left empty: carving
         // only reads the target shard's lists plus the global live
@@ -1125,18 +1430,27 @@ impl Snapshot {
             .map_err(|e| corrupt(format!("shard {shard}: {e}")))?;
         let index = MatchIndex::from_raw(local_raw, &corpus, options, threads)
             .map_err(|e| corrupt(format!("shard {shard} index: {e}")))?;
+        let index_s = lap(&mut mark);
         let universe =
             info.models as u64 + info.shards.iter().map(|s| s.dead as u64).sum::<u64>();
         let cluster = ClusterInfo { shard, shards, universe };
-
-        Ok(LoadedSnapshot { corpus, index, options: options.clone(), info, cluster: Some(cluster) })
+        let stages = LoadStages { checksums_s, models_s, layout_s, shards_s, index_s };
+        Ok(LoadedSnapshot {
+            corpus,
+            index,
+            options: options.clone(),
+            info: opened.info,
+            cluster: Some(cluster),
+            stages,
+        })
     }
 
     /// Split a full snapshot into one standalone per-shard snapshot per
-    /// physical shard. Each output is an ordinary single-shard format-2
-    /// file (loadable by any reader) plus a CLUSTER section recording
-    /// its identity, so `sbmlcompose serve --shard i/n` can start from
-    /// it without reading the other partitions at all.
+    /// physical shard. Each output is an ordinary single-shard file
+    /// (loadable by any reader of this format) plus a CLUSTER section
+    /// recording its identity, so `sbmlcompose serve --shard i/n` can
+    /// start from it without reading the other partitions at all. The
+    /// owned models' records are copied, not decoded.
     pub fn split(path: impl AsRef<Path>) -> Result<Vec<Vec<u8>>, SnapshotError> {
         Snapshot::split_bytes(&fs::read(path)?)
     }

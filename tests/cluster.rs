@@ -329,6 +329,12 @@ fn killed_shard_degrades_reads_and_fails_writes_loudly() {
         .expect("remove")
     {
         Response::Err { message, .. } => {
+            // Slot 0 lives on shard 0, which removed it; only the dead
+            // shard failed. The answer must not read like a refused write.
+            assert!(
+                message.contains(&format!("REMOVE {} removed by 1 live shard(s)", models[0].id)),
+                "says how many live shards removed it: {message}"
+            );
             assert!(message.contains("shard 1 ("), "names the dead shard: {message}");
         }
         other => panic!("REMOVE through a dead shard must fail loudly: {other:?}"),

@@ -460,7 +460,8 @@ fn cli_snapshot_serve_client_pipeline_round_trips() {
         .expect("snapshot inspect");
     assert!(inspect.status.success());
     let info = String::from_utf8_lossy(&inspect.stdout);
-    assert!(info.contains("version 2\n"), "inspect: {info}");
+    let version = format!("version {}\n", sbmlcompose::serve::FORMAT_VERSION);
+    assert!(info.contains(&version), "inspect: {info}");
     assert!(info.contains("semantics heavy\n"), "inspect: {info}");
     assert!(info.contains("models 5\n"), "inspect: {info}");
     assert!(info.contains("shards 1\n"), "inspect: {info}");

@@ -79,7 +79,7 @@ fn loaded_prepared_models_compose_bit_identically() {
         }
         let mut reloaded = CompositionSession::new(&options);
         for p in &loaded.corpus {
-            reloaded.push_prepared(p);
+            reloaded.push_prepared(p.prepared().expect("a verified record decodes"));
         }
         assert_eq!(
             write_sbml(&fresh.finish().model),
