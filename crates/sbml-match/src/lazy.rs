@@ -17,9 +17,10 @@
 //!
 //! A hit's witness needs only the target's species and reaction ids,
 //! so the handle also answers [`LazyModel::ids`] from the record's id
-//! directory — byte ranges found by the image's own function, read in
-//! place — without building the preparation. A corpus that is only ever
-//! searched therefore never holds decoded models at all.
+//! directory ([`IdDirectory`], which the image's own function locates
+//! and this module checks once), read in place with no allocation and
+//! without building the preparation. A corpus that is only ever searched
+//! therefore never holds decoded models at all.
 //!
 //! A record that fails to decode is reported, never papered over: the
 //! failure is cached with the handle and every later reader gets the
@@ -35,19 +36,93 @@ use sbml_model::Model;
 /// options. Must not panic on any input.
 pub type DecodeFn = fn(&[u8], &ComposeOptions) -> Result<PreparedModel, String>;
 
-/// Finds where one model record keeps its species and reaction ids,
-/// without decoding the model. Must not panic on any input, and must
-/// only return ranges inside the record that hold valid UTF-8.
-pub type IdsFn = fn(&[u8]) -> Result<IdRanges, String>;
+/// Checks one model record of a [`ModelImage`] and returns the byte
+/// offset of its [`IdDirectory`] within the record, without decoding
+/// the model. Must not panic on any input; the directory itself is
+/// checked by [`IdDirectory::read`].
+pub type IdsFn = fn(&[u8]) -> Result<usize, String>;
 
-/// Byte ranges, relative to the record, of a model's species ids and
-/// reaction ids, in model order — what an [`IdsFn`] returns.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IdRanges {
-    /// One range per species.
-    pub species: Vec<Range<u32>>,
-    /// One range per reaction.
-    pub reactions: Vec<Range<u32>>,
+/// A model's species and reaction ids laid out for reading in place:
+/// the species count and the reaction count (u32 each), one u32 end
+/// offset per id (species first, then reactions, relative to the first
+/// id byte), then the ids' UTF-8 bytes back to back — all
+/// little-endian. Id `i` is found in O(1) with no allocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct IdDirectory {
+    species: u32,
+    reactions: u32,
+}
+
+impl IdDirectory {
+    /// Append `model`'s id directory to `out`.
+    pub fn write(out: &mut Vec<u8>, model: &Model) {
+        let ids = || {
+            let species = model.species.iter().map(|s| s.id.as_str());
+            species.chain(model.reactions.iter().map(|r| r.id.as_str()))
+        };
+        out.extend_from_slice(&(model.species.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(model.reactions.len() as u32).to_le_bytes());
+        let mut end = 0u32;
+        for id in ids() {
+            end += id.len() as u32;
+            out.extend_from_slice(&end.to_le_bytes());
+        }
+        for id in ids() {
+            out.extend_from_slice(id.as_bytes());
+        }
+    }
+
+    /// Check the directory at the start of `bytes` — counts and offsets
+    /// within the bytes present, offsets ascending, every id UTF-8 — and
+    /// return it with its length in bytes.
+    ///
+    /// # Errors
+    /// If any of those checks fails.
+    pub fn read(bytes: &[u8]) -> Result<(IdDirectory, usize), String> {
+        let word = |at: usize| -> Result<usize, String> {
+            let b = bytes.get(at..at + 4).ok_or("id directory: truncated")?;
+            Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+        };
+        let (species, reactions) = (word(0)?, word(4)?);
+        let ids = species.checked_add(reactions).ok_or("id directory: count overflow")?;
+        let data = ids
+            .checked_mul(4)
+            .and_then(|table| table.checked_add(8))
+            .filter(|&data| data <= bytes.len())
+            .ok_or("id directory: offset table exceeds the record")?;
+        let mut start = 0;
+        for i in 0..ids {
+            let end = word(8 + 4 * i)?;
+            let id = (start <= end)
+                .then(|| bytes.get(data + start..data + end))
+                .flatten()
+                .ok_or_else(|| format!("id directory: id {i} ends at {end}, outside its bytes"))?;
+            std::str::from_utf8(id).map_err(|_| format!("id directory: id {i} is not UTF-8"))?;
+            start = end;
+        }
+        let directory = IdDirectory { species: species as u32, reactions: reactions as u32 };
+        Ok((directory, data + start))
+    }
+
+    /// Id `i` (species, then reactions) of the directory at the start of
+    /// `bytes`, which [`IdDirectory::read`] accepted; empty out of range.
+    fn id(self, bytes: &[u8], i: usize) -> &str {
+        let ids = self.species as usize + self.reactions as usize;
+        let end = |k: usize| -> Option<usize> {
+            let b = bytes.get(8 + 4 * k..12 + 4 * k)?;
+            Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize)
+        };
+        let data = 8 + 4 * ids;
+        let range = match i {
+            i if i >= ids => None,
+            0 => end(0).map(|e| data..data + e),
+            i => end(i - 1).zip(end(i)).map(|(s, e)| data + s..data + e),
+        };
+        range
+            .and_then(|r| bytes.get(r))
+            .and_then(|id| std::str::from_utf8(id).ok())
+            .unwrap_or_default()
+    }
 }
 
 /// A shared byte image holding encoded corpus models, the options they
@@ -103,7 +178,8 @@ struct Encoded {
     image: Arc<ModelImage>,
     range: Range<usize>,
     decoded: OnceLock<Result<Arc<PreparedModel>, Box<Failure>>>,
-    ids: OnceLock<Result<IdRanges, String>>,
+    /// The checked id directory and its offset in the record.
+    ids: OnceLock<Result<(usize, IdDirectory), String>>,
 }
 
 /// A record that did not decode: the error, and an empty model carrying
@@ -203,10 +279,16 @@ impl LazyModel {
             Handle::Prepared(p) => Ok(ModelIds(IdSource::Model(p.model()))),
             Handle::Encoded(e) => {
                 let found = e.ids.get_or_init(|| {
-                    (e.image.ids)(e.record()).map_err(|error| format!("model {:?}: {error}", e.id))
+                    let record = e.record();
+                    let at = (e.image.ids)(record)?;
+                    let (directory, _) = IdDirectory::read(record.get(at..).unwrap_or_default())?;
+                    Ok((at, directory))
                 });
                 match found {
-                    Ok(ranges) => Ok(ModelIds(IdSource::Record(e.record(), ranges))),
+                    Ok((at, directory)) => Ok(ModelIds(IdSource::Record(
+                        e.record().get(*at..).unwrap_or_default(),
+                        *directory,
+                    ))),
                     Err(error) => Err(error),
                 }
             }
@@ -241,7 +323,8 @@ pub struct ModelIds<'a>(IdSource<'a>);
 #[derive(Clone, Copy)]
 enum IdSource<'a> {
     Model(&'a Model),
-    Record(&'a [u8], &'a IdRanges),
+    /// The directory's bytes (from its start) and the checked directory.
+    Record(&'a [u8], IdDirectory),
 }
 
 impl<'a> ModelIds<'a> {
@@ -249,7 +332,7 @@ impl<'a> ModelIds<'a> {
     pub fn species_count(&self) -> usize {
         match self.0 {
             IdSource::Model(m) => m.species.len(),
-            IdSource::Record(_, ranges) => ranges.species.len(),
+            IdSource::Record(_, directory) => directory.species as usize,
         }
     }
 
@@ -257,7 +340,7 @@ impl<'a> ModelIds<'a> {
     pub fn reaction_count(&self) -> usize {
         match self.0 {
             IdSource::Model(m) => m.reactions.len(),
-            IdSource::Record(_, ranges) => ranges.reactions.len(),
+            IdSource::Record(_, directory) => directory.reactions as usize,
         }
     }
 
@@ -265,7 +348,10 @@ impl<'a> ModelIds<'a> {
     pub fn species(&self, i: usize) -> &'a str {
         match self.0 {
             IdSource::Model(m) => m.species.get(i).map_or("", |s| s.id.as_str()),
-            IdSource::Record(record, ranges) => in_record(record, ranges.species.get(i)),
+            IdSource::Record(bytes, directory) if i < directory.species as usize => {
+                directory.id(bytes, i)
+            }
+            IdSource::Record(..) => "",
         }
     }
 
@@ -273,17 +359,12 @@ impl<'a> ModelIds<'a> {
     pub fn reaction(&self, i: usize) -> &'a str {
         match self.0 {
             IdSource::Model(m) => m.reactions.get(i).map_or("", |r| r.id.as_str()),
-            IdSource::Record(record, ranges) => in_record(record, ranges.reactions.get(i)),
+            IdSource::Record(bytes, directory) if i < directory.reactions as usize => {
+                directory.id(bytes, directory.species as usize + i)
+            }
+            IdSource::Record(..) => "",
         }
     }
-}
-
-/// The UTF-8 text at `range` of `record` (the [`IdsFn`] checked it).
-fn in_record<'a>(record: &'a [u8], range: Option<&Range<u32>>) -> &'a str {
-    range
-        .and_then(|r| record.get(r.start as usize..r.end as usize))
-        .and_then(|bytes| std::str::from_utf8(bytes).ok())
-        .unwrap_or_default()
 }
 
 /// What [`LazyModel::stored`] returns.
@@ -334,24 +415,51 @@ mod tests {
         Ok(PreparedModel::from_model(model, options))
     }
 
-    fn species_id(record: &[u8]) -> Result<IdRanges, String> {
-        std::str::from_utf8(record).map_err(|_| "invalid UTF-8".to_owned())?;
-        let whole = 0..record.len() as u32;
-        Ok(IdRanges { species: vec![whole], reactions: Vec::new() })
+    /// The bare-id toy format has no id directory.
+    fn no_directory(_: &[u8]) -> Result<usize, String> {
+        Err("no id directory".into())
     }
 
     fn image(bytes: &[u8]) -> Arc<ModelImage> {
-        ModelImage::new(Arc::from(bytes), &ComposeOptions::default(), decode_id, species_id)
+        ModelImage::new(Arc::from(bytes), &ComposeOptions::default(), decode_id, no_directory)
+    }
+
+    /// A toy record format with a directory: the directory of a model
+    /// whose id is its one species, then nothing.
+    fn directory_record(record: &[u8], options: &ComposeOptions) -> Result<PreparedModel, String> {
+        let (directory, len) = IdDirectory::read(record)?;
+        if len != record.len() || directory.species != 1 {
+            return Err("not a one-species directory".into());
+        }
+        decode_id(directory.id(record, 0).as_bytes(), options)
+    }
+
+    fn at_start(_: &[u8]) -> Result<usize, String> {
+        Ok(0)
+    }
+
+    fn one_species(id: &str) -> Vec<u8> {
+        let model = ModelBuilder::new(id).compartment("c", 1.0).species(id, 0.0).build();
+        let mut out = Vec::new();
+        IdDirectory::write(&mut out, &model);
+        out
     }
 
     #[test]
     fn decodes_once_on_first_touch_and_shares_the_decode() -> Result<(), String> {
-        let image = image(b"m0m1");
-        let model = LazyModel::encoded("m1", &image, 2..4)?;
+        let (m0, m1) = (one_species("m0"), one_species("m1"));
+        let bytes = [m0.as_slice(), m1.as_slice()].concat();
+        let image = ModelImage::new(
+            Arc::from(bytes.as_slice()),
+            &ComposeOptions::default(),
+            directory_record,
+            at_start,
+        );
+        let model = LazyModel::encoded("m1", &image, m0.len()..bytes.len())?;
         let twin = model.clone();
         assert_eq!(model.id(), "m1");
         assert!(!model.is_decoded(), "construction decodes nothing");
-        assert!(matches!(model.stored(), Stored::Record(b"m1")));
+        assert!(matches!(model.stored(), Stored::Record(r) if r == m1.as_slice()));
         let ids = model.ids()?;
         assert_eq!((ids.species_count(), ids.species(0), ids.species(1)), (1, "m1", ""));
         assert_eq!((ids.reaction_count(), ids.reaction(0)), (0, ""));
@@ -373,7 +481,7 @@ mod tests {
         assert!(!bad.is_decoded());
         assert_eq!(bad.model().id, "m1", "the stub keeps the id");
         assert!(bad.model().species.is_empty());
-        assert!(bad.ids().is_err_and(|e| e.contains("\"m1\"")), "the id directory fails too");
+        assert!(bad.ids().is_err_and(|e| e.contains("no id directory")), "ids fail too");
 
         // A record that decodes to another model is a failure too.
         let renamed = LazyModel::encoded("m1", &image, 0..2)?;
@@ -381,6 +489,39 @@ mod tests {
         assert!(error.contains("\"m0\""), "{error}");
 
         assert!(LazyModel::encoded("m9", &image, 3..9).is_err(), "range past the end");
+        Ok(())
+    }
+
+    #[test]
+    fn id_directories_round_trip_and_reject_damage() -> Result<(), String> {
+        let model = ModelBuilder::new("m")
+            .compartment("c", 1.0)
+            .species("A", 1.0)
+            .species("glucose_ext", 0.0)
+            .parameter("k", 0.1)
+            .reaction("r1", &["A"], &["glucose_ext"], "k*A")
+            .build();
+        let mut bytes = Vec::new();
+        IdDirectory::write(&mut bytes, &model);
+        let (directory, len) = IdDirectory::read(&bytes)?;
+        assert_eq!(len, bytes.len());
+        let ids = ModelIds(IdSource::Record(&bytes, directory));
+        assert_eq!((ids.species_count(), ids.reaction_count()), (2, 1));
+        assert_eq!((ids.species(0), ids.species(1), ids.reaction(0)), ("A", "glucose_ext", "r1"));
+        assert_eq!((ids.species(2), ids.reaction(1)), ("", ""));
+        for cut in 0..bytes.len() {
+            assert!(IdDirectory::read(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+        let mut backwards = bytes.clone();
+        backwards[12..16].copy_from_slice(&0u32.to_le_bytes());
+        assert!(IdDirectory::read(&backwards).is_err(), "offsets must ascend");
+        let mut huge = bytes.clone();
+        huge[0..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(IdDirectory::read(&huge).is_err(), "hostile count");
+        let mut garbled = bytes;
+        let last = garbled.len() - 1;
+        garbled[last] = 0xff;
+        assert!(IdDirectory::read(&garbled).is_err(), "ids must be UTF-8");
         Ok(())
     }
 

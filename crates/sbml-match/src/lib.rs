@@ -96,6 +96,6 @@ pub use index::{
     ApproxHit, CorpusHit, CorpusMatches, Embedding, IndexShard, MatchIndex, PreparedQuery,
     RawIndex, RawShard, DEFAULT_BUDGET, DEFAULT_COMPACTION_THRESHOLD,
 };
-pub use lazy::{IdRanges, LazyModel, ModelIds, ModelImage, Stored};
+pub use lazy::{IdDirectory, LazyModel, ModelIds, ModelImage, Stored};
 pub use semantics::MatchSemantics;
 pub use vf2::{find_embedding, SearchOutcome};

@@ -31,8 +31,9 @@
 //! │   tag 0 MODELS — model count u32; per model (record end u64, │
 //! │                  model id); then the records, back to back:  │
 //! │                  record checksum u64, then the payload:      │
-//! │                  species ids, reaction ids (the id           │
-//! │                  directory), RawPrepared                     │
+//! │                  the id directory (species and reaction      │
+//! │                  counts, u32 end offsets, id bytes), then    │
+//! │                  RawPrepared                                 │
 //! │   tag 2 LAYOUT — live slot list + per-model match graphs     │
 //! │   tag 3 SHARD  — one per shard: membership + posting lists   │
 //! │   tag 4 CLUSTER — per-shard files only: shard identity       │
@@ -100,7 +101,7 @@ use std::time::Instant;
 
 use sbml_compose::{ComposeOptions, PreparedModel, RawPrepared, SemanticsLevel, WorkerPool};
 use sbml_match::{
-    IdRanges, LazyModel, MatchIndex, ModelImage, RawGraph, RawIndex, RawShard, Stored,
+    IdDirectory, LazyModel, MatchIndex, ModelImage, RawGraph, RawIndex, RawShard, Stored,
 };
 
 use crate::codec::{checksum, read_model, write_model, Reader, Writer};
@@ -454,23 +455,15 @@ fn read_prepared(r: &mut Reader<'_>) -> Result<RawPrepared, String> {
 }
 
 /// Encode one model record: the checksum of the payload, then the
-/// payload — the model's id directory (its species ids, then its
-/// reaction ids, each list length-prefixed) followed by a
-/// [`RawPrepared`] written through its own interning dictionary, so the
-/// record decodes on its own and a witness can read target ids in place.
+/// payload — the model's [`IdDirectory`] followed by a [`RawPrepared`]
+/// written through its own interning dictionary, so the record decodes
+/// on its own and a witness can read target ids in place.
 fn write_record(out: &mut Vec<u8>, prepared: &PreparedModel) {
-    let model = prepared.model();
+    let mut payload = Vec::new();
+    IdDirectory::write(&mut payload, prepared.model());
     let mut w = Writer::new();
-    w.count(model.species.len());
-    for species in &model.species {
-        w.str(&species.id);
-    }
-    w.count(model.reactions.len());
-    for reaction in &model.reactions {
-        w.str(&reaction.id);
-    }
     write_prepared(&mut w, &prepared.to_raw());
-    let payload = w.into_bytes();
+    payload.extend_from_slice(&w.into_bytes());
     out.extend_from_slice(&checksum(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
 }
@@ -486,61 +479,30 @@ fn checked_payload(record: &[u8]) -> Result<&[u8], String> {
     Ok(payload)
 }
 
-/// Read one id list of a record's id directory: the byte range of each
-/// id within the record, each checked to be UTF-8.
-fn read_id_list(
-    r: &mut Reader<'_>,
-    payload_len: usize,
-    what: &str,
-) -> Result<Vec<Range<u32>>, String> {
-    let n = r.count(4, what)?;
-    let mut ranges = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = r.count(1, what)?;
-        let start = payload_len - r.remaining();
-        std::str::from_utf8(r.bytes(len, what)?).map_err(|_| format!("{what}: invalid UTF-8"))?;
-        // Ranges are stored record-relative as u32, past the 8-byte
-        // record checksum.
-        let at = |offset: usize| {
-            u32::try_from(offset + 8).map_err(|_| format!("{what}: record exceeds 4 GiB"))
-        };
-        ranges.push(at(start)?..at(start + len)?);
-    }
-    Ok(ranges)
-}
-
-/// Find a record's species and reaction ids without decoding the model
-/// — the [`sbml_match::lazy::IdsFn`] of every loaded image. The record's
-/// own checksum is checked first; ranges are relative to the record.
-fn record_ids(record: &[u8]) -> Result<IdRanges, String> {
-    let payload = checked_payload(record)?;
-    let mut r = Reader::new(payload);
-    Ok(IdRanges {
-        species: read_id_list(&mut r, payload.len(), "species id")?,
-        reactions: read_id_list(&mut r, payload.len(), "reaction id")?,
-    })
+/// Check a record's own checksum and say where its id directory starts
+/// (right after the checksum) — the [`sbml_match::lazy::IdsFn`] of
+/// every loaded image.
+fn record_ids(record: &[u8]) -> Result<usize, String> {
+    checked_payload(record)?;
+    Ok(8)
 }
 
 /// Decode one model record written by [`write_record`] — the
 /// [`sbml_match::lazy::DecodeFn`] of every loaded image. The record's
-/// own checksum is re-checked first, and the id directory must agree
-/// with the decoded model.
+/// own checksum is re-checked first, and the id directory must be the
+/// one the decoded model writes.
 fn read_record(record: &[u8], options: &ComposeOptions) -> Result<PreparedModel, String> {
     let payload = checked_payload(record)?;
-    let mut r = Reader::new(payload);
-    let species = read_id_list(&mut r, payload.len(), "species id")?;
-    let reactions = read_id_list(&mut r, payload.len(), "reaction id")?;
+    let (_, len) = IdDirectory::read(payload)?;
+    let (directory, rest) = payload.split_at(len);
+    let mut r = Reader::new(rest);
     let raw = read_prepared(&mut r)?;
     if !r.is_done() {
         return Err(format!("record holds {} undecoded trailing byte(s)", r.remaining()));
     }
-    let listed = |range: &Range<u32>| record.get(range.start as usize..range.end as usize);
-    let model = &raw.model;
-    if species.len() != model.species.len()
-        || reactions.len() != model.reactions.len()
-        || species.iter().zip(&model.species).any(|(r, s)| listed(r) != Some(s.id.as_bytes()))
-        || reactions.iter().zip(&model.reactions).any(|(r, x)| listed(r) != Some(x.id.as_bytes()))
-    {
+    let mut expected = Vec::with_capacity(len);
+    IdDirectory::write(&mut expected, &raw.model);
+    if expected != directory {
         return Err("id directory disagrees with the model".into());
     }
     PreparedModel::from_raw(raw, options)
