@@ -1,16 +1,13 @@
 //! Partitioning an in-memory index into per-shard daemon states.
 //!
-//! [`carve`] extracts one physical shard of a [`MatchIndex`] as a
-//! standalone single-shard index over only the models that shard owns,
-//! remapped to a dense local slot space, plus the [`ShardIdentity`]
-//! ([`sbml_serve::Server::bind_shard`] needs) that maps the local live
-//! corpus back to global slots. The disk-based equivalent is
-//! [`sbml_serve::Snapshot::load_shard`]; this path serves in-process
-//! tests and benches that already hold the full index.
+//! [`carve`] pairs one shard cut by [`MatchIndex::carve_shard`] — the
+//! only code that cuts a shard, which `snapshot split` runs too — with
+//! the [`ShardIdentity`] [`sbml_serve::Server::bind_shard`] needs to map
+//! the local live corpus back to global slots.
 
 use sbml_compose::ComposeOptions;
-use sbml_match::{LazyModel, MatchIndex};
-use sbml_serve::ShardIdentity;
+use sbml_match::MatchIndex;
+use sbml_serve::{ClusterInfo, ShardIdentity};
 
 /// Carve shard `shard` out of `index` (whose physical shard count
 /// defines the cluster width): a dense local single-shard index over
@@ -22,32 +19,17 @@ pub fn carve(
     threads: usize,
     shard: usize,
 ) -> Result<(MatchIndex, ShardIdentity), String> {
-    let shards = index.shard_count();
-    let raw = index.to_raw();
-    let (local_raw, global) = raw.carve_shard(shard)?;
-    let corpus = index.corpus();
-    let live = index.live_slots();
-    if live.len() != corpus.len() {
-        return Err(format!(
-            "{} live slot(s) for {} corpus model(s)",
-            live.len(),
-            corpus.len(),
-        ));
-    }
-    // Handing a model on decodes nothing: the carved index shares the
-    // handle, and with it any decode either side later does.
-    let owned: Vec<LazyModel> = live
-        .iter()
-        .zip(corpus.iter())
-        .filter(|&(&slot, _)| slot as usize % shards == shard)
-        .map(|(_, model)| model.clone())
-        .collect();
-    let local = MatchIndex::from_raw(local_raw, &owned, options, threads)?;
+    let local = index.carve_shard(shard, options, threads)?;
+    let cluster = ClusterInfo {
+        shard,
+        shards: index.shard_count(),
+        universe: index.slot_universe() as u64,
+    };
     let identity = ShardIdentity {
         shard,
-        shards,
-        global_slots: global.iter().map(|&s| u64::from(s)).collect(),
-        universe: index.slot_universe() as u64,
+        shards: cluster.shards,
+        global_slots: cluster.global_slots(&local),
+        universe: cluster.universe,
     };
     Ok((local, identity))
 }

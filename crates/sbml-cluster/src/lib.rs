@@ -27,7 +27,7 @@
 //!              PQUERY   ▼       ▼       ▼
 //!                 ┌────────┐┌────────┐┌────────┐
 //!                 │shard 0 ││shard 1 ││shard 2 │  sbmlcompose serve
-//!                 │slots ≡0││slots ≡1││slots ≡2│      --shard i/n
+//!                 │slots ≡0││slots ≡1││slots ≡2│  <file>.shard<i>
 //!                 └────────┘└────────┘└────────┘
 //! ```
 //!
@@ -35,7 +35,8 @@
 //! [`sbml_match::MatchIndex`] shards by: global slot `s` lives on shard
 //! `s % n`. Each shard daemon runs an ordinary single-shard index over
 //! *its* residue class, remapped to a dense local slot space
-//! ([`carve()`], or [`sbml_serve::Snapshot::load_shard`] from disk), plus
+//! ([`carve()`] in memory; on disk, the parts `snapshot split` writes
+//! with the same cut, [`sbml_match::MatchIndex::carve_shard`]), plus
 //! a positional table mapping local ranks back to global slots. Because
 //! slots are allocated monotonically and each residue class preserves
 //! order, local rank order *is* global slot order — which is what makes

@@ -29,7 +29,7 @@
 //! state, and a failed batch item leaves every other item untouched.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// A place where execution can fault or exhaust its budget. Sites are
@@ -184,6 +184,8 @@ impl Budget {
         Meter {
             started,
             deadline: self.deadline.map(|d| started + d),
+            expires_at: None,
+            expired: AtomicBool::new(false),
             max_steps: self.max_steps,
             steps: AtomicU64::new(0),
         }
@@ -196,6 +198,12 @@ impl Budget {
 pub struct Meter {
     started: Instant,
     deadline: Option<Instant>,
+    /// A deadline tied to a check point instead of the clock (see
+    /// [`Meter::expiring_at`]).
+    expires_at: Option<Site>,
+    /// Set once the check at `expires_at` has run: a passed deadline
+    /// stays passed.
+    expired: AtomicBool,
     max_steps: Option<u64>,
     steps: AtomicU64,
 }
@@ -204,6 +212,15 @@ impl Meter {
     /// A meter that never trips — useful as a default.
     pub fn unlimited() -> Meter {
         Budget::unlimited().start()
+    }
+
+    /// A meter without a step ceiling whose deadline passes at the first
+    /// deadline check at `site`, and stays passed. A wall-clock deadline
+    /// expires wherever the host's speed puts it; this one expires at the
+    /// same point of the work on every machine, for tests of what an
+    /// overrun part-way through leaves behind.
+    pub fn expiring_at(site: Site) -> Meter {
+        Meter { expires_at: Some(site), ..Meter::unlimited() }
     }
 
     /// Charge `n` work steps at `site`, then check the deadline. Fails
@@ -223,13 +240,16 @@ impl Meter {
 
     /// Check only the wall-clock axis at `site`.
     pub fn check_deadline(&self, site: Site) -> Result<(), ExecError> {
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Err(ExecError::DeadlineExceeded {
-                    site,
-                    elapsed_ms: self.started.elapsed().as_millis() as u64,
-                });
-            }
+        if self.expires_at == Some(site) {
+            self.expired.store(true, Ordering::Relaxed);
+        }
+        let passed = self.expired.load(Ordering::Relaxed)
+            || self.deadline.is_some_and(|deadline| Instant::now() >= deadline);
+        if passed {
+            return Err(ExecError::DeadlineExceeded {
+                site,
+                elapsed_ms: self.started.elapsed().as_millis() as u64,
+            });
         }
         Ok(())
     }
@@ -435,6 +455,17 @@ mod tests {
         let err = meter.check_deadline(Site::Pass(3)).unwrap_err();
         assert!(matches!(err, ExecError::DeadlineExceeded { site: Site::Pass(3), .. }));
         assert!(err.is_budget());
+    }
+
+    #[test]
+    fn a_site_deadline_trips_at_its_site_and_stays_passed() {
+        let meter = Meter::expiring_at(Site::Pass(4));
+        meter.charge(3, Site::Push(0)).expect("before the site");
+        meter.check_deadline(Site::Pass(3)).expect("before the site");
+        let err = meter.check_deadline(Site::Pass(4)).unwrap_err();
+        assert!(matches!(err, ExecError::DeadlineExceeded { site: Site::Pass(4), .. }));
+        let err = meter.charge(1, Site::Push(1)).unwrap_err();
+        assert!(matches!(err, ExecError::DeadlineExceeded { site: Site::Push(1), .. }));
     }
 
     #[test]

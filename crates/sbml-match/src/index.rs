@@ -313,89 +313,6 @@ pub struct RawIndex {
     pub shards: Vec<RawShard>,
 }
 
-impl RawIndex {
-    /// Carve shard `shard` out of this skeleton as a self-contained
-    /// **single-shard** skeleton over a dense local slot space, plus the
-    /// translation table back to the global space: `global[j]` is the
-    /// global slot id of local live rank `j` (ascending, so local rank
-    /// order ≡ global slot order — the property a scatter-gather merge
-    /// relies on to reassemble shard answers in global order without
-    /// shipping ranks over the wire).
-    ///
-    /// Local slots are the shard's owned slots (live ∪ tombstoned, which
-    /// is exactly the `slot % count == shard` residue class) renumbered
-    /// by ascending global slot; posting lists and tombstone lists are
-    /// remapped monotonically, so every ordering invariant
-    /// [`MatchIndex::from_raw`] checks is preserved. Pair the result
-    /// with the matching sub-corpus (`corpus()` entries whose slot lands
-    /// in this shard, in order).
-    ///
-    /// # Errors
-    /// If `shard` is out of range or the skeleton is inconsistent
-    /// (membership lists disagreeing with `live`, postings referencing
-    /// unowned slots) — the skeleton may come from an untrusted
-    /// snapshot, so violations are structured errors, never panics.
-    pub fn carve_shard(&self, shard: usize) -> Result<(RawIndex, Vec<u32>), String> {
-        let count = self.shards.len();
-        if shard >= count {
-            return Err(format!("shard {shard} out of range (index has {count})"));
-        }
-        let rs = &self.shards[shard];
-        // The local slot universe: every slot the shard owns, ascending.
-        let mut owned: Vec<u32> = Vec::with_capacity(rs.members.len() + rs.dead.len());
-        owned.extend_from_slice(&rs.members);
-        owned.extend_from_slice(&rs.dead);
-        owned.sort_unstable();
-        if owned.windows(2).any(|w| w[0] == w[1]) {
-            return Err(format!("shard {shard} lists a slot as both live and tombstoned"));
-        }
-        let local = |slot: u32| -> Result<u32, String> {
-            match owned.binary_search(&slot) {
-                Ok(pos) => Ok(pos as u32),
-                Err(_) => Err(format!("slot {slot} not owned by shard {shard}")),
-            }
-        };
-        let remap = |list: &[u32]| -> Result<Vec<u32>, String> { list.iter().map(|&s| local(s)).collect() };
-        let remap_postings = |lists: &[(Arc<str>, Vec<u32>)]| -> Result<Vec<(Arc<str>, Vec<u32>)>, String> {
-            lists.iter().map(|(k, v)| Ok((Arc::clone(k), remap(v)?))).collect()
-        };
-        if self.graphs.len() != self.live.len() {
-            return Err(format!(
-                "raw index carries {} graphs for {} live slots",
-                self.graphs.len(),
-                self.live.len()
-            ));
-        }
-        // Owned live models, in live (= ascending slot) order.
-        let mut graphs = Vec::with_capacity(rs.members.len());
-        let mut global = Vec::with_capacity(rs.members.len());
-        for (i, &slot) in self.live.iter().enumerate() {
-            if slot as usize % count == shard {
-                graphs.push(self.graphs[i].clone());
-                global.push(slot);
-            }
-        }
-        if global != rs.members {
-            return Err(format!("shard {shard} members disagree with the index live list"));
-        }
-        let members = remap(&rs.members)?;
-        let raw = RawIndex {
-            generation: self.generation,
-            live: members.clone(),
-            graphs,
-            shards: vec![RawShard {
-                generation: rs.generation,
-                members,
-                dead: remap(&rs.dead)?,
-                node_postings: remap_postings(&rs.node_postings)?,
-                edge_postings: remap_postings(&rs.edge_postings)?,
-                participant_postings: remap_postings(&rs.participant_postings)?,
-            }],
-        };
-        Ok((raw, global))
-    }
-}
-
 /// A corpus graph that may still be in skeleton form after a snapshot
 /// load: [`MatchIndex::from_raw`] validates every skeleton up front but
 /// defers deriving adjacency and key indexes until a query actually
@@ -551,6 +468,33 @@ impl IndexShard {
             map.retain(|_, list| !list.is_empty());
         }
         self.dead_pending = 0;
+    }
+
+    /// This shard's skeleton, every slot passed through `slot`: posting
+    /// lists scrubbed of tombstoned entries and sorted by key, so the
+    /// result is a pure function of the shard's state. `slot` must be
+    /// monotonic, which keeps every list ascending.
+    fn to_raw(&self, slot: impl Fn(u32) -> u32) -> RawShard {
+        let flatten = |postings: &FastMap<Arc<str>, Vec<u32>>| -> Vec<(Arc<str>, Vec<u32>)> {
+            let mut out: Vec<(Arc<str>, Vec<u32>)> = postings
+                .iter()
+                .filter_map(|(k, v)| {
+                    let list: Vec<u32> =
+                        v.iter().filter(|&&s| !self.is_dead(s)).map(|&s| slot(s)).collect();
+                    (!list.is_empty()).then(|| (Arc::clone(k), list))
+                })
+                .collect();
+            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+            out
+        };
+        RawShard {
+            generation: self.generation,
+            members: self.live_members.iter().map(|&s| slot(s)).collect(),
+            dead: self.dead.iter().map(|&s| slot(s)).collect(),
+            node_postings: flatten(&self.node_postings),
+            edge_postings: flatten(&self.edge_postings),
+            participant_postings: flatten(&self.participant_postings),
+        }
     }
 
     /// Live models this shard owns.
@@ -1007,41 +951,55 @@ impl MatchIndex {
     /// [`PreparedModel`]s, so [`MatchIndex::from_raw`] re-derives them
     /// lazily on first use.
     pub fn to_raw(&self) -> RawIndex {
-        let flatten = |postings: &FastMap<Arc<str>, Vec<u32>>,
-                       shard: &IndexShard|
-         -> Vec<(Arc<str>, Vec<u32>)> {
-            let mut out: Vec<(Arc<str>, Vec<u32>)> = postings
-                .iter()
-                .filter_map(|(k, v)| {
-                    let list: Vec<u32> =
-                        v.iter().copied().filter(|&s| !shard.is_dead(s)).collect();
-                    if list.is_empty() {
-                        None
-                    } else {
-                        Some((Arc::clone(k), list))
-                    }
-                })
-                .collect();
-            out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-            out
-        };
         RawIndex {
             generation: self.generation,
             live: self.live.clone(),
             graphs: self.live.iter().map(|&s| self.graphs[s as usize].to_raw()).collect(),
-            shards: self
-                .shards
-                .iter()
-                .map(|shard| RawShard {
-                    generation: shard.generation,
-                    members: shard.live_members.clone(),
-                    dead: shard.dead.clone(),
-                    node_postings: flatten(&shard.node_postings, shard),
-                    edge_postings: flatten(&shard.edge_postings, shard),
-                    participant_postings: flatten(&shard.participant_postings, shard),
-                })
-                .collect(),
+            shards: self.shards.iter().map(|shard| shard.to_raw(|s| s)).collect(),
         }
+    }
+
+    /// Cut shard `shard` out of this index as a standalone
+    /// **single-shard** index over only the models that shard owns — the
+    /// state one shard daemon of an `n`-wide cluster serves, where `n` is
+    /// [`MatchIndex::shard_count`]. Only this shard's postings are
+    /// flattened and only its models' graph skeletons cloned; the models
+    /// themselves are shared handles (a decode on either side is a decode
+    /// for both). The slot universe is dense, so the shard owns exactly
+    /// the slots `s ≡ shard (mod n)`, and global slot `s` becomes local
+    /// slot `s / n` — local live rank order is global slot order, the
+    /// property a scatter-gather merge relies on. The carved skeleton
+    /// goes through [`MatchIndex::from_raw`]'s checks under `options`;
+    /// `threads` bounds the carved index's query pool.
+    ///
+    /// # Errors
+    /// If `shard` is out of range, or the models were prepared under
+    /// options other than `options`.
+    pub fn carve_shard(
+        &self,
+        shard: usize,
+        options: &ComposeOptions,
+        threads: usize,
+    ) -> Result<MatchIndex, String> {
+        let count = self.shards.len();
+        let Some(home) = self.shards.get(shard) else {
+            return Err(format!("shard {shard} out of range (index has {count})"));
+        };
+        let (graphs, corpus): (Vec<RawGraph>, Vec<LazyModel>) = self
+            .live
+            .iter()
+            .zip(&self.live_corpus)
+            .filter(|&(&s, _)| s as usize % count == shard)
+            .map(|(&s, model)| (self.graphs[s as usize].to_raw(), model.clone()))
+            .unzip();
+        let local = home.to_raw(|s| s / count as u32);
+        let raw = RawIndex {
+            generation: self.generation,
+            live: local.members.clone(),
+            graphs,
+            shards: vec![local],
+        };
+        MatchIndex::from_raw(raw, &corpus, options, threads)
     }
 
     /// Rebuild a [`MatchIndex`] from a skeleton and its **live** corpus

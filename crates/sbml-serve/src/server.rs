@@ -85,9 +85,10 @@ impl Default for ServerConfig {
 /// What one daemon is within a cluster: which residue class of the
 /// global slot space it owns, and where its live models sit in that
 /// space. A standalone daemon is the degenerate `0/1` identity whose
-/// global slots equal its local ones. Built by the cluster layer (from
-/// [`sbml_match::RawIndex::carve_shard`] or a per-shard snapshot) and
-/// handed to [`Server::bind_shard`].
+/// global slots equal its local ones. Built from the CLUSTER identity
+/// of a per-shard snapshot, or by the cluster layer beside a
+/// [`sbml_match::MatchIndex::carve_shard`] cut, and handed to
+/// [`Server::bind_shard`].
 #[derive(Debug, Clone)]
 pub struct ShardIdentity {
     /// This daemon's shard index (`slot % shards == shard` for every

@@ -94,8 +94,10 @@
 
 use std::fmt;
 use std::fs;
+use std::io::Write as _;
 use std::ops::Range;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -239,11 +241,10 @@ pub struct SnapshotInfo {
 
 /// Cluster identity of a per-shard snapshot: which slot residue class
 /// this file holds out of a global slot universe. Written as the
-/// CLUSTER section by [`Snapshot::split_bytes`]; reconstructed by
-/// [`Snapshot::load_shard`] when carving a shard out of a full
-/// snapshot. Because global slots are allocated densely from 0, shard
-/// `i` of `n` owns exactly the slots `{i, i+n, i+2n, ...}` below
-/// `universe`, so a local (dense) slot `l` maps to global slot
+/// CLUSTER section by [`Snapshot::split_bytes`] and read back by every
+/// load of such a file. Because global slots are allocated densely
+/// from 0, shard `i` of `n` owns exactly the slots `{i, i+n, i+2n, ...}`
+/// below `universe`, so a local (dense) slot `l` maps to global slot
 /// `i + n*l` — no explicit slot table is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterInfo {
@@ -297,8 +298,7 @@ pub struct LoadStages {
     pub layout_s: f64,
     /// Decoding the SHARD sections (membership and posting lists).
     pub shards_s: f64,
-    /// Validating the skeleton and assembling the [`MatchIndex`]
-    /// (for a shard load, the carve too).
+    /// Validating the skeleton and assembling the [`MatchIndex`].
     pub index_s: f64,
 }
 
@@ -316,7 +316,7 @@ pub struct LoadedSnapshot {
     /// Header facts.
     pub info: SnapshotInfo,
     /// Cluster identity, when this is one shard of a partitioned
-    /// corpus (a per-shard file, or a [`Snapshot::load_shard`] carve).
+    /// corpus (a file written by [`Snapshot::split`]).
     /// `None` for ordinary standalone snapshots.
     pub cluster: Option<ClusterInfo>,
     /// Where the load's time went.
@@ -528,15 +528,13 @@ fn write_models(corpus: &[LazyModel]) -> Vec<u8> {
     out
 }
 
-/// Read the MODELS section at `section` of the image into lazy handles,
-/// keeping the models whose live position satisfies `keep`. Only the
-/// offset table is decoded; the record ranges are checked to tile the
-/// record area exactly.
+/// Read the MODELS section at `section` of the image into lazy handles.
+/// Only the offset table is decoded; the record ranges are checked to
+/// tile the record area exactly.
 fn read_models(
     image: &Arc<ModelImage>,
     section: Range<usize>,
     expected: usize,
-    keep: impl Fn(usize) -> bool,
 ) -> Result<Vec<LazyModel>, String> {
     let payload = image.bytes().get(section.clone()).unwrap_or_default();
     let mut r = Reader::new(payload);
@@ -562,10 +560,8 @@ fn read_models(
                  in a {area}-byte record area",
             ));
         }
-        if keep(i) {
-            let range = records + start as usize..records + end as usize;
-            corpus.push(LazyModel::encoded(id, image, range)?);
-        }
+        let range = records + start as usize..records + end as usize;
+        corpus.push(LazyModel::encoded(id, image, range)?);
         start = end;
     }
     if start != area {
@@ -1019,22 +1015,48 @@ impl Snapshot {
         )
     }
 
-    /// Write a snapshot file (full encode).
+    /// Write a snapshot file (full encode), atomically as
+    /// [`Snapshot::write_bytes`] does.
     pub fn write(
         path: impl AsRef<Path>,
         index: &MatchIndex,
         options: &ComposeOptions,
     ) -> Result<(), SnapshotError> {
-        fs::write(path, Snapshot::encode(index, options))?;
+        Snapshot::write_bytes(path, &Snapshot::encode(index, options))?;
         Ok(())
+    }
+
+    /// Replace the file at `path` with `bytes` so that a crash leaves
+    /// either the old file or the new one, never a truncated mix: the
+    /// bytes go to a temporary file in the same directory, which is
+    /// synced to disk and then renamed over `path`; the directory is
+    /// synced last, so the rename itself survives a crash.
+    pub fn write_bytes(path: impl AsRef<Path>, bytes: &[u8]) -> std::io::Result<()> {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let path = path.as_ref();
+        let mut temp = path.as_os_str().to_owned();
+        let unique = NEXT.fetch_add(1, Ordering::Relaxed);
+        temp.push(format!(".{}.{unique}.tmp", std::process::id()));
+        let written = fs::File::create(&temp).and_then(|mut file| {
+            file.write_all(bytes)?;
+            file.sync_all()
+        });
+        let renamed = written.and_then(|()| fs::rename(&temp, path));
+        if renamed.is_err() {
+            let _ = fs::remove_file(&temp);
+        }
+        renamed?;
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        fs::File::open(dir.unwrap_or(Path::new(".")))?.sync_all()
     }
 
     /// Rewrite a snapshot file incrementally: shard sections whose
     /// generation is unchanged since the file was last written are
     /// copied from it byte-for-byte instead of re-encoded (a mutated
     /// shard rewrites alone). A missing or stale previous file falls
-    /// back to a full write. Returns how many shard sections were
-    /// reused.
+    /// back to a full write. The file is replaced atomically, as
+    /// [`Snapshot::write_bytes`] does. Returns how many shard sections
+    /// were reused.
     pub fn write_update(
         path: impl AsRef<Path>,
         index: &MatchIndex,
@@ -1043,7 +1065,7 @@ impl Snapshot {
         let path = path.as_ref();
         let previous = fs::read(path).ok();
         let (bytes, reused) = Snapshot::encode_update(index, options, previous.as_deref());
-        fs::write(path, bytes)?;
+        Snapshot::write_bytes(path, &bytes)?;
         Ok(reused)
     }
 
@@ -1231,7 +1253,7 @@ impl Snapshot {
             opened.verify(|tag| tag != SECTION_SHARD)?;
             let checksums_s = lap(&mut mark);
             let cluster = parts.cluster.as_ref().map(|c| read_cluster(opened.bytes(c)));
-            let corpus = read_models(&opened.image, parts.models.clone(), info.models, |_| true)
+            let corpus = read_models(&opened.image, parts.models.clone(), info.models)
                 .map_err(corrupt)?;
             let models_s = lap(&mut mark);
             let layout = decode_layout(opened.bytes(&parts.layout))?;
@@ -1302,135 +1324,32 @@ impl Snapshot {
         read_cluster(bytes.get(section.range.clone()).unwrap_or_default()).map(Some)
     }
 
-    /// Carve one shard's partition out of a full snapshot: decode the
-    /// layout, keep only the models whose slot satisfies
-    /// `slot % shards == shard`, decode **only** that shard's SHARD
-    /// section (the others' byte ranges are verified but never decoded —
-    /// the same splice-awareness [`Snapshot::write_update`] exploits),
-    /// and remap the partition to a dense local slot space. The returned
-    /// [`LoadedSnapshot`] holds a single-shard index over the owned
-    /// models with `cluster` describing the global identity. The owned
-    /// models are lazy handles into the whole file's image, exactly as
-    /// in [`Snapshot::load_bytes`].
-    ///
-    /// `shards` must equal the snapshot's physical shard count (built
-    /// with `snapshot build --shards n`) — slot ownership on disk is
-    /// `slot % n`, so the file's own partitioning defines the cluster
-    /// topology.
-    pub fn load_shard(
-        path: impl AsRef<Path>,
-        threads: usize,
-        shard: usize,
-        shards: usize,
-    ) -> Result<LoadedSnapshot, SnapshotError> {
-        let bytes = fs::read(path)?;
-        let (info, _) = Snapshot::header(&bytes)?;
-        let options = preset_options(info.semantics);
-        Snapshot::load_shard_bytes(&bytes, &options, threads, shard, shards)
-    }
-
-    /// [`Snapshot::load_shard`] over bytes already in memory, under
-    /// explicitly supplied options.
-    pub fn load_shard_bytes(
-        bytes: &[u8],
-        options: &ComposeOptions,
-        threads: usize,
-        shard: usize,
-        shards: usize,
-    ) -> Result<LoadedSnapshot, SnapshotError> {
-        let opened = Snapshot::open(bytes, options)?;
-        let info = &opened.info;
-        let mut mark = Instant::now();
-        opened.verify(|_| true)?;
-        let checksums_s = opened.copy_s + lap(&mut mark);
-        if shards == 0 || shard >= shards {
-            return Err(corrupt(format!("shard {shard}/{shards} is not a valid identity")));
-        }
-        if info.shards.len() != shards {
-            return Err(corrupt(format!(
-                "snapshot partitions into {} shard(s); cannot serve shard {shard}/{shards} \
-                 (rebuild with `snapshot build --shards {shards}`)",
-                info.shards.len(),
-            )));
-        }
-        let (live, graphs) = decode_layout(opened.bytes(&opened.parts.layout))?;
-        let layout_s = lap(&mut mark);
-        if live.len() != info.models {
-            return Err(corrupt(format!(
-                "LAYOUT lists {} live slot(s), header says {} model(s)",
-                live.len(),
-                info.models,
-            )));
-        }
-        let owned = |i: usize| live.get(i).is_some_and(|&slot| slot as usize % shards == shard);
-        let corpus = read_models(&opened.image, opened.parts.models.clone(), info.models, owned)
-            .map_err(corrupt)?;
-        let models_s = lap(&mut mark);
-
-        // Decode only the owned SHARD section.
-        let section = opened.parts.shards.get(shard).map(|s| opened.bytes(s)).unwrap_or_default();
-        let Some(si) = info.shards.get(shard) else {
-            return Err(corrupt(format!("shard {shard} has no header entry")));
-        };
-        let owned = decode_shard(shard, section, si)?;
-        let shards_s = lap(&mut mark);
-
-        // A full RawIndex with every *other* shard left empty: carving
-        // only reads the target shard's lists plus the global live
-        // layout, so the placeholders are never consulted.
-        let mut placeholder: Vec<RawShard> = Vec::with_capacity(shards);
-        placeholder.resize_with(shards, RawShard::default);
-        placeholder[shard] = owned;
-        let full = RawIndex {
-            generation: info.generation,
-            live,
-            graphs,
-            shards: placeholder,
-        };
-        let (local_raw, _global) = full
-            .carve_shard(shard)
-            .map_err(|e| corrupt(format!("shard {shard}: {e}")))?;
-        let index = MatchIndex::from_raw(local_raw, &corpus, options, threads)
-            .map_err(|e| corrupt(format!("shard {shard} index: {e}")))?;
-        let index_s = lap(&mut mark);
-        let universe =
-            info.models as u64 + info.shards.iter().map(|s| s.dead as u64).sum::<u64>();
-        let cluster = ClusterInfo { shard, shards, universe };
-        let stages = LoadStages { checksums_s, models_s, layout_s, shards_s, index_s };
-        Ok(LoadedSnapshot {
-            corpus,
-            index,
-            options: options.clone(),
-            info: opened.info,
-            cluster: Some(cluster),
-            stages,
-        })
-    }
-
     /// Split a full snapshot into one standalone per-shard snapshot per
     /// physical shard. Each output is an ordinary single-shard file
     /// (loadable by any reader of this format) plus a CLUSTER section
-    /// recording its identity, so `sbmlcompose serve --shard i/n` can
-    /// start from it without reading the other partitions at all. The
-    /// owned models' records are copied, not decoded.
+    /// recording its identity, so a shard daemon (`sbmlcompose serve
+    /// <part>`) starts from it without reading the other partitions at
+    /// all. The owned models' records are copied, not decoded.
     pub fn split(path: impl AsRef<Path>) -> Result<Vec<Vec<u8>>, SnapshotError> {
         Snapshot::split_bytes(&fs::read(path)?)
     }
 
-    /// [`Snapshot::split`] over bytes already in memory.
+    /// [`Snapshot::split`] over bytes already in memory: one verified
+    /// load, then each shard cut by [`MatchIndex::carve_shard`] and
+    /// encoded with its CLUSTER identity.
     pub fn split_bytes(bytes: &[u8]) -> Result<Vec<Vec<u8>>, SnapshotError> {
         let (info, _) = Snapshot::header(bytes)?;
-        let options = preset_options(info.semantics);
-        let shards = info.shards.len();
+        let loaded = Snapshot::load_bytes(bytes, &preset_options(info.semantics), 1)?;
+        let (index, options) = (&loaded.index, &loaded.options);
+        let shards = index.shard_count();
+        let universe = index.slot_universe() as u64;
         (0..shards)
-            .map(|i| {
-                let loaded = Snapshot::load_shard_bytes(bytes, &options, 1, i, shards)?;
-                let cluster = loaded
-                    .cluster
-                    .ok_or_else(|| corrupt(format!("shard {i}: carve lost cluster identity")))?;
-                let (out, _) =
-                    Snapshot::encode_with(&loaded.index, &options, None, Some(&cluster));
-                Ok(out)
+            .map(|shard| {
+                let part = index
+                    .carve_shard(shard, options, 1)
+                    .map_err(|e| corrupt(format!("shard {shard}: {e}")))?;
+                let cluster = ClusterInfo { shard, shards, universe };
+                Ok(Snapshot::encode_with(&part, options, None, Some(&cluster)).0)
             })
             .collect()
     }

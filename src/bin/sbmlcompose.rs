@@ -210,14 +210,13 @@ fn print_usage() {
          \x20        carves a full snapshot into one self-contained file per physical\n\
          \x20        shard (prefix.shard0, prefix.shard1, ...); each loads standalone as\n\
          \x20        a shard daemon corpus and records its i/n identity and slot universe\n\
-         \x20 sbmlcompose serve    <snapshot> [--shard I/N] [--addr host:port] [--threads N]\n\
+         \x20 sbmlcompose serve    <snapshot> [--addr host:port] [--threads N]\n\
          \x20                      [--cache N] [--top K] [--deadline-ms N] [--max-steps N]\n\
          \x20        loads the snapshot (no re-analysis) and serves MATCH/QUERY/COMPOSE/\n\
          \x20        UPSERT/REMOVE/STATS/SHUTDOWN over plain TCP frames; prints the bound\n\
          \x20        address. UPSERT/REMOVE mutate the live index in place (no restart).\n\
-         \x20        --shard I/N: serve only shard I of an N-wide cluster (loads just\n\
-         \x20        that slice of a full snapshot; a split file carries its identity and\n\
-         \x20        needs no flag). --cache: LRU result-cache entries (default 256,\n\
+         \x20        A `snapshot split` part carries its identity and serves as that\n\
+         \x20        shard of its cluster. --cache: LRU result-cache entries (default 256,\n\
          \x20        0 disables); --deadline-ms/--max-steps: per-request budget (hostile\n\
          \x20        requests get a structured budget error; the daemon keeps serving)\n\
          \x20 sbmlcompose coordinator --shards addr,addr,... [--addr host:port]\n\
@@ -662,7 +661,7 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, CliError> {
             let n = parts.len();
             for (i, bytes) in parts.iter().enumerate() {
                 let out = format!("{prefix}.shard{i}");
-                fs::write(&out, bytes)
+                Snapshot::write_bytes(&out, bytes)
                     .map_err(|e| CliError::Input(format!("cannot write {out}: {e}")))?;
                 eprintln!("shard {i}/{n}: {out} ({} bytes)", bytes.len());
             }
@@ -738,25 +737,11 @@ fn cmd_snapshot(args: &[String]) -> Result<ExitCode, CliError> {
     }
 }
 
-/// Parse `--shard I/N` (e.g. `2/4`) into `(shard, shards)`.
-fn parse_shard_spec(spec: &str) -> Result<(usize, usize), CliError> {
-    let parsed = spec.split_once('/').and_then(|(i, n)| {
-        let shard: usize = i.parse().ok()?;
-        let shards: usize = n.parse().ok()?;
-        (shards > 0 && shard < shards).then_some((shard, shards))
-    });
-    parsed.ok_or_else(|| {
-        CliError::Usage(format!("--shard takes I/N with I < N, not {spec:?}"))
-    })
-}
-
 fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     use sbmlcompose::serve::{Server, ServerConfig, ShardIdentity, Snapshot};
 
     let mut args = args.to_vec();
     let addr = take_flag(&mut args, "--addr").unwrap_or_else(|| "127.0.0.1:7878".to_owned());
-    let shard_spec =
-        take_flag(&mut args, "--shard").map(|v| parse_shard_spec(&v)).transpose()?;
     let threads: usize = take_flag(&mut args, "--threads")
         .map(|v| v.parse().map_err(|_| format!("bad --threads {v:?}")))
         .transpose()?
@@ -773,27 +758,9 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     let [snapshot_path] = args.as_slice() else {
         return Err("serve needs exactly one snapshot file".into());
     };
-    let on_disk = Snapshot::cluster_info(snapshot_path)
+    // A split file's CLUSTER section makes this daemon a shard.
+    let loaded = Snapshot::load_auto(snapshot_path, threads)
         .map_err(|e| CliError::Input(format!("{snapshot_path}: {e}")))?;
-    let loaded = match (shard_spec, on_disk) {
-        // A split file carries its own identity; --shard may restate it.
-        (spec, Some(c)) => {
-            if let Some((shard, shards)) = spec {
-                if (shard, shards) != (c.shard, c.shards) {
-                    return Err(CliError::Input(format!(
-                        "{snapshot_path} is shard {}/{} (asked to serve {shard}/{shards})",
-                        c.shard, c.shards,
-                    )));
-                }
-            }
-            Snapshot::load_auto(snapshot_path, threads)
-        }
-        (Some((shard, shards)), None) => {
-            Snapshot::load_shard(snapshot_path, threads, shard, shards)
-        }
-        (None, None) => Snapshot::load_auto(snapshot_path, threads),
-    }
-    .map_err(|e| CliError::Input(format!("{snapshot_path}: {e}")))?;
     let sbmlcompose::serve::LoadedSnapshot { index, options, info, cluster, .. } = loaded;
     let config =
         ServerConfig { threads, cache_capacity, max_steps, deadline_ms, top_k };
@@ -807,8 +774,6 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
         Some(id) => format!(", shard {}/{}", id.shard, id.shards),
         None => String::new(),
     };
-    // `info.models` counts the whole file; a --shard load serves a slice.
-    let serving = index.len();
     let server = match identity {
         Some(id) => Server::bind_shard(addr.as_str(), index, options, config, id),
         None => Server::bind(addr.as_str(), index, options, config),
@@ -817,7 +782,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, CliError> {
     println!(
         "listening on {} ({} model(s), semantics {}{role})",
         server.local_addr(),
-        serving,
+        info.models,
         semantics_name(info.semantics),
     );
     // Scripts wait for the address line before connecting; stdout may be

@@ -90,11 +90,9 @@ fn split_serve_coordinate_and_query_over_subprocesses() {
     assert!(text.contains("models 4\n"), "shard 1 owns 4 models: {text}");
     assert!(text.contains("cluster_shard 1/2\n"), "cluster identity: {text}");
 
-    // Shard 0 boots from its split file (identity on disk); shard 1
-    // slices the full snapshot at load time — both paths must converge.
+    // Each shard boots from its split file: the identity is on disk.
     let (mut shard0, addr0) = spawn_ready(&["serve", &part0, "--addr", "127.0.0.1:0"]);
-    let (mut shard1, addr1) =
-        spawn_ready(&["serve", &snap, "--shard", "1/2", "--addr", "127.0.0.1:0"]);
+    let (mut shard1, addr1) = spawn_ready(&["serve", &part1, "--addr", "127.0.0.1:0"]);
     let shard_list = format!("{addr0},{addr1}");
     let (mut coordinator, coord_addr) =
         spawn_ready(&["coordinator", "--shards", &shard_list, "--addr", "127.0.0.1:0"]);
@@ -167,23 +165,10 @@ fn serve_rejects_a_mismatched_shard_spec() {
     let built =
         run(&["snapshot", "build", &corpus_dir.to_string_lossy(), "-o", &snap, "--shards", "2"]);
     assert!(built.status.success());
-    let split = run(&["snapshot", "split", &snap, "-o", &snap]);
-    assert!(split.status.success());
 
-    // A split file knows which shard it is; lying about it is exit 3.
-    let wrong = run(&[
-        "serve",
-        &format!("{snap}.shard0"),
-        "--shard",
-        "1/2",
-        "--addr",
-        "127.0.0.1:0",
-    ]);
-    assert_eq!(wrong.status.code(), Some(3), "identity mismatch is bad input");
-    let err = String::from_utf8_lossy(&wrong.stderr);
-    assert!(err.contains("shard 0/2"), "says what the file is: {err}");
-    // Malformed spec is a usage error.
-    let bad = run(&["serve", &snap, "--shard", "2/2", "--addr", "127.0.0.1:0"]);
-    assert_eq!(bad.status.code(), Some(2), "out-of-range spec is a usage error");
+    // A shard's role comes only from a split file's CLUSTER section:
+    // `serve` takes no shard spec.
+    let sliced = run(&["serve", &snap, "--shard", "1/2", "--addr", "127.0.0.1:0"]);
+    assert_eq!(sliced.status.code(), Some(2), "--shard is a usage error");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,7 +3,7 @@
 //! pathological but well-formed models.
 
 use sbmlcompose::compose::{
-    Budget, ComposeOptions, Composer, CompositionSession, ExecError, SharedModel, Site,
+    Budget, ComposeOptions, Composer, CompositionSession, ExecError, Meter, SharedModel, Site,
 };
 use sbmlcompose::model::builder::ModelBuilder;
 use sbmlcompose::model::{parse_sbml, write_sbml, Model, ModelError};
@@ -351,8 +351,8 @@ fn documents_nested_past_the_limit_are_rejected_on_a_small_stack() {
 fn push_past_its_deadline_fails_and_rolls_back() {
     // Regression: a push that overran its deadline used to be rolled back
     // and retried without a deadline check, returning Ok late. The
-    // deadline is checked before every merge pass; merging the largest
-    // Fig. 8 model into its synonym twin takes well over 1 ms.
+    // deadline is checked before every merge pass; this one passes at
+    // the reactions pass, after earlier passes have logged decisions.
     let (largest, twin) = largest_and_synonym_twin();
     let options = ComposeOptions::default();
     let mut session = CompositionSession::new(&options);
@@ -360,16 +360,19 @@ fn push_past_its_deadline_fails_and_rolls_back() {
     let model_before = write_sbml(session.model());
     let log_before = session.log().to_text();
 
-    let meter = Budget::unlimited().with_deadline_ms(1).start();
-    let err = session.push_guarded(&largest, Some(&meter)).expect_err("1 ms is too short");
-    assert!(matches!(err, ExecError::DeadlineExceeded { .. }), "{err:?}");
+    let meter = Meter::expiring_at(CUT);
+    let err = session.push_guarded(&largest, Some(&meter)).expect_err("the deadline passes");
+    assert!(matches!(err, ExecError::DeadlineExceeded { site: CUT, .. }), "{err:?}");
     assert_eq!(write_sbml(session.model()), model_before, "model rolled back");
     assert_eq!(session.log().to_text(), log_before, "log rolled back");
 }
 
-/// The largest Fig. 8 model and its synonym-renamed twin: merging one into
-/// the other takes well over 1 ms, so a 1 ms deadline always expires
-/// inside the push.
+/// Where the deadline tests cut a push: before the reactions pass.
+const CUT: Site = Site::Pass(10);
+
+/// The largest Fig. 8 model and its synonym-renamed twin. Merging the
+/// model into its twin logs decisions before [`CUT`] (checked here), so a
+/// push cut there has state to roll back.
 fn largest_and_synonym_twin() -> (Model, Model) {
     use sbmlcompose::corpus::{corpus_187, synonym_variant};
     let largest = corpus_187()
@@ -377,6 +380,14 @@ fn largest_and_synonym_twin() -> (Model, Model) {
         .max_by_key(|m| m.component_count())
         .expect("non-empty corpus");
     let twin = synonym_variant(&largest);
+    let options = ComposeOptions::default();
+    let mut session = CompositionSession::new(&options);
+    session.push(&twin);
+    session.push(&largest);
+    assert!(
+        session.log().events.iter().any(|e| e.component == "species"),
+        "the species pass, which runs before the cut, logs decisions"
+    );
     (largest, twin)
 }
 
@@ -393,10 +404,10 @@ fn prepared_push_past_its_deadline_fails_and_rolls_back() {
     let model_before = write_sbml(session.model());
     let log_before = session.log().to_text();
 
-    let meter = Budget::unlimited().with_deadline_ms(1).start();
+    let meter = Meter::expiring_at(CUT);
     let err =
-        session.push_prepared_guarded(&incoming, Some(&meter)).expect_err("1 ms is too short");
-    assert!(matches!(err, ExecError::DeadlineExceeded { .. }), "{err:?}");
+        session.push_prepared_guarded(&incoming, Some(&meter)).expect_err("the deadline passes");
+    assert!(matches!(err, ExecError::DeadlineExceeded { site: CUT, .. }), "{err:?}");
     assert_eq!(write_sbml(session.model()), model_before, "model rolled back");
     assert_eq!(session.log().to_text(), log_before, "log rolled back");
 
@@ -417,9 +428,9 @@ fn deadline_on_a_shared_base_leaves_it_shared() {
     let base = Arc::new(Composer::new(options.clone()).prepare(&twin));
     let mut session = CompositionSession::with_shared_base(&options, Arc::clone(&base));
 
-    let meter = Budget::unlimited().with_deadline_ms(1).start();
-    let err = session.push_guarded(&largest, Some(&meter)).expect_err("1 ms is too short");
-    assert!(matches!(err, ExecError::DeadlineExceeded { .. }), "{err:?}");
+    let meter = Meter::expiring_at(CUT);
+    let err = session.push_guarded(&largest, Some(&meter)).expect_err("the deadline passes");
+    assert!(matches!(err, ExecError::DeadlineExceeded { site: CUT, .. }), "{err:?}");
     assert!(session.is_base_shared(), "rollback re-adopts the shared base");
     assert!(session.log().events.is_empty(), "log rolled back");
     match session.finish_shared().model {

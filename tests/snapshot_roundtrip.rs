@@ -93,7 +93,7 @@ fn loaded_prepared_models_compose_bit_identically() {
 fn snapshot_encoding_is_deterministic_and_idempotent() {
     let models = corpus_slice(60..68);
     let options = ComposeOptions::heavy();
-    let (prepared, index) = build(&options, &models);
+    let (_, index) = build(&options, &models);
     let bytes = Snapshot::encode(&index, &options);
     assert_eq!(bytes, Snapshot::encode(&index, &options), "same inputs, same bytes");
 
@@ -160,7 +160,7 @@ fn encode_update_reuses_unchanged_shard_sections() {
 fn fingerprint_mismatch_is_a_structured_error() {
     let models = corpus_slice(60..64);
     let options = ComposeOptions::heavy();
-    let (prepared, index) = build(&options, &models);
+    let (_, index) = build(&options, &models);
     let bytes = Snapshot::encode(&index, &options);
 
     let wrong = ComposeOptions::light();
@@ -190,7 +190,7 @@ fn fingerprint_mismatch_is_a_structured_error() {
 fn inspect_reports_the_header_without_decoding() {
     let models = corpus_slice(60..65);
     let options = ComposeOptions::light();
-    let (prepared, index) = build(&options, &models);
+    let (_, index) = build(&options, &models);
     let bytes = Snapshot::encode(&index, &options);
 
     let info = Snapshot::inspect_bytes(&bytes).expect("inspect");
@@ -210,11 +210,11 @@ fn inspect_reports_the_header_without_decoding() {
     assert_eq!(info.shards[0].tombstone_fraction(), 0.0);
 }
 
-/// The two ways to stand up a shard daemon's corpus — carving the
-/// in-memory index and slicing the snapshot bytes — must agree exactly:
-/// same cluster identity, same local corpus, bit-identical answers.
+/// A split part, loaded, is exactly the in-memory carve of the same
+/// shard: same cluster identity, same local corpus, bit-identical
+/// answers.
 #[test]
-fn load_shard_matches_the_in_memory_carve() {
+fn loaded_split_part_matches_the_in_memory_carve() {
     let models = corpus_slice(58..70);
     let options = ComposeOptions::heavy();
     let batch = BatchComposer::new(Composer::new(options.clone()));
@@ -224,16 +224,18 @@ fn load_shard_matches_the_in_memory_carve() {
     // reused, so universe stays at 12 while only 11 models live.
     index.remove(4);
     let bytes = Snapshot::encode(&index, &options);
+    let parts = Snapshot::split_bytes(&bytes).expect("split");
+    assert_eq!(parts.len(), 3);
 
-    for shard in 0..3 {
-        let carved = sbmlcompose::cluster::carve(&index, &options, 0, shard)
+    for (shard, part) in parts.iter().enumerate() {
+        let (local, identity) = sbmlcompose::cluster::carve(&index, &options, 0, shard)
             .unwrap_or_else(|e| panic!("carve shard {shard}: {e}"));
-        let loaded = Snapshot::load_shard_bytes(&bytes, &options, 0, shard, 3)
-            .unwrap_or_else(|e| panic!("load shard {shard}: {e}"));
-        let (local, identity) = carved;
+        let loaded = Snapshot::load_bytes(part, &options, 0)
+            .unwrap_or_else(|e| panic!("load part {shard}: {e}"));
         let cluster = loaded.cluster.unwrap_or_else(|| panic!("shard {shard} identity"));
-        assert_eq!(cluster.shard, shard);
-        assert_eq!(cluster.shards, 3);
+        assert_eq!((cluster.shard, cluster.shards), (shard, 3));
+        assert_eq!((identity.shard, identity.shards), (shard, 3));
+        assert_eq!(cluster.universe, 12, "the tombstoned slot stays in the universe");
         assert_eq!(cluster.universe, identity.universe, "slot universe agrees");
         assert_eq!(
             cluster.global_slots(&loaded.index),
@@ -254,11 +256,42 @@ fn load_shard_matches_the_in_memory_carve() {
             );
         }
     }
-    // Out-of-range and mismatched widths are structured errors, not
-    // silently empty shards.
-    assert!(Snapshot::load_shard_bytes(&bytes, &options, 0, 3, 3).is_err());
-    assert!(Snapshot::load_shard_bytes(&bytes, &options, 0, 0, 2).is_err());
+    // An out-of-range shard is a structured error, not a silently empty
+    // shard.
+    assert!(sbmlcompose::cluster::carve(&index, &options, 0, 3).is_err());
 }
+
+/// FNV-1a over `bytes`.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
+/// The split parts of a fixed mutated, tombstoned 3-shard index are
+/// pinned byte for byte: the format is fixed, so however the parts are
+/// cut, the bytes must not move.
+#[test]
+fn split_parts_are_pinned() {
+    let models = corpus_slice(58..70);
+    let options = ComposeOptions::heavy();
+    let batch = BatchComposer::new(Composer::new(options.clone()));
+    let prepared = batch.prepare_corpus(&models);
+    let mut index = MatchIndex::build_sharded(&prepared[..10], &options, 0, 3);
+    index.insert(Arc::clone(&prepared[10]));
+    index.insert(Arc::clone(&prepared[11]));
+    assert!(index.remove(4).is_some());
+    let parts = Snapshot::split_bytes(&Snapshot::encode(&index, &options)).expect("split");
+    let digests: Vec<(usize, u64)> = parts.iter().map(|p| (p.len(), fnv(p))).collect();
+    assert_eq!(digests, SPLIT_DIGESTS);
+}
+
+/// `(length, FNV-1a)` of each split part of the fixture above.
+const SPLIT_DIGESTS: [(usize, u64); 3] = [
+    (87553, 0xdf9e16292e27b50b),
+    (72004, 0x9df471d19b67eb4c),
+    (93352, 0xa450b44bbf8553a6),
+];
 
 /// `split` emits one self-contained snapshot per shard: each loads on
 /// its own, remembers its place in the cluster, and together they cover
@@ -299,4 +332,34 @@ fn split_files_load_standalone_and_partition_the_corpus() {
 
     // A full snapshot has no cluster identity to report.
     assert_eq!(Snapshot::cluster_info_bytes(&bytes).expect("readable"), None);
+}
+
+/// Rewriting a snapshot file in place goes through a temporary file
+/// renamed over the target: nothing is left behind, and the result
+/// loads.
+#[test]
+fn write_update_replaces_the_file_atomically() {
+    let dir = std::env::temp_dir().join(format!("sbmlsnap_atomic_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let path = dir.join("corpus.snap");
+    let models = corpus_slice(58..66);
+    let options = ComposeOptions::heavy();
+    let batch = BatchComposer::new(Composer::new(options.clone()));
+    let prepared = batch.prepare_corpus(&models);
+    let mut index = MatchIndex::build(&prepared[..7], &options).with_shards(2);
+    Snapshot::write(&path, &index, &options).expect("first write");
+
+    index.insert(Arc::clone(&prepared[7]));
+    let reused = Snapshot::write_update(&path, &index, &options).expect("rewrite");
+    assert_eq!(reused, 1, "the untouched shard splices through");
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .expect("list scratch dir")
+        .map(|entry| entry.expect("dir entry").file_name())
+        .collect();
+    assert_eq!(names, ["corpus.snap"], "no temporary file is left behind");
+    let loaded = Snapshot::load(&path, &options, 0).expect("the rewritten file loads");
+    assert_eq!(loaded.index.len(), 8);
+    assert_eq!(std::fs::read(&path).expect("read back"), Snapshot::encode(&index, &options));
+    let _ = std::fs::remove_dir_all(&dir);
 }
