@@ -107,10 +107,17 @@ if [[ "${1:-}" != "quick" ]]; then
     # Perf gates read one number from a bench's JSON output and compare
     # it against a fixed bound: gate FILE KEY OP BOUND LABEL, where OP is
     # ">=" or "<=". The grep is sign-tolerant (overheads can be negative).
+    # The key must carry exactly one number in the file: a missing key, a
+    # missing file or a key repeated (say, in a nested object) fails.
     gate() {
         local file="$1" key="$2" op="$3" bound="$4" label="$5"
-        local value
-        value=$(grep -o "\"${key}\": *[-0-9.]*" "$file" | grep -o '[-0-9.]*$')
+        local value count
+        value=$(grep -o "\"${key}\": *-\?[0-9][0-9.]*" "$file" 2>/dev/null | grep -o -- '-\?[0-9][0-9.]*$' || true)
+        count=$(grep -c . <<<"$value" || true)
+        if (( count != 1 )); then
+            echo "FAIL: ${label} needs one value (${file} ${key}): found ${count} values" >&2
+            exit 1
+        fi
         echo "${label}: ${value} (gate: ${op} ${bound})"
         awk -v v="$value" -v b="$bound" -v op="$op" \
             'BEGIN { exit ((op == ">=" && v >= b) || (op == "<=" && v <= b)) ? 0 : 1 }' || {

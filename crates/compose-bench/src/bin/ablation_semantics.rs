@@ -12,7 +12,7 @@
 //! Output: `results/ablation_semantics.csv`.
 
 use bio_graph::{compose as graph_compose, species_reaction_graph, LightSemantics, NoSemantics};
-use compose_bench::{time_median, write_csv};
+use compose_bench::{sample, write_csv};
 use sbml_compose::{ComposeOptions, Composer};
 
 fn main() {
@@ -37,9 +37,7 @@ fn main() {
         let mut cols: Vec<(f64, usize)> = Vec::new();
         for (_, opts) in &engines {
             let composer = Composer::new(opts.clone());
-            let secs = time_median(5, || {
-                std::hint::black_box(composer.compose(a, b));
-            });
+            let secs = sample(5, |_| composer.compose(a, b)).median;
             let result = composer.compose(a, b);
             // Matching power: species of b recognised as already present.
             let shared = a.species.len() + b.species.len() - result.model.species.len();
@@ -48,34 +46,16 @@ fn main() {
         // Generic graph composition (no SBML semantics at all).
         let (ga, gb) = (species_reaction_graph(a), species_reaction_graph(b));
         let g_light = LightSemantics::with_builtins();
-        let graph_secs = time_median(5, || {
-            std::hint::black_box(graph_compose(&ga, &gb, &g_light));
-        });
+        let graph_secs = sample(5, |_| graph_compose(&ga, &gb, &g_light)).median;
         let _ = graph_compose(&ga, &gb, &NoSemantics); // exercise both matchers
 
+        let (sa, sb, graph_ms) = (a.size(), b.size(), graph_secs * 1e3);
+        let [(heavy_ms, heavy), (light_ms, light), (none_ms, none)] = [cols[0], cols[1], cols[2]];
         println!(
-            "{:>5} {:>5}  {:>10.4} {:>8}  {:>10.4} {:>8}  {:>10.4} {:>8}  {:>10.4}",
-            a.size(),
-            b.size(),
-            cols[0].0,
-            cols[0].1,
-            cols[1].0,
-            cols[1].1,
-            cols[2].0,
-            cols[2].1,
-            graph_secs * 1e3
+            "{sa:>5} {sb:>5}  {heavy_ms:>10.4} {heavy:>8}  {light_ms:>10.4} {light:>8}  {none_ms:>10.4} {none:>8}  {graph_ms:>10.4}"
         );
         rows.push(format!(
-            "{},{},{:.6},{},{:.6},{},{:.6},{},{:.6}",
-            a.size(),
-            b.size(),
-            cols[0].0,
-            cols[0].1,
-            cols[1].0,
-            cols[1].1,
-            cols[2].0,
-            cols[2].1,
-            graph_secs * 1e3
+            "{sa},{sb},{heavy_ms:.6},{heavy},{light_ms:.6},{light},{none_ms:.6},{none},{graph_ms:.6}"
         ));
     }
     let path = write_csv(

@@ -5,10 +5,11 @@
 //! its 186 pairs, optionally fanned out over worker threads).
 //!
 //! The two serial engines are timed **interleaved by corpus row** (row
-//! `i` = pairs `(i, i+1..n)`): each row is measured for the baseline and
-//! then for the prepared engine, so slow machine-speed drift over the
+//! `i` = pairs `(i, i+1..n)`): each row is measured for both engines,
+//! first one then the other, so slow machine-speed drift over the
 //! minutes-long run hits both engines equally instead of whichever ran
-//! second.
+//! second. The gated speedups divide side totals summed over rows (and,
+//! for the fixed cost, over base sizes).
 //!
 //! Two further series ride along: all-pairs wall time at explicit worker
 //! counts (thread scaling), and the per-pair *fixed cost* — a tiny
@@ -23,12 +24,9 @@
 //! (`--quick` restricts the corpus to the first 60 models for a smoke
 //! run — the JSON is only written for the full corpus).
 
-use std::fs;
-use std::io::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
-use compose_bench::{oracle, workspace_root};
+use compose_bench::{compare, oracle, sample, Json};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer, SharedModel};
 use sbml_model::Model;
 
@@ -44,30 +42,30 @@ fn main() {
     // Prepared once, shared across every pair (and charged to the
     // prepared engine's wall time below).
     let serial = BatchComposer::new(composer.clone()).with_threads(1);
-    let prepare_started = Instant::now();
-    let prepared = serial.prepare_corpus(&corpus);
-    let prepare_seconds = prepare_started.elapsed().as_secs_f64();
+    let mut prepared = Vec::new();
+    let prepare_seconds = sample(1, |_| prepared = serial.prepare_corpus(&corpus)).median;
 
     // Row-interleaved serial comparison: baseline (per-pair recompute,
     // the seed behaviour) vs prepared reuse over identical pair rows.
-    let mut baseline_seconds = 0.0;
-    let mut prepared_seconds = prepare_seconds;
     let mut baseline_components = 0usize;
     let mut prepared_components = 0usize;
-    for i in 0..n {
-        let t0 = Instant::now();
-        for j in i + 1..n {
-            let result = composer.compose(&corpus[i], &corpus[j]);
-            baseline_components += result.model.component_count();
-        }
-        baseline_seconds += t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        for j in i + 1..n {
-            let result = composer.compose_prepared(&prepared[i], &prepared[j]);
-            prepared_components += result.model.component_count();
-        }
-        prepared_seconds += t0.elapsed().as_secs_f64();
-    }
+    let rows = compare(
+        n,
+        |i| {
+            for j in i + 1..n {
+                baseline_components += composer.compose(&corpus[i], &corpus[j]).model.component_count();
+            }
+        },
+        |i| {
+            for j in i + 1..n {
+                let result = composer.compose_prepared(&prepared[i], &prepared[j]);
+                prepared_components += result.model.component_count();
+            }
+        },
+    );
+    let total = |s: &compose_bench::Stats, rounds: usize| s.mean * rounds as f64;
+    let baseline_seconds = total(&rows.a, n);
+    let prepared_seconds = total(&rows.b, n) + prepare_seconds;
     println!("  per-pair recompute (seed) : {baseline_seconds:>9.3}s");
     println!(
         "  prepared, shared, serial  : {prepared_seconds:>9.3}s  (of which prepare: {prepare_seconds:.3}s)"
@@ -78,10 +76,15 @@ fn main() {
     // number, on multi-core hosts it divides by the worker count.
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let fanned = BatchComposer::new(composer.clone());
-    let started = Instant::now();
-    let prepared_threaded = fanned.prepare_corpus(&corpus);
-    let summaries = fanned.all_pairs(&prepared_threaded);
-    let threaded_seconds = started.elapsed().as_secs_f64();
+    let mut prepared_threaded = Vec::new();
+    let mut batch_components = 0usize;
+    let threaded_seconds = sample(1, |_| {
+        prepared_threaded = fanned.prepare_corpus(&corpus);
+        let summaries = fanned.all_pairs(&prepared_threaded);
+        batch_components = summaries.iter().map(|s| s.components).sum();
+        summaries
+    })
+    .median;
     println!("  BatchComposer, {threads} worker(s): {threaded_seconds:>9.3}s");
 
     // The engines must agree: identical per-pair component totals between
@@ -90,26 +93,37 @@ fn main() {
         baseline_components, prepared_components,
         "prepared all-pairs diverged from the per-pair recompute baseline"
     );
-    let batch_components: usize = summaries.iter().map(|s| s.components).sum();
     assert_eq!(baseline_components, batch_components, "batch fan-out diverged");
 
     // All-pairs thread scaling: the same COW batch engine at explicit
     // worker counts. On a single-core host the series is flat (the JSON
     // records host_parallelism so readers can tell); on multi-core hosts
     // it should track 1/threads.
-    let mut scaling: Vec<(usize, f64)> = Vec::new();
+    let mut scaling = Vec::new();
+    let mut serial_secs = 0.0;
     for t in [1usize, 2, 4, 8] {
         if t > threads.max(4) {
             break;
         }
         let batch = BatchComposer::new(composer.clone()).with_threads(t);
-        let t0 = Instant::now();
-        let sums = batch.all_pairs(&prepared_threaded);
-        let secs = t0.elapsed().as_secs_f64();
-        let comps: usize = sums.iter().map(|s| s.components).sum();
+        let mut comps = 0usize;
+        let secs = sample(1, |_| {
+            let sums = batch.all_pairs(&prepared_threaded);
+            comps = sums.iter().map(|s| s.components).sum();
+            sums
+        })
+        .median;
         assert_eq!(baseline_components, comps, "thread-scaling run diverged at {t} threads");
         println!("  all-pairs at {t} explicit worker(s): {secs:>9.3}s");
-        scaling.push((t, secs));
+        if t == 1 {
+            serial_secs = secs;
+        }
+        scaling.push(
+            Json::new()
+                .int("threads", t)
+                .num("seconds", secs)
+                .num("speedup_vs_serial", serial_secs / secs.max(1e-12)),
+        );
     }
 
     // Per-pair fixed cost: a tiny duplicate-only push against bases of
@@ -119,47 +133,42 @@ fn main() {
     // scenario generators are `compose_bench::oracle`'s, i.e. exactly the
     // workload the differential harness proves bit-identical.
     let fixed_reps = if quick { 3 } else { 10 };
-    let fixed_sizes = [16usize, 64, 256];
-    let mut fixed_series: Vec<(usize, f64, f64)> = Vec::new();
+    let mut fixed_series = Vec::new();
     let mut fixed_clone_seconds = 0.0f64;
     let mut fixed_cow_seconds = 0.0f64;
-    for &size in &fixed_sizes {
+    for size in [16usize, 64, 256] {
         let base = Arc::new(composer.prepare(&oracle::base_model(size)));
         let dup = composer.prepare(&oracle::duplicate_push(4));
-        let (mut clone_s, mut cow_s) = (0.0f64, 0.0f64);
-        for rep in 0..fixed_reps {
-            // Alternate the order each rep so drift hits both engines.
-            let run_clone = |acc: &mut f64| {
-                let t0 = Instant::now();
-                let result = composer.compose_prepared(&base, &dup);
-                *acc += t0.elapsed().as_secs_f64();
-                result.model.component_count()
-            };
-            let run_cow = |acc: &mut f64| {
-                let t0 = Instant::now();
-                let result = composer.compose_shared(Arc::clone(&base), &dup);
-                *acc += t0.elapsed().as_secs_f64();
-                assert!(
-                    matches!(result.model, SharedModel::Base(_)),
-                    "duplicate-only pair must not materialise"
-                );
-                result.model.as_model().component_count()
-            };
-            let (clone_c, cow_c) = if rep % 2 == 0 {
-                (run_clone(&mut clone_s), run_cow(&mut cow_s))
-            } else {
-                let cow_c = run_cow(&mut cow_s);
-                (run_clone(&mut clone_s), cow_c)
-            };
-            assert_eq!(clone_c, cow_c, "fixed-cost engines diverged at size {size}");
-        }
+        let clone_result = composer.compose_prepared(&base, &dup);
+        let cow_result = composer.compose_shared(Arc::clone(&base), &dup);
+        assert!(
+            matches!(cow_result.model, SharedModel::Base(_)),
+            "duplicate-only pair must not materialise"
+        );
+        assert_eq!(
+            clone_result.model.component_count(),
+            cow_result.model.as_model().component_count(),
+            "fixed-cost engines diverged at size {size}"
+        );
+        let c = compare(
+            fixed_reps,
+            |_| composer.compose_prepared(&base, &dup),
+            |_| composer.compose_shared(Arc::clone(&base), &dup),
+        );
+        let (clone_s, cow_s) = (total(&c.a, fixed_reps), total(&c.b, fixed_reps));
         let reps = fixed_reps as f64;
         println!(
             "  fixed cost, base size {size:>3}: clone {:>9.1}us/pair, cow {:>9.1}us/pair",
             clone_s / reps * 1e6,
             cow_s / reps * 1e6
         );
-        fixed_series.push((size, clone_s / reps, cow_s / reps));
+        fixed_series.push(
+            Json::new()
+                .int("base_reactions", size)
+                .num("clone_adopt_seconds_per_pair", clone_s / reps)
+                .num("cow_adopt_seconds_per_pair", cow_s / reps)
+                .spread("ratio", &c.ratio),
+        );
         fixed_clone_seconds += clone_s;
         fixed_cow_seconds += cow_s;
     }
@@ -177,54 +186,32 @@ fn main() {
         return;
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        compose_bench::host_parallelism()
-    ));
-    json.push_str("  \"benchmark\": \"fig8_all_pairs\",\n");
-    json.push_str("  \"corpus\": \"biomodels_corpus::corpus_187 (deterministic synthetic)\",\n");
-    json.push_str(&format!("  \"models\": {n},\n"));
-    json.push_str(&format!("  \"pairs\": {pair_count},\n"));
-    json.push_str("  \"engines\": {\n");
-    json.push_str("    \"baseline\": \"Composer::compose per pair: both models' keys, indexes and initial values re-derived for every pair (seed behaviour)\",\n");
-    json.push_str("    \"prepared\": \"Composer::compose_prepared over Arc<PreparedModel>: each model analysed once, preparation shared across all of its pairs (timed row-interleaved with the baseline)\",\n");
-    json.push_str("    \"batch\": \"BatchComposer::all_pairs: same prepared engine behind the thread-per-shard fan-out\",\n");
-    json.push_str("    \"fixed_cost\": \"tiny duplicate-only push vs growing bases (compose_bench::oracle generators): eager clone-on-adopt (compose_prepared) vs copy-on-write adoption (compose_shared), order-alternated per rep\"\n");
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"baseline_seconds\": {baseline_seconds:.6},\n"));
-    json.push_str(&format!("  \"prepare_seconds\": {prepare_seconds:.6},\n"));
-    json.push_str(&format!("  \"prepared_seconds\": {prepared_seconds:.6},\n"));
-    json.push_str(&format!("  \"batch_threaded_seconds\": {threaded_seconds:.6},\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str(&format!("  \"speedup_threaded\": {threaded_speedup:.2},\n"));
-    json.push_str(&format!("  \"speedup_prepared_reuse\": {reuse_speedup:.2},\n"));
-    json.push_str("  \"thread_scaling\": [\n");
-    for (idx, (t, secs)) in scaling.iter().enumerate() {
-        let sep = if idx + 1 == scaling.len() { "" } else { "," };
-        let vs_serial = scaling[0].1 / secs.max(1e-12);
-        json.push_str(&format!(
-            "    {{ \"threads\": {t}, \"seconds\": {secs:.6}, \"speedup_vs_serial\": {vs_serial:.2} }}{sep}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"fixed_cost_reps_per_size\": {fixed_reps},\n"));
-    json.push_str("  \"fixed_cost_series\": [\n");
-    for (idx, (size, clone_pair, cow_pair)) in fixed_series.iter().enumerate() {
-        let sep = if idx + 1 == fixed_series.len() { "" } else { "," };
-        json.push_str(&format!(
-            "    {{ \"base_reactions\": {size}, \"clone_adopt_seconds_per_pair\": {clone_pair:.9}, \"cow_adopt_seconds_per_pair\": {cow_pair:.9} }}{sep}\n"
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"fixed_cost_clone_seconds\": {fixed_clone_seconds:.6},\n"));
-    json.push_str(&format!("  \"fixed_cost_cow_seconds\": {fixed_cow_seconds:.6},\n"));
-    json.push_str(&format!("  \"speedup_fixed_cost\": {fixed_speedup:.2}\n"));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_fig8.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_fig8.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_fig8.json");
-    println!("\nwrote {}", path.display());
+    Json::new()
+        .str("benchmark", "fig8_all_pairs")
+        .str("corpus", "biomodels_corpus::corpus_187 (deterministic synthetic)")
+        .int("models", n)
+        .int("pairs", pair_count)
+        .obj(
+            "engines",
+            Json::new()
+                .str("baseline", "Composer::compose per pair: both models' keys, indexes and initial values re-derived for every pair (seed behaviour)")
+                .str("prepared", "Composer::compose_prepared over Arc<PreparedModel>: each model analysed once, preparation shared across all of its pairs (timed row-interleaved with the baseline)")
+                .str("batch", "BatchComposer::all_pairs: same prepared engine behind the thread-per-shard fan-out")
+                .str("fixed_cost", "tiny duplicate-only push vs growing bases (compose_bench::oracle generators): eager clone-on-adopt (compose_prepared) vs copy-on-write adoption (compose_shared), order-alternated per rep"),
+        )
+        .num("baseline_seconds", baseline_seconds)
+        .num("prepare_seconds", prepare_seconds)
+        .num("prepared_seconds", prepared_seconds)
+        .compared("row_seconds", "baseline", "prepared", &rows)
+        .num("batch_threaded_seconds", threaded_seconds)
+        .int("threads", threads)
+        .num("speedup_threaded", threaded_speedup)
+        .num("speedup_prepared_reuse", reuse_speedup)
+        .rows("thread_scaling", scaling)
+        .int("fixed_cost_reps_per_size", fixed_reps)
+        .rows("fixed_cost_series", fixed_series)
+        .num("fixed_cost_clone_seconds", fixed_clone_seconds)
+        .num("fixed_cost_cow_seconds", fixed_cow_seconds)
+        .num("speedup_fixed_cost", fixed_speedup)
+        .write("fig8");
 }

@@ -7,9 +7,8 @@
 //!
 //! * **query latency, 1 vs 4 shard daemons** — the same 24-fragment
 //!   battery as `index_scale`, sent as `MATCH` frames through a
-//!   coordinator fronting 1 and, side by side, 4 shard daemons; the two
-//!   clusters' timed rounds alternate and each side reports its median
-//!   round. Before timing, every answer at both widths is asserted
+//!   coordinator fronting 1 and, side by side, 4 shard daemons, timed in
+//!   alternating rounds. Before timing, every answer at both widths is asserted
 //!   byte-identical to a single-process daemon over the same corpus.
 //!   The gate demands the 4-shard cluster stays within 1.5x of the
 //!   1-shard cluster: the scatter fans out concurrently, so fan-out
@@ -21,7 +20,8 @@
 //!   because the `UPSERT` side cannot exclude it — each frame carries
 //!   SBML XML the daemon must parse and prepare; comparing against a
 //!   rebuild over already-prepared models would time unequal pipelines.
-//!   The gate demands >= 10x — the entire point of serving writes
+//!   The two alternate over several rounds, each round `UPSERT`ing a
+//!   fresh disjoint batch onto the live cluster. The gate demands >= 10x — the entire point of serving writes
 //!   through the cluster instead of re-snapshotting.
 //!
 //! Writes `BENCH_cluster.json`; `ci.sh` gates
@@ -31,14 +31,11 @@
 //! Run with: `cargo run --release -p compose-bench --bin cluster_scatter`
 //! (`--quick` shrinks the tier and skips the JSON).
 
-use std::fs;
-use std::io::Write as _;
 use std::net::SocketAddr;
 use std::thread;
-use std::time::Instant;
 
 use biomodels_corpus::{corpus_scale, query_fragment, scale_model};
-use compose_bench::{best, host_parallelism, time_median_interleaved, workspace_root};
+use compose_bench::{compare, sample, Json};
 use sbml_cluster::{carve_all, Coordinator, CoordinatorConfig};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
@@ -95,14 +92,15 @@ fn roundtrip_all(addr: SocketAddr, frames: &[Request]) -> Vec<Vec<u8>> {
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let options = ComposeOptions::default();
-    let (top, runs, upserts) = if quick { (1000, 3, 25) } else { (10_000, 5, 100) };
+    let (top, rounds, upserts) = if quick { (1000, 3, 25) } else { (10_000, 7, 100) };
 
-    let t0 = Instant::now();
+    // The corpus plus one fresh disjoint UPSERT batch per timed round.
     let mut models = corpus_scale(top);
-    models.extend((top..top + upserts).map(scale_model));
+    models.extend((top..top + rounds * upserts).map(scale_model));
     let batch = BatchComposer::new(Composer::new(options.clone()));
-    let prepared = batch.prepare_corpus(&models);
-    println!("prepared {} models in {:.2}s", prepared.len(), t0.elapsed().as_secs_f64());
+    let mut prepared = Vec::new();
+    let preparing = sample(1, |_| prepared = batch.prepare_corpus(&models));
+    println!("prepared {} models in {:.2}s", prepared.len(), preparing.median);
 
     let queries: Vec<Model> = (0..24)
         .map(|qi| {
@@ -133,40 +131,40 @@ fn main() {
     }
     let _ = single_handle.join();
 
-    // --- incremental UPSERT through the coordinator vs full rebuild.
-    // The rebuild starts from source models (prepare + build), matching
-    // the UPSERT pipeline, which prepares every arriving document too.
-    // It runs before the latency clusters: after both of those had been
-    // up at once, the UPSERT batch timed ~25% slower.
-    let rebuild_runs = runs.min(3);
-    let rebuild_s = best(
-        (0..rebuild_runs)
-            .map(|_| {
-                let start = Instant::now();
-                let fresh =
-                    BatchComposer::new(Composer::new(options.clone())).prepare_corpus(&models[..top]);
-                let index = MatchIndex::build_sharded(&fresh, &options, 0, 4);
-                let elapsed = start.elapsed().as_secs_f64();
-                drop(std::hint::black_box(index));
-                elapsed
-            })
-            .collect(),
-    );
+    // --- incremental UPSERT through the coordinator vs full rebuild, in
+    // alternating rounds; each round UPSERTs a fresh disjoint batch. The
+    // rebuild starts from source models (prepare + build), matching the
+    // UPSERT pipeline, which prepares every arriving document too. It
+    // runs before the latency clusters: after both of those had been up
+    // at once, the UPSERT batch timed ~25% slower. The daemons share this
+    // process's allocator, so a batch right after a rebuild's teardown
+    // (even rounds) also runs slower, by ~25% on a 2-vCPU host, than one
+    // after a batch; the median runs over both.
     let index = MatchIndex::build_sharded(&prepared[..top], &options, 0, 4);
     let cluster = spawn_cluster(&index, &options);
     let mut client = Client::connect(cluster.coordinator).expect("connect");
-    let frames: Vec<Request> = models[top..top + upserts]
+    let frames: Vec<Request> = models[top..]
         .iter()
         .map(|m| Request::Upsert { model_xml: write_sbml(m), slot: None })
         .collect();
-    let start = Instant::now();
-    for request in &frames {
-        match client.roundtrip(request).expect("upsert roundtrip") {
-            Response::Ok { code: 0, .. } => {}
-            other => panic!("UPSERT failed: {other:?}"),
-        }
-    }
-    let upsert_s = start.elapsed().as_secs_f64();
+    let upsert = compare(
+        rounds,
+        |_| {
+            let fresh =
+                BatchComposer::new(Composer::new(options.clone())).prepare_corpus(&models[..top]);
+            let index = MatchIndex::build_sharded(&fresh, &options, 0, 4);
+            (fresh, index)
+        },
+        |round| {
+            for request in &frames[round * upserts..(round + 1) * upserts] {
+                match client.roundtrip(request).expect("upsert roundtrip") {
+                    Response::Ok { code: 0, .. } => {}
+                    other => panic!("UPSERT failed: {other:?}"),
+                }
+            }
+        },
+    );
+    drop(client);
     shutdown(cluster);
     drop(index);
 
@@ -191,28 +189,28 @@ fn main() {
             std::hint::black_box(client.roundtrip_raw(request).expect("timed roundtrip"));
         }
     };
-    let (one_s, four_s) = time_median_interleaved(
-        2 * runs + 1,
-        || send_battery(&mut one_client),
-        || send_battery(&mut four_client),
+    let widths = compare(
+        2 * rounds + 1,
+        |_| send_battery(&mut four_client),
+        |_| send_battery(&mut one_client),
     );
     drop((one_client, four_client));
-    let mut latency = Vec::new();
-    for (shards, cluster, seconds) in [(1usize, one, one_s), (4, four, four_s)] {
-        let us = seconds / battery.len() as f64 * 1e6;
-        println!("MATCH latency through {shards} shard daemon(s): {us:.1}us/query");
-        latency.push((shards, us));
-        shutdown(cluster);
-    }
-    let ratio = latency[1].1 / latency[0].1.max(1e-12);
+    shutdown(one);
+    shutdown(four);
+    let per_query = |seconds: f64| seconds / battery.len() as f64 * 1e6;
+    let (one_us, four_us) = (per_query(widths.b.median), per_query(widths.a.median));
+    println!("MATCH latency through 1 shard daemon(s): {one_us:.1}us/query");
+    println!("MATCH latency through 4 shard daemon(s): {four_us:.1}us/query");
+    let ratio = widths.ratio.median;
     println!("4-shard vs 1-shard cluster latency ratio: {ratio:.2} (gate: <= 1.5)");
 
-    let upsert_speedup = rebuild_s / upsert_s.max(1e-12);
-    let upsert_us = upsert_s / upserts as f64 * 1e6;
-    println!("full rebuild ({top} models, prepare + 4-shard build): {rebuild_s:.4}s");
+    let upsert_speedup = upsert.ratio.median;
+    let upsert_us = upsert.b.median / upserts as f64 * 1e6;
+    println!("full rebuild ({top} models, prepare + 4-shard build): {:.4}s", upsert.a.median);
     println!(
-        "coordinator UPSERT ({upserts}-model batch): {upsert_s:.4}s  \
-         ({upsert_us:.0}us/model, {upsert_speedup:.0}x cheaper than rebuild)"
+        "coordinator UPSERT ({upserts}-model batch): {:.4}s  \
+         ({upsert_us:.0}us/model, {upsert_speedup:.0}x cheaper than rebuild)",
+        upsert.b.median
     );
 
     if quick {
@@ -220,41 +218,22 @@ fn main() {
         return;
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"cluster_scatter\",\n");
-    json.push_str(
-        "  \"corpus\": \"biomodels_corpus::corpus_scale; 24 1-hop query fragments as MATCH frames over loopback TCP, caches off\",\n",
-    );
-    json.push_str("  \"engines\": {\n");
-    json.push_str(
-        "    \"cluster\": \"sbml-cluster coordinator scatter-gathering shard daemons (Server::bind_shard)\",\n",
-    );
-    json.push_str(
-        "    \"rebuild\": \"prepare_corpus + MatchIndex::build_sharded from source models (UPSERT also pays parse+prepare per frame)\"\n",
-    );
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"models\": {top},\n"));
-    json.push_str(&format!("  \"queries\": {},\n", battery.len()));
-    json.push_str(&format!("  \"upsert_batch_models\": {upserts},\n"));
-    json.push_str("  \"match_microseconds_by_shards\": {\n");
-    json.push_str(
-        &latency
-            .iter()
-            .map(|(k, us)| format!("    \"{k}\": {us:.3}"))
-            .collect::<Vec<_>>()
-            .join(",\n"),
-    );
-    json.push_str("\n  },\n");
-    json.push_str(&format!("  \"rebuild_seconds\": {rebuild_s:.6},\n"));
-    json.push_str(&format!("  \"upsert_batch_seconds\": {upsert_s:.6},\n"));
-    json.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
-    json.push_str(&format!("  \"latency_ratio_cluster_4_vs_1\": {ratio:.3},\n"));
-    json.push_str(&format!("  \"speedup_cluster_upsert\": {upsert_speedup:.2}\n"));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_cluster.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_cluster.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_cluster.json");
-    println!("wrote {}", path.display());
+    Json::new()
+        .str("benchmark", "cluster_scatter")
+        .str("corpus", "biomodels_corpus::corpus_scale; 24 1-hop query fragments as MATCH frames over loopback TCP, caches off")
+        .obj(
+            "engines",
+            Json::new()
+                .str("cluster", "sbml-cluster coordinator scatter-gathering shard daemons (Server::bind_shard)")
+                .str("rebuild", "prepare_corpus + MatchIndex::build_sharded from source models (UPSERT also pays parse+prepare per frame)"),
+        )
+        .int("models", top)
+        .int("queries", battery.len())
+        .int("upsert_batch_models", upserts)
+        .obj("match_microseconds_by_shards", Json::new().num("1", one_us).num("4", four_us))
+        .compared("battery_seconds_by_shards", "shards_4", "shards_1", &widths)
+        .compared("upsert_seconds", "rebuild", "upsert_batch", &upsert)
+        .num("latency_ratio_cluster_4_vs_1", ratio)
+        .num("speedup_cluster_upsert", upsert_speedup)
+        .write("cluster");
 }

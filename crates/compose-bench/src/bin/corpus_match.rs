@@ -27,11 +27,8 @@
 //!
 //! Run with: `cargo run --release -p compose-bench --bin corpus_match`
 
-use std::fs;
-use std::io::Write as _;
-
 use biomodels_corpus::{corpus_187, query_fragment};
-use compose_bench::{host_parallelism, time_median, workspace_root};
+use compose_bench::{compare, sample, Json};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::Model;
@@ -100,97 +97,58 @@ fn main() {
     // sample is milliseconds, not timer noise; REPS cancels out of every
     // reported speedup.
     let reps = if quick { 8 } else { 32 };
-    let runs = if quick { 3 } else { 5 };
-    let naive_s = time_median(runs, || {
+    let rounds = if quick { 3 } else { 9 };
+    let sweep = |f: &dyn Fn(&sbml_match::PreparedQuery) -> usize| {
         let mut acc = 0usize;
         for _ in 0..reps {
             for q in &prepared_queries {
-                acc += index.naive_hits_prepared(q).len();
+                acc += f(q);
             }
         }
-        std::hint::black_box(acc);
-    });
-    let candgen_s = time_median(runs, || {
-        let mut acc = 0usize;
-        for _ in 0..reps {
-            for q in &prepared_queries {
-                acc += index.candidates_prepared(q).len();
-            }
-        }
-        std::hint::black_box(acc);
-    });
-    let query_s = time_median(runs, || {
-        let mut acc = 0usize;
-        for _ in 0..reps {
-            for q in &prepared_queries {
-                acc += index.query_corpus_prepared(q).exact.len();
-            }
-        }
-        std::hint::black_box(acc);
-    });
+        acc
+    };
+    let naive = |_: usize| sweep(&|q| index.naive_hits_prepared(q).len());
+    let candgen = compare(rounds, naive, |_| sweep(&|q| index.candidates_prepared(q).len()));
+    let query = compare(rounds, naive, |_| sweep(&|q| index.query_corpus_prepared(q).exact.len()));
     let threaded_index = build_index(&models, &options, 0);
-    let query_threaded_s = time_median(runs, || {
-        let mut acc = 0usize;
-        for _ in 0..reps {
-            for q in &prepared_queries {
-                acc += threaded_index.query_corpus_prepared(q).exact.len();
-            }
-        }
-        std::hint::black_box(acc);
-    });
+    let threaded =
+        sample(rounds, |_| sweep(&|q| threaded_index.query_corpus_prepared(q).exact.len()));
 
-    let candgen_speedup = naive_s / candgen_s.max(1e-12);
-    let query_speedup = naive_s / query_s.max(1e-12);
-    println!("naive per-model VF2:      {naive_s:.4}s");
-    println!("candidate generation:     {candgen_s:.4}s  ({candgen_speedup:.1}x vs naive)");
-    println!("indexed query (1 thread): {query_s:.4}s  ({query_speedup:.1}x vs naive)");
-    println!("indexed query (threads):  {query_threaded_s:.4}s");
+    let (candgen_speedup, query_speedup) = (candgen.ratio.median, query.ratio.median);
+    println!("naive per-model VF2:      {:.4}s", candgen.a.median);
+    println!("candidate generation:     {:.4}s  ({candgen_speedup:.1}x vs naive)", candgen.b.median);
+    println!("indexed query (1 thread): {:.4}s  ({query_speedup:.1}x vs naive)", query.b.median);
+    println!("indexed query (threads):  {:.4}s", threaded.median);
 
     if quick {
         println!("(--quick run: BENCH_match.json not written)");
         return;
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"corpus_match\",\n");
-    json.push_str(
-        "  \"corpus\": \"biomodels_corpus::corpus_187 (fig8 ramp); one 1-hop query fragment per fourth model\",\n",
-    );
-    json.push_str("  \"engines\": {\n");
-    json.push_str(
-        "    \"naive\": \"VF2 subgraph search against every corpus model, no pruning\",\n",
-    );
-    json.push_str(
-        "    \"indexed\": \"posting-list intersection (node keys + edge keys) to candidates, then VF2 on survivors only\"\n",
-    );
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"models\": {n},\n"));
-    json.push_str(&format!("  \"queries\": {},\n", queries.len()));
-    json.push_str(&format!("  \"semantics\": \"heavy\",\n"));
-    json.push_str(&format!("  \"posting_node_keys\": {node_keys},\n"));
-    json.push_str(&format!("  \"posting_edge_keys\": {edge_keys},\n"));
-    json.push_str(&format!("  \"posting_participant_keys\": {participant_keys},\n"));
-    json.push_str(&format!("  \"candidates_total\": {candidate_total},\n"));
-    json.push_str(&format!(
-        "  \"candidates_mean\": {:.2},\n",
-        candidate_total as f64 / queries.len() as f64
-    ));
-    json.push_str(&format!("  \"exact_hits_total\": {hit_total},\n"));
-    json.push_str("  \"threads\": 1,\n");
-    json.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
-    json.push_str(&format!("  \"naive_seconds\": {naive_s:.6},\n"));
-    json.push_str(&format!("  \"candidate_generation_seconds\": {candgen_s:.6},\n"));
-    json.push_str(&format!("  \"indexed_query_seconds\": {query_s:.6},\n"));
-    json.push_str(&format!(
-        "  \"indexed_query_threaded_seconds\": {query_threaded_s:.6},\n"
-    ));
-    json.push_str(&format!("  \"speedup_query_vs_naive\": {query_speedup:.2},\n"));
-    json.push_str(&format!("  \"speedup_candidate_generation\": {candgen_speedup:.2}\n"));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_match.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_match.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_match.json");
-    println!("wrote {}", path.display());
+    Json::new()
+        .str("benchmark", "corpus_match")
+        .str("corpus", "biomodels_corpus::corpus_187 (fig8 ramp); one 1-hop query fragment per fourth model")
+        .obj(
+            "engines",
+            Json::new()
+                .str("naive", "VF2 subgraph search against every corpus model, no pruning")
+                .str("indexed", "posting-list intersection (node keys + edge keys) to candidates, then VF2 on survivors only"),
+        )
+        .int("models", n)
+        .int("queries", queries.len())
+        .int("sweeps_per_sample", reps)
+        .str("semantics", "heavy")
+        .int("posting_node_keys", node_keys)
+        .int("posting_edge_keys", edge_keys)
+        .int("posting_participant_keys", participant_keys)
+        .int("candidates_total", candidate_total)
+        .num("candidates_mean", candidate_total as f64 / queries.len() as f64)
+        .int("exact_hits_total", hit_total)
+        .int("threads", 1)
+        .compared("candidate_generation_seconds", "naive", "candidates", &candgen)
+        .compared("indexed_query_seconds", "naive", "query", &query)
+        .spread("indexed_query_threaded_seconds", &threaded)
+        .num("speedup_query_vs_naive", query_speedup)
+        .num("speedup_candidate_generation", candgen_speedup)
+        .write("match");
 }

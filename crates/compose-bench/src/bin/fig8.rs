@@ -10,7 +10,7 @@
 //!
 //! Output: `results/fig8.csv` with one row per composed pair.
 
-use compose_bench::{correlation, log10_ms, stats, time_median, write_csv};
+use compose_bench::{correlation, log10_ms, sample, stats, write_csv};
 use sbml_compose::Composer;
 
 fn main() {
@@ -28,16 +28,13 @@ fn main() {
     let total = (corpus.len() / stride) * (corpus.len() / stride);
     eprintln!("composing ~{total} ordered pairs (stride {stride}) ...");
 
-    let started = std::time::Instant::now();
     let mut pair_index = 0usize;
     for i in (0..corpus.len()).step_by(stride) {
         for j in (0..corpus.len()).step_by(stride) {
             let (a, b) = (&corpus[i], &corpus[j]);
             // Fast pairs are repeated for a stable median; slow ones once.
             let runs = if sizes[i] + sizes[j] < 100 { 5 } else { 1 };
-            let secs = time_median(runs, || {
-                std::hint::black_box(composer.compose(a, b));
-            });
+            let secs = sample(runs, |_| composer.compose(a, b)).median;
             let nm = (sizes[i].max(1) * sizes[j].max(1)) as f64;
             rows.push(format!(
                 "{pair_index},{i},{j},{},{},{nm},{:.6},{:.4}",
@@ -51,11 +48,8 @@ fn main() {
             pair_index += 1;
         }
         if i % 21 == 0 {
-            eprintln!(
-                "  outer model {i:3} (size {:3}) done, elapsed {:.1}s",
-                sizes[i],
-                started.elapsed().as_secs_f64()
-            );
+            let timed: f64 = time_series.iter().sum();
+            eprintln!("  outer model {i:3} (size {:3}) done, {timed:.1}s composing", sizes[i]);
         }
     }
 

@@ -10,7 +10,7 @@
 //! Usage: `cargo run --release -p compose-bench --bin fig9`
 //! Output: `results/fig9.csv`, one row per ordered pair and engine timing.
 
-use compose_bench::{log10_ms, stats, time_median, write_csv};
+use compose_bench::{compare, log10_ms, stats, write_csv};
 use sbml_compose::Composer;
 use semantic_baseline::SemanticBaseline;
 
@@ -30,13 +30,8 @@ fn main() {
     for i in 0..models.len() {
         for j in 0..models.len() {
             let (a, b) = (&models[i], &models[j]);
-            let ours = time_median(7, || {
-                std::hint::black_box(composer.compose(a, b));
-            });
-            let theirs = time_median(3, || {
-                std::hint::black_box(baseline.merge(a, b));
-            });
-            let speedup = theirs / ours.max(1e-9);
+            let c = compare(3, |_| baseline.merge(a, b), |_| composer.compose(a, b));
+            let (ours, theirs, speedup) = (c.b.median, c.a.median, c.ratio.median);
             rows.push(format!(
                 "{pair},{i},{j},{},{},{:.6},{:.6},{:.4},{:.4},{:.1}",
                 a.size(),

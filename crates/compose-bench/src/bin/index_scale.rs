@@ -28,13 +28,10 @@
 //! Run with: `cargo run --release -p compose-bench --bin index_scale`
 //! (`--quick` shrinks every tier and skips the JSON).
 
-use std::fs;
-use std::io::Write as _;
 use std::sync::Arc;
-use std::time::Instant;
 
 use biomodels_corpus::{corpus_scale, query_fragment, scale_model};
-use compose_bench::{best, host_parallelism, time_median, workspace_root};
+use compose_bench::{compare, sample, Json};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::Model;
@@ -47,20 +44,20 @@ fn main() {
     let tiers: &[usize] = if quick { &[250, 500, 1000] } else { &[1000, 2500, 5000, 10_000] };
     let top = *tiers.last().expect("tier list is non-empty");
     let shard_counts = [1usize, 2, 4, 8];
-    let (runs, append_batch) = if quick { (3, 25) } else { (5, 100) };
+    let (rounds, append_batch) = if quick { (3, 25) } else { (9, 100) };
 
     // One preparation pass covers every tier (prefixes) plus the fresh
     // models the append samples consume — preparation cost is identical
     // on both sides of the rebuild-vs-append comparison and is excluded
     // from both.
-    let extra = runs * append_batch;
-    let t0 = Instant::now();
+    let extra = rounds * append_batch;
     let mut models = corpus_scale(top);
     models.extend((top..top + extra).map(scale_model));
     let batch = BatchComposer::new(Composer::new(options.clone()));
-    let prepared = batch.prepare_corpus(&models);
+    let mut prepared = Vec::new();
+    let preparing = sample(1, |_| prepared = batch.prepare_corpus(&models));
     assert_eq!(prepared.len(), top + extra, "every scale-tier model survives preparation");
-    println!("prepared {} models in {:.2}s", prepared.len(), t0.elapsed().as_secs_f64());
+    println!("prepared {} models in {:.2}s", prepared.len(), preparing.median);
 
     // 24 connected 1-hop fragments spread across the motif families.
     let queries: Vec<Model> = (0..24)
@@ -91,80 +88,68 @@ fn main() {
     }
     println!("scatter-gather fidelity verified: {} queries x {:?} shards", queries.len(), shard_counts);
 
-    // --- full rebuild at the top tier: index construction from already
-    // prepared models, min-of-N (the standard uncontended-cost estimator
-    // on shared CI hosts), applied symmetrically to both sides.
-    let rebuild_s = best(
-        (0..runs)
-            .map(|_| {
-                let start = Instant::now();
-                let index = MatchIndex::build_sharded(&prepared[..top], &options, 0, 4);
-                let elapsed = start.elapsed().as_secs_f64();
-                drop(std::hint::black_box(index));
-                elapsed
-            })
-            .collect(),
-    );
-
-    // --- incremental append: each sample pushes a fresh disjoint batch
-    // of `append_batch` prepared models onto the same live index.
+    // --- full rebuild at the top tier (index construction from already
+    // prepared models) against incremental append: each round pushes a
+    // fresh disjoint batch of `append_batch` prepared models onto the
+    // same live index.
     let mut growing = MatchIndex::build_sharded(&prepared[..top], &options, 0, 4);
-    let append_s = best(
-        (0..runs)
-            .map(|run| {
-                let batch = &prepared[top + run * append_batch..top + (run + 1) * append_batch];
-                let start = Instant::now();
-                for p in batch {
-                    std::hint::black_box(growing.insert(Arc::clone(p)));
-                }
-                start.elapsed().as_secs_f64()
-            })
-            .collect(),
+    let append = compare(
+        rounds,
+        |_| MatchIndex::build_sharded(&prepared[..top], &options, 0, 4),
+        |round| {
+            for p in &prepared[top + round * append_batch..top + (round + 1) * append_batch] {
+                std::hint::black_box(growing.insert(Arc::clone(p)));
+            }
+        },
     );
     assert_eq!(growing.len(), top + extra, "every appended model is live");
-    let append_speedup = rebuild_s / append_s.max(1e-12);
-    let append_us = append_s / append_batch as f64 * 1e6;
-    println!("full rebuild ({top} models, 4 shards): {rebuild_s:.4}s");
+    drop(growing);
+    let append_speedup = append.ratio.median;
+    let append_us = append.b.median / append_batch as f64 * 1e6;
+    println!("full rebuild ({top} models, 4 shards): {:.4}s", append.a.median);
     println!(
-        "incremental append ({append_batch}-model batch): {append_s:.5}s  \
-         ({append_us:.1}us/model, {append_speedup:.0}x cheaper than rebuild)"
+        "incremental append ({append_batch}-model batch): {:.5}s  \
+         ({append_us:.1}us/model, {append_speedup:.0}x cheaper than rebuild)",
+        append.b.median
     );
 
+    // One sweep of the battery over an index.
+    let sweep = |index: &MatchIndex, pq: &[sbml_match::PreparedQuery]| {
+        pq.iter().map(|q| index.query_corpus_prepared(q).exact.len()).sum::<usize>()
+    };
+    let per_query = |seconds: f64| seconds / queries.len() as f64 * 1e6;
+
     // --- query latency vs corpus size (fixed 4 shards).
-    let mut by_models: Vec<(usize, f64)> = Vec::new();
+    let mut by_models = Json::new();
     for &n in tiers {
         let index = MatchIndex::build_sharded(&prepared[..n], &options, 0, 4);
         let pq: Vec<_> = queries.iter().map(|q| index.prepare_query(q)).collect();
-        let total = time_median(runs, || {
-            let mut acc = 0usize;
-            for q in &pq {
-                acc += index.query_corpus_prepared(q).exact.len();
-            }
-            std::hint::black_box(acc);
-        });
-        let us = total / queries.len() as f64 * 1e6;
+        let us = per_query(sample(rounds, |_| sweep(&index, &pq)).median);
         println!("query latency at {n:>6} models: {us:.2}us/query");
-        by_models.push((n, us));
+        by_models = by_models.num(&n.to_string(), us);
     }
 
-    // --- query latency vs shard count at the top tier.
-    let mut by_shards: Vec<(usize, f64)> = Vec::new();
-    for &shards in &shard_counts {
+    // --- query latency vs shard count at the top tier; the gated 8-vs-1
+    // pair runs interleaved.
+    let sharded = |shards: usize| {
         let index = MatchIndex::build_sharded(&prepared[..top], &options, 0, shards);
         let pq: Vec<_> = queries.iter().map(|q| index.prepare_query(q)).collect();
-        let total = time_median(runs, || {
-            let mut acc = 0usize;
-            for q in &pq {
-                acc += index.query_corpus_prepared(q).exact.len();
-            }
-            std::hint::black_box(acc);
-        });
-        let us = total / queries.len() as f64 * 1e6;
+        (index, pq)
+    };
+    let ((eight, pq8), (one, pq1)) = (sharded(8), sharded(1));
+    let widths = compare(2 * rounds + 1, |_| sweep(&eight, &pq8), |_| sweep(&one, &pq1));
+    drop((eight, one));
+    let (one_us, eight_us) = (per_query(widths.b.median), per_query(widths.a.median));
+    let mut by_shards = Json::new().num("1", one_us);
+    for shards in [2, 4] {
+        let (index, pq) = sharded(shards);
+        let us = per_query(sample(rounds, |_| sweep(&index, &pq)).median);
         println!("query latency at {shards} shard(s), {top} models: {us:.2}us/query");
-        by_shards.push((shards, us));
+        by_shards = by_shards.num(&shards.to_string(), us);
     }
-    let shard_ratio = by_shards.last().expect("shard tiers ran").1
-        / by_shards.first().expect("shard tiers ran").1.max(1e-12);
+    let by_shards = by_shards.num("8", eight_us);
+    let shard_ratio = widths.ratio.median;
+    println!("query latency at 1 and 8 shard(s), {top} models: {one_us:.2} / {eight_us:.2}us/query");
     println!("8-shard vs 1-shard latency ratio: {shard_ratio:.2} (flat-to-sublinear gate: <= 1.5)");
 
     if quick {
@@ -172,47 +157,25 @@ fn main() {
         return;
     }
 
-    let series = |pairs: &[(usize, f64)]| {
-        pairs
-            .iter()
-            .map(|(k, us)| format!("    \"{k}\": {us:.3}"))
-            .collect::<Vec<_>>()
-            .join(",\n")
-    };
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"index_scale\",\n");
-    json.push_str(
-        "  \"corpus\": \"biomodels_corpus::corpus_scale (size-skewed, 48 shared-motif families); 24 1-hop query fragments\",\n",
-    );
-    json.push_str("  \"engines\": {\n");
-    json.push_str(
-        "    \"rebuild\": \"MatchIndex::build_sharded over every prepared model from scratch\",\n",
-    );
-    json.push_str(
-        "    \"incremental_append\": \"MatchIndex::insert per model, fresh disjoint batches onto the live index\"\n",
-    );
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"models\": {top},\n"));
-    json.push_str(&format!("  \"queries\": {},\n", queries.len()));
-    json.push_str("  \"semantics\": \"heavy\",\n");
-    json.push_str(&format!("  \"append_batch_models\": {append_batch},\n"));
-    json.push_str(&format!("  \"rebuild_seconds\": {rebuild_s:.6},\n"));
-    json.push_str(&format!("  \"append_batch_seconds\": {append_s:.6},\n"));
-    json.push_str(&format!("  \"append_per_model_microseconds\": {append_us:.3},\n"));
-    json.push_str("  \"query_microseconds_by_models\": {\n");
-    json.push_str(&series(&by_models));
-    json.push_str("\n  },\n");
-    json.push_str("  \"query_microseconds_by_shards\": {\n");
-    json.push_str(&series(&by_shards));
-    json.push_str("\n  },\n");
-    json.push_str(&format!("  \"latency_ratio_shards_8_vs_1\": {shard_ratio:.3},\n"));
-    json.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
-    json.push_str(&format!("  \"speedup_incremental_append\": {append_speedup:.2}\n"));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_scale.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_scale.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_scale.json");
-    println!("wrote {}", path.display());
+    Json::new()
+        .str("benchmark", "index_scale")
+        .str("corpus", "biomodels_corpus::corpus_scale (size-skewed, 48 shared-motif families); 24 1-hop query fragments")
+        .obj(
+            "engines",
+            Json::new()
+                .str("rebuild", "MatchIndex::build_sharded over every prepared model from scratch")
+                .str("incremental_append", "MatchIndex::insert per model, fresh disjoint batches onto the live index"),
+        )
+        .int("models", top)
+        .int("queries", queries.len())
+        .str("semantics", "heavy")
+        .int("append_batch_models", append_batch)
+        .compared("append_seconds", "rebuild", "append_batch", &append)
+        .num("append_per_model_microseconds", append_us)
+        .obj("query_microseconds_by_models", by_models)
+        .obj("query_microseconds_by_shards", by_shards)
+        .compared("battery_seconds_by_shards", "shards_8", "shards_1", &widths)
+        .num("latency_ratio_shards_8_vs_1", shard_ratio)
+        .num("speedup_incremental_append", append_speedup)
+        .write("scale");
 }

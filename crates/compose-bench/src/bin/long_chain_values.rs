@@ -20,10 +20,7 @@
 //! [`CompositionSession`]: sbml_compose::session::CompositionSession
 //! [`ComposeOptions::incremental_initial_values`]: sbml_compose::ComposeOptions::incremental_initial_values
 
-use std::fs;
-use std::io::Write as _;
-
-use compose_bench::{time_median, workspace_root};
+use compose_bench::{compare, Json};
 use sbml_compose::{compose_many, ComposeOptions, Composer};
 use sbml_model::builder::ModelBuilder;
 use sbml_model::Model;
@@ -60,13 +57,6 @@ fn value_heavy_model(i: usize) -> Model {
     b.build()
 }
 
-struct Row {
-    length: usize,
-    recollect_seconds: f64,
-    incremental_seconds: f64,
-    assignments: usize,
-}
-
 fn main() {
     let incremental_options = ComposeOptions::default();
     let recollect_options = ComposeOptions::default().with_incremental_initial_values(false);
@@ -80,9 +70,10 @@ fn main() {
     );
 
     let mut rows = Vec::new();
+    let mut final_speedup = 0.0;
     for length in CHAIN_LENGTHS {
         let chain: Vec<Model> = (0..length).map(value_heavy_model).collect();
-        let runs = if length >= 32 { 3 } else { 5 };
+        let rounds = if length >= 32 { 5 } else { 7 };
 
         let reference = compose_many(&recollect, &chain);
         let candidate = compose_many(&incremental, &chain);
@@ -93,72 +84,41 @@ fn main() {
         assert_eq!(candidate.log.events, reference.log.events);
         assert_eq!(candidate.mappings, reference.mappings);
 
-        let recollect_seconds = time_median(runs, || {
-            std::hint::black_box(compose_many(&recollect, &chain));
-        });
-        let incremental_seconds = time_median(runs, || {
-            std::hint::black_box(compose_many(&incremental, &chain));
-        });
-
-        let row = Row {
-            length,
-            recollect_seconds,
-            incremental_seconds,
-            assignments: reference.model.initial_assignments.len(),
-        };
-        println!(
-            "{:>7} {:>16.6} {:>16.6} {:>8.2}x {:>12}",
-            row.length,
-            row.recollect_seconds,
-            row.incremental_seconds,
-            row.recollect_seconds / row.incremental_seconds.max(1e-12),
-            row.assignments,
+        let c = compare(
+            rounds,
+            |_| compose_many(&recollect, &chain),
+            |_| compose_many(&incremental, &chain),
         );
-        rows.push(row);
+        final_speedup = c.ratio.median;
+        let assignments = reference.model.initial_assignments.len();
+        println!(
+            "{length:>7} {:>16.6} {:>16.6} {final_speedup:>8.2}x {assignments:>12}",
+            c.a.median, c.b.median,
+        );
+        rows.push(
+            Json::new()
+                .int("length", length)
+                .num("speedup", final_speedup)
+                .int("merged_initial_assignments", assignments)
+                .compared("seconds", "recollect", "incremental", &c),
+        );
     }
 
-    let last = rows.last().expect("at least one chain length");
-    let final_speedup = last.recollect_seconds / last.incremental_seconds.max(1e-12);
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        compose_bench::host_parallelism()
-    ));
-    // Single-threaded measurement; recorded for cross-machine comparability.
-    json.push_str("  \"threads\": 1,\n");
-    json.push_str("  \"benchmark\": \"long_chain_values\",\n");
-    json.push_str("  \"corpus\": \"deterministic value-heavy chain models (24 chained initial assignments each)\",\n");
-    json.push_str("  \"engines\": {\n");
-    json.push_str("    \"recollect\": \"CompositionSession with incremental_initial_values=false: initial_values::collect re-run over the whole accumulator before every push\",\n");
-    json.push_str("    \"incremental\": \"CompositionSession default: IncrementalValues store seeded once, each push re-evaluates only its dependency closure\"\n");
-    json.push_str("  },\n");
-    json.push_str("  \"chains\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"length\": {}, \"recollect_seconds\": {:.6}, \"incremental_seconds\": {:.6}, \"speedup\": {:.2}, \"merged_initial_assignments\": {} }}{}\n",
-            row.length,
-            row.recollect_seconds,
-            row.incremental_seconds,
-            row.recollect_seconds / row.incremental_seconds.max(1e-12),
-            row.assignments,
-            if i + 1 == rows.len() { "" } else { "," },
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!(
-        "  \"speedup_incremental_values_at_length_{}\": {:.2}\n",
-        last.length, final_speedup
-    ));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_values.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_values.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_values.json");
-    println!("\nwrote {}", path.display());
+    Json::new()
+        // Single-threaded measurement; recorded for cross-machine comparability.
+        .int("threads", 1)
+        .str("benchmark", "long_chain_values")
+        .str("corpus", "deterministic value-heavy chain models (24 chained initial assignments each)")
+        .obj(
+            "engines",
+            Json::new()
+                .str("recollect", "CompositionSession with incremental_initial_values=false: initial_values::collect re-run over the whole accumulator before every push")
+                .str("incremental", "CompositionSession default: IncrementalValues store seeded once, each push re-evaluates only its dependency closure"),
+        )
+        .rows("chains", rows)
+        .num("speedup_incremental_values_at_length_128", final_speedup)
+        .write("values");
     println!(
-        "length-{} chain: incremental initial values are {final_speedup:.2}x faster than per-push re-collect",
-        last.length
+        "length-128 chain: incremental initial values are {final_speedup:.2}x faster than per-push re-collect"
     );
 }

@@ -27,12 +27,10 @@
 //!
 //! Run with: `cargo run --release -p compose-bench --bin pipeline_conflict`
 
-use std::fs;
-use std::io::Write as _;
 use std::sync::Arc;
 
 use biomodels_corpus::corpus_conflict;
-use compose_bench::{time_median, workspace_root};
+use compose_bench::{compare, host_parallelism, Json};
 use sbml_compose::{compose_many_prepared, ComposeOptions, Composer, PreparedModel};
 
 /// Models in the conflict corpus.
@@ -86,11 +84,8 @@ fn main() {
         }
     }
 
-    let host_parallelism = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
     println!(
-        "conflict corpus: {n} models, {} keyed components each; host parallelism {host_parallelism}",
+        "conflict corpus: {n} models, {} keyed components each; host parallelism {}",
         models[0].species.len()
             + models[0].reactions.len()
             + models[0].rules.len()
@@ -98,31 +93,25 @@ fn main() {
             + models[0].events.len()
             + models[0].function_definitions.len()
             + models[0].compartments.len(),
+        host_parallelism(),
     );
 
-    let runs = if quick { 3 } else { 5 };
-    let chain_serial = time_median(runs, || {
-        std::hint::black_box(chain(&serial, &prepared));
-    });
-    let chain_default = time_median(runs, || {
-        std::hint::black_box(chain(&fast, &prepared));
-    });
-    let chain_speedup = chain_serial / chain_default.max(1e-12);
+    let rounds = if quick { 3 } else { 9 };
+    let chains = compare(rounds, |_| chain(&serial, &prepared), |_| chain(&fast, &prepared));
+    let chain_speedup = chains.ratio.median;
     println!(
-        "chain ({n} pushes):   serial {chain_serial:.4}s  default {chain_default:.4}s  speedup {chain_speedup:.2}x"
+        "chain ({n} pushes):   serial {:.4}s  default {:.4}s  speedup {chain_speedup:.2}x",
+        chains.a.median, chains.b.median
     );
 
-    let pair_runs = if quick { 1 } else { 3 };
-    let pairs_serial = time_median(pair_runs, || {
-        std::hint::black_box(pairs(&serial, &prepared));
-    });
-    let pairs_default = time_median(pair_runs, || {
-        std::hint::black_box(pairs(&fast, &prepared));
-    });
-    let pairs_speedup = pairs_serial / pairs_default.max(1e-12);
+    let pair_rounds = if quick { 1 } else { 3 };
+    let all_pairs = compare(pair_rounds, |_| pairs(&serial, &prepared), |_| pairs(&fast, &prepared));
     println!(
-        "all-pairs ({} pairs): serial {pairs_serial:.4}s  default {pairs_default:.4}s  speedup {pairs_speedup:.2}x",
-        n * (n - 1) / 2
+        "all-pairs ({} pairs): serial {:.4}s  default {:.4}s  speedup {:.2}x",
+        n * (n - 1) / 2,
+        all_pairs.a.median,
+        all_pairs.b.median,
+        all_pairs.ratio.median
     );
 
     if quick {
@@ -130,32 +119,19 @@ fn main() {
         return;
     }
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"pipeline_conflict\",\n");
-    json.push_str(
-        "  \"corpus\": \"biomodels_corpus::corpus_conflict (deterministic; every push renames every shared parameter and maps every alias species by name)\",\n",
-    );
-    json.push_str(&format!("  \"models\": {n},\n"));
-    json.push_str("  \"engines\": {\n");
-    json.push_str(
-        "    \"serial\": \"incremental_key_rename=false: Fig. 4 passes in order, dirty cached keys rebuilt by full re-canonicalisation\",\n",
-    );
-    json.push_str(
-        "    \"pipelined\": \"ComposeOptions::default(): Fig. 4 passes in order, dirty cached keys revalidated by incremental rename of canonical text (dirty commutative groups only); key name kept from the removed merge-pass DAG executor\"\n",
-    );
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"host_parallelism\": {host_parallelism},\n"));
-    json.push_str(&format!("  \"chain_serial_seconds\": {chain_serial:.6},\n"));
-    json.push_str(&format!("  \"chain_pipelined_seconds\": {chain_default:.6},\n"));
-    json.push_str(&format!("  \"pairs_serial_seconds\": {pairs_serial:.6},\n"));
-    json.push_str(&format!("  \"pairs_pipelined_seconds\": {pairs_default:.6},\n"));
-    json.push_str(&format!("  \"speedup_pairs\": {pairs_speedup:.2},\n"));
-    json.push_str(&format!("  \"speedup_pipelined_vs_serial\": {chain_speedup:.2}\n"));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_pipeline.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_pipeline.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_pipeline.json");
-    println!("wrote {}", path.display());
+    Json::new()
+        .str("benchmark", "pipeline_conflict")
+        .str("corpus", "biomodels_corpus::corpus_conflict (deterministic; every push renames every shared parameter and maps every alias species by name)")
+        .int("models", n)
+        .obj(
+            "engines",
+            Json::new()
+                .str("serial", "incremental_key_rename=false: Fig. 4 passes in order, dirty cached keys rebuilt by full re-canonicalisation")
+                .str("pipelined", "ComposeOptions::default(): Fig. 4 passes in order, dirty cached keys revalidated by incremental rename of canonical text (dirty commutative groups only); key name kept from the removed merge-pass DAG executor"),
+        )
+        .compared("chain_seconds", "serial", "pipelined", &chains)
+        .compared("pairs_seconds", "serial", "pipelined", &all_pairs)
+        .num("speedup_pairs", all_pairs.ratio.median)
+        .num("speedup_pipelined_vs_serial", chain_speedup)
+        .write("pipeline");
 }

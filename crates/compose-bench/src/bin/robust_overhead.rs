@@ -11,16 +11,16 @@
 //!
 //! [`Meter`]: sbml_compose::guard::Meter
 
-use std::fs;
-use std::io::Write as _;
-
-use compose_bench::{time_median_interleaved, workspace_root};
+use compose_bench::{compare, Json};
 use sbml_compose::guard::Budget;
 use sbml_compose::{ComposeOptions, CompositionSession};
 use sbml_model::Model;
 
 const CHAIN_LENGTH: usize = 64;
-const RUNS: usize = 7;
+/// Rounds: one round of either side is ~25 ms, and at 7 rounds the
+/// median per-round ratio still spread -15..+6% over 10 runs on a
+/// 2-vCPU host.
+const RUNS: usize = 21;
 
 fn run_plain(options: &ComposeOptions, chain: &[Model]) -> Model {
     let mut session = CompositionSession::new(options);
@@ -55,42 +55,25 @@ fn main() {
     // Interleaved rounds: on a loaded single-CPU host, sampling all plain
     // runs before all guarded runs lets scheduling drift masquerade as
     // guard overhead (or hide it).
-    let (plain_seconds, guarded_seconds) = time_median_interleaved(
-        RUNS,
-        || {
-            std::hint::black_box(run_plain(&options, &chain));
-        },
-        || {
-            std::hint::black_box(run_guarded(&options, &chain));
-        },
-    );
-    let overhead_pct = (guarded_seconds / plain_seconds.max(1e-12) - 1.0) * 100.0;
+    let c = compare(RUNS, |_| run_guarded(&options, &chain), |_| run_plain(&options, &chain));
+    let overhead_pct = (c.ratio.median - 1.0) * 100.0;
 
     println!("guard overhead — push vs push_guarded(unlimited meter), length-{CHAIN_LENGTH} chain");
-    println!("  plain   : {plain_seconds:.6} s");
-    println!("  guarded : {guarded_seconds:.6} s");
+    println!("  plain   : {:.6} s", c.b.median);
+    println!("  guarded : {:.6} s", c.a.median);
     println!("  overhead: {overhead_pct:.2} %");
 
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!(
-        "  \"host_parallelism\": {},\n",
-        compose_bench::host_parallelism()
-    ));
-    json.push_str("  \"benchmark\": \"robust_overhead\",\n");
-    json.push_str("  \"corpus\": \"biomodels_corpus::corpus_187 (deterministic synthetic)\",\n");
-    json.push_str(&format!("  \"chain_length\": {CHAIN_LENGTH},\n"));
-    json.push_str("  \"engines\": {\n");
-    json.push_str("    \"plain\": \"CompositionSession::push — no containment, no metering\",\n");
-    json.push_str("    \"guarded\": \"CompositionSession::push_guarded with an unlimited Meter: per-push step charge + deadline check + degradation-ladder plumbing\"\n");
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"plain_seconds\": {plain_seconds:.6},\n"));
-    json.push_str(&format!("  \"guarded_seconds\": {guarded_seconds:.6},\n"));
-    json.push_str(&format!("  \"guard_overhead_pct\": {overhead_pct:.2}\n"));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_robust.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_robust.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_robust.json");
-    println!("\nwrote {}", path.display());
+    Json::new()
+        .str("benchmark", "robust_overhead")
+        .str("corpus", "biomodels_corpus::corpus_187 (deterministic synthetic)")
+        .int("chain_length", CHAIN_LENGTH)
+        .obj(
+            "engines",
+            Json::new()
+                .str("plain", "CompositionSession::push — no containment, no metering")
+                .str("guarded", "CompositionSession::push_guarded with an unlimited Meter: per-push step charge + deadline check + degradation-ladder plumbing"),
+        )
+        .compared("seconds", "guarded", "plain", &c)
+        .num("guard_overhead_pct", overhead_pct)
+        .write("robust");
 }

@@ -29,12 +29,10 @@
 //!
 //! Run with: `cargo run --release -p compose-bench --bin serve_snapshot`
 
-use std::fs;
-use std::io::Write as _;
 use std::sync::Arc;
 
 use biomodels_corpus::{corpus_187, query_fragment};
-use compose_bench::{best, host_parallelism, stats, time_median, workspace_root};
+use compose_bench::{compare, stats, Json};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::{parse_sbml, write_sbml};
@@ -89,57 +87,38 @@ fn main() {
         bytes.len()
     );
 
-    // Construction is timed with the drop outside the window (tearing
-    // down a 187-model corpus costs milliseconds of its own), dropping
-    // between samples so the allocator state stays comparable across
-    // runs on both sides.
-    fn sample_build<T>(f: &mut impl FnMut() -> T) -> f64 {
-        let start = std::time::Instant::now();
-        let result = f();
-        let elapsed = start.elapsed().as_secs_f64();
-        drop(std::hint::black_box(result));
-        elapsed
-    }
-    let runs = if quick { 3 } else { 5 };
-    // Both sides take the MINIMUM over their runs: on a shared 1-CPU
-    // host, every sample is its true cost plus non-negative scheduling
-    // interference, so min-of-N is the standard estimator of the
-    // uncontended cost — applied symmetrically to keep the ratio honest.
-    // Loads are sampled as a block BEFORE the rebuilds: the daemon's
-    // real load happens once in a fresh process, so measuring it against
-    // an allocator freshly churned by a 187-model corpus teardown would
-    // penalise the wrong side. Loads are also ~10x cheaper, so they get
-    // extra samples.
-    let mut rebuild_fn = rebuild;
+    // Both sides are timed in alternating rounds, each with its result
+    // dropped outside the clock (tearing down a 187-model corpus costs
+    // milliseconds of its own); even rounds rebuild first, so a load
+    // follows a fresh corpus teardown in half the rounds and precedes it
+    // in the other half (on a 2-vCPU host the former were not slower).
+    let rounds = if quick { 3 } else { 9 };
     let mut stage_samples = Vec::new();
-    let mut load_fn = || {
+    let load = |_| {
         let loaded = Snapshot::load_bytes(&bytes, &options, 0).expect("snapshot loads");
         stage_samples.push(loaded.stages);
         loaded
     };
-    let load_runs = runs * 2 - 1;
-    let load_s = best((0..load_runs).map(|_| sample_build(&mut load_fn)).collect());
-    let rebuild_s = best((0..runs).map(|_| sample_build(&mut rebuild_fn)).collect());
-    let load_speedup = rebuild_s / load_s.max(1e-12);
-    println!("full rebuild (parse + prepare + index): {rebuild_s:.4}s");
-    println!("snapshot load:                          {load_s:.4}s  ({load_speedup:.1}x)");
+    let builds = compare(rounds, |_| rebuild(), load);
+    let load_speedup = builds.ratio.median;
+    println!("full rebuild (parse + prepare + index): {:.4}s", builds.a.median);
+    println!(
+        "snapshot load:                          {:.4}s  ({load_speedup:.1}x)",
+        builds.b.median
+    );
     let stage_names = ["checksums", "models", "layout", "shards", "index"];
-    let stage_stats: Vec<_> = stage_names
-        .iter()
-        .enumerate()
-        .map(|(k, name)| {
-            let series: Vec<f64> = stage_samples
-                .iter()
-                .map(|s| [s.checksums_s, s.models_s, s.layout_s, s.shards_s, s.index_s][k])
-                .collect();
-            (*name, stats(&series))
-        })
-        .collect();
-    for (name, s) in &stage_stats {
+    let mut stage_json = Json::new();
+    for (k, name) in stage_names.iter().enumerate() {
+        let series: Vec<f64> = stage_samples
+            .iter()
+            .map(|s| [s.checksums_s, s.models_s, s.layout_s, s.shards_s, s.index_s][k])
+            .collect();
+        let s = stats(&series);
         println!(
             "  load stage {name:<9}  min {:.4}s  median {:.4}s  p95 {:.4}s",
             s.min, s.median, s.p95
         );
+        stage_json = stage_json.spread(name, &s);
     }
 
     // Steady state. Cold: the full indexed query per request. Warm: the
@@ -147,33 +126,36 @@ fn main() {
     // rendered on the first answer.
     let prepared_queries: Vec<_> = queries.iter().map(|q| loaded.index.prepare_query(q)).collect();
     let reps = if quick { 8 } else { 32 };
-    let cold_s = time_median(runs, || {
-        let mut acc = 0usize;
-        for _ in 0..reps {
-            for q in &prepared_queries {
-                acc += loaded.index.query_corpus_prepared(q).exact.len();
-            }
-        }
-        std::hint::black_box(acc);
-    });
     let mut cache = QueryCache::new(queries.len().max(1));
     for (qi, query) in queries.iter().enumerate() {
         let rendered = format!("{:?}", loaded.index.query_corpus(query).exact);
         cache.put(format!("match\n{qi}"), Arc::from(rendered.into_bytes().into_boxed_slice()));
     }
     let keys: Vec<String> = (0..queries.len()).map(|qi| format!("match\n{qi}")).collect();
-    let warm_s = time_median(runs, || {
-        let mut acc = 0usize;
-        for _ in 0..reps {
-            for key in &keys {
-                acc += cache.get(key).expect("warm cache holds every query").len();
+    let queries_cold = compare(
+        rounds,
+        |_| {
+            let mut acc = 0usize;
+            for _ in 0..reps {
+                for q in &prepared_queries {
+                    acc += loaded.index.query_corpus_prepared(q).exact.len();
+                }
             }
-        }
-        std::hint::black_box(acc);
-    });
+            acc
+        },
+        |_| {
+            let mut acc = 0usize;
+            for _ in 0..reps {
+                for key in &keys {
+                    acc += cache.get(key).expect("warm cache holds every query").len();
+                }
+            }
+            acc
+        },
+    );
     let per_query = |total_s: f64| total_s / (reps * queries.len()) as f64 * 1e6;
-    let (cold_us, warm_us) = (per_query(cold_s), per_query(warm_s));
-    let warm_speedup = cold_s / warm_s.max(1e-12);
+    let (cold_us, warm_us) = (per_query(queries_cold.a.median), per_query(queries_cold.b.median));
+    let warm_speedup = queries_cold.ratio.median;
     println!("cold query (full indexed search): {cold_us:.2}us/query");
     println!("warm query (cache hit path):      {warm_us:.2}us/query  ({warm_speedup:.1}x)");
 
@@ -183,49 +165,29 @@ fn main() {
     }
 
     let (node_keys, edge_keys, participant_keys) = loaded.index.posting_stats();
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"benchmark\": \"serve_snapshot\",\n");
-    json.push_str(
-        "  \"corpus\": \"biomodels_corpus::corpus_187 (fig8 ramp); one 1-hop query fragment per eighth model\",\n",
-    );
-    json.push_str("  \"engines\": {\n");
-    json.push_str(
-        "    \"rebuild\": \"parse every SBML document, prepare the corpus, build the match index from scratch\",\n",
-    );
-    json.push_str(
-        "    \"snapshot_load\": \"copy a versioned binary snapshot into one checksummed image, decode the index skeleton; models decode on first touch\"\n",
-    );
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"models\": {n},\n"));
-    json.push_str(&format!("  \"queries\": {},\n", queries.len()));
-    json.push_str("  \"semantics\": \"heavy\",\n");
-    json.push_str(&format!("  \"snapshot_bytes\": {},\n", bytes.len()));
-    json.push_str(&format!("  \"posting_node_keys\": {node_keys},\n"));
-    json.push_str(&format!("  \"posting_edge_keys\": {edge_keys},\n"));
-    json.push_str(&format!("  \"posting_participant_keys\": {participant_keys},\n"));
-    json.push_str(&format!("  \"rebuild_seconds\": {rebuild_s:.6},\n"));
-    json.push_str(&format!("  \"snapshot_load_seconds\": {load_s:.6},\n"));
-    json.push_str(&format!("  \"load_samples\": {load_runs},\n"));
-    json.push_str("  \"load_stage_seconds\": {\n");
-    for (k, (name, s)) in stage_stats.iter().enumerate() {
-        let comma = if k + 1 < stage_stats.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    \"{name}\": {{ \"min\": {:.6}, \"median\": {:.6}, \"p95\": {:.6} }}{comma}\n",
-            s.min, s.median, s.p95
-        ));
-    }
-    json.push_str("  },\n");
-    json.push_str(&format!("  \"cold_query_microseconds\": {cold_us:.3},\n"));
-    json.push_str(&format!("  \"warm_query_microseconds\": {warm_us:.3},\n"));
-    json.push_str(&format!("  \"speedup_warm_cache\": {warm_speedup:.2},\n"));
-    json.push_str("  \"threads\": 0,\n");
-    json.push_str(&format!("  \"host_parallelism\": {},\n", host_parallelism()));
-    json.push_str(&format!("  \"speedup_snapshot_load\": {load_speedup:.2}\n"));
-    json.push_str("}\n");
-
-    let path = workspace_root().join("BENCH_serve.json");
-    let mut out = fs::File::create(&path).expect("create BENCH_serve.json");
-    out.write_all(json.as_bytes()).expect("write BENCH_serve.json");
-    println!("wrote {}", path.display());
+    Json::new()
+        .str("benchmark", "serve_snapshot")
+        .str("corpus", "biomodels_corpus::corpus_187 (fig8 ramp); one 1-hop query fragment per eighth model")
+        .obj(
+            "engines",
+            Json::new()
+                .str("rebuild", "parse every SBML document, prepare the corpus, build the match index from scratch")
+                .str("snapshot_load", "copy a versioned binary snapshot into one checksummed image, decode the index skeleton; models decode on first touch"),
+        )
+        .int("models", n)
+        .int("queries", queries.len())
+        .str("semantics", "heavy")
+        .int("snapshot_bytes", bytes.len())
+        .int("posting_node_keys", node_keys)
+        .int("posting_edge_keys", edge_keys)
+        .int("posting_participant_keys", participant_keys)
+        .compared("build_seconds", "rebuild", "snapshot_load", &builds)
+        .obj("load_stage_seconds", stage_json)
+        .compared("query_seconds_per_sweep", "cold", "warm", &queries_cold)
+        .num("cold_query_microseconds", cold_us)
+        .num("warm_query_microseconds", warm_us)
+        .num("speedup_warm_cache", warm_speedup)
+        .int("threads", 0)
+        .num("speedup_snapshot_load", load_speedup)
+        .write("serve");
 }
