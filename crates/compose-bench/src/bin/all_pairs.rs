@@ -26,7 +26,7 @@
 
 use std::sync::Arc;
 
-use compose_bench::{compare, oracle, sample, Json};
+use compose_bench::{compare, oracle, timed, Json};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer, SharedModel};
 use sbml_model::Model;
 
@@ -42,8 +42,7 @@ fn main() {
     // Prepared once, shared across every pair (and charged to the
     // prepared engine's wall time below).
     let serial = BatchComposer::new(composer.clone()).with_threads(1);
-    let mut prepared = Vec::new();
-    let prepare_seconds = sample(1, |_| prepared = serial.prepare_corpus(&corpus)).median;
+    let (prepared, prepare_seconds) = timed(|| serial.prepare_corpus(&corpus));
 
     // Row-interleaved serial comparison: baseline (per-pair recompute,
     // the seed behaviour) vs prepared reuse over identical pair rows.
@@ -63,9 +62,8 @@ fn main() {
             }
         },
     );
-    let total = |s: &compose_bench::Stats, rounds: usize| s.mean * rounds as f64;
-    let baseline_seconds = total(&rows.a, n);
-    let prepared_seconds = total(&rows.b, n) + prepare_seconds;
+    let baseline_seconds = rows.a.total;
+    let prepared_seconds = rows.b.total + prepare_seconds;
     println!("  per-pair recompute (seed) : {baseline_seconds:>9.3}s");
     println!(
         "  prepared, shared, serial  : {prepared_seconds:>9.3}s  (of which prepare: {prepare_seconds:.3}s)"
@@ -76,15 +74,11 @@ fn main() {
     // number, on multi-core hosts it divides by the worker count.
     let threads = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
     let fanned = BatchComposer::new(composer.clone());
-    let mut prepared_threaded = Vec::new();
-    let mut batch_components = 0usize;
-    let threaded_seconds = sample(1, |_| {
-        prepared_threaded = fanned.prepare_corpus(&corpus);
-        let summaries = fanned.all_pairs(&prepared_threaded);
-        batch_components = summaries.iter().map(|s| s.components).sum();
-        summaries
-    })
-    .median;
+    let ((prepared_threaded, batch_components), threaded_seconds) = timed(|| {
+        let prepared = fanned.prepare_corpus(&corpus);
+        let components: usize = fanned.all_pairs(&prepared).iter().map(|s| s.components).sum();
+        (prepared, components)
+    });
     println!("  BatchComposer, {threads} worker(s): {threaded_seconds:>9.3}s");
 
     // The engines must agree: identical per-pair component totals between
@@ -106,13 +100,9 @@ fn main() {
             break;
         }
         let batch = BatchComposer::new(composer.clone()).with_threads(t);
-        let mut comps = 0usize;
-        let secs = sample(1, |_| {
-            let sums = batch.all_pairs(&prepared_threaded);
-            comps = sums.iter().map(|s| s.components).sum();
-            sums
-        })
-        .median;
+        let (comps, secs) = timed(|| {
+            batch.all_pairs(&prepared_threaded).iter().map(|s| s.components).sum::<usize>()
+        });
         assert_eq!(baseline_components, comps, "thread-scaling run diverged at {t} threads");
         println!("  all-pairs at {t} explicit worker(s): {secs:>9.3}s");
         if t == 1 {
@@ -155,7 +145,7 @@ fn main() {
             |_| composer.compose_prepared(&base, &dup),
             |_| composer.compose_shared(Arc::clone(&base), &dup),
         );
-        let (clone_s, cow_s) = (total(&c.a, fixed_reps), total(&c.b, fixed_reps));
+        let (clone_s, cow_s) = (c.a.total, c.b.total);
         let reps = fixed_reps as f64;
         println!(
             "  fixed cost, base size {size:>3}: clone {:>9.1}us/pair, cow {:>9.1}us/pair",
@@ -202,7 +192,6 @@ fn main() {
         .num("baseline_seconds", baseline_seconds)
         .num("prepare_seconds", prepare_seconds)
         .num("prepared_seconds", prepared_seconds)
-        .compared("row_seconds", "baseline", "prepared", &rows)
         .num("batch_threaded_seconds", threaded_seconds)
         .int("threads", threads)
         .num("speedup_threaded", threaded_speedup)

@@ -8,10 +8,13 @@
 //! Usage: `cargo run --release -p compose-bench --bin fig8 [--quick]`
 //! (`--quick` strides the pair grid 7× for a fast smoke run.)
 //!
-//! Output: `results/fig8.csv` with one row per composed pair.
+//! Output: `results/fig8.csv` with one row per composed pair. The summary
+//! also times the SBML text round trip around the merge (writing and
+//! parsing one large model).
 
 use compose_bench::{correlation, log10_ms, sample, stats, write_csv};
 use sbml_compose::Composer;
+use sbml_model::{parse_sbml, write_sbml};
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
@@ -71,5 +74,17 @@ fn main() {
     println!("  time per pair (ms)  : min {:.4}  median {:.4}  mean {:.4}  max {:.3}", t.min, t.median, t.mean, t.max);
     println!("  corr(time, n*m)     : {r_nm:.3}");
     println!("  corr(log t, log nm) : {r_log:.3}   (≈1 ⇒ power-law in n·m, the paper's O(nm))");
+
+    // The paper's pipeline reads and writes SBML text around the merge.
+    let large = &corpus[150];
+    let text = write_sbml(large);
+    let write = sample(20, |_| write_sbml(large));
+    let parse = sample(20, |_| parse_sbml(&text).expect("written SBML parses"));
+    println!(
+        "  XML round trip (ms) : write {:.3}  parse {:.3}  (model size {})",
+        write.median * 1e3,
+        parse.median * 1e3,
+        large.size()
+    );
     println!("  series written to   : {}", path.display());
 }

@@ -31,7 +31,7 @@
 use std::sync::Arc;
 
 use biomodels_corpus::{corpus_scale, query_fragment, scale_model};
-use compose_bench::{compare, sample, Json};
+use compose_bench::{compare, sample, timed, Json};
 use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::MatchIndex;
 use sbml_model::Model;
@@ -54,10 +54,9 @@ fn main() {
     let mut models = corpus_scale(top);
     models.extend((top..top + extra).map(scale_model));
     let batch = BatchComposer::new(Composer::new(options.clone()));
-    let mut prepared = Vec::new();
-    let preparing = sample(1, |_| prepared = batch.prepare_corpus(&models));
+    let (prepared, preparing) = timed(|| batch.prepare_corpus(&models));
     assert_eq!(prepared.len(), top + extra, "every scale-tier model survives preparation");
-    println!("prepared {} models in {:.2}s", prepared.len(), preparing.median);
+    println!("prepared {} models in {preparing:.2}s", prepared.len());
 
     // 24 connected 1-hop fragments spread across the motif families.
     let queries: Vec<Model> = (0..24)

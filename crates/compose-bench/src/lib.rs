@@ -2,15 +2,18 @@
 //! `BENCH_*.json` trajectories `ci.sh` gates.
 //!
 //! Each binary in `src/bin/` regenerates one artefact. Every timing goes
-//! through one sampler — [`sample`] for one workload, [`compare`] for two
-//! workloads in rounds that alternate which side runs first — and every
-//! `BENCH_*.json` goes through one writer, [`Json`]. **The estimator:** a
-//! gate reads the median of [`compare`]'s per-round ratio (baseline ÷
-//! candidate for a speedup, wide ÷ narrow for a latency ratio); the files
-//! also carry each side's and the ratio's min / median / p95. The two
-//! `all_pairs` gates divide side totals summed over rounds instead,
-//! because each of their rounds is a different workload (a corpus row, a
-//! base size).
+//! through one sampler — [`timed`] for one call, [`sample`] for one
+//! workload, [`compare`] for two workloads in rounds that alternate which
+//! side runs first — and every `BENCH_*.json` goes through one writer,
+//! [`Json`]. **The estimator:** a gate reads the median of [`compare`]'s
+//! per-round ratio (baseline ÷ candidate for a speedup, wide ÷ narrow for
+//! a latency ratio); the files also carry each side's and the ratio's
+//! min / median / p95. Two exceptions: the `all_pairs` gates divide side
+//! totals summed over rounds, because each of their rounds is a
+//! different workload (a corpus row, a base size); and
+//! `speedup_cluster_upsert` divides the fastest of three rebuilds by one
+//! `UPSERT` batch, because alternating the two in one process slows the
+//! batches round by round (see `cluster_scatter`).
 //!
 //! | binary | artefact | output | `ci.sh` gate |
 //! |---|---|---|---|
@@ -42,20 +45,19 @@ pub fn host_parallelism() -> usize {
     std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1)
 }
 
-/// Wall-clock seconds of one call of `f`. The clock stops before the
-/// result is dropped: tearing down a large result is not the work timed.
-fn timed<T>(f: impl FnOnce() -> T) -> f64 {
+/// One call of `f`: its result and its wall-clock seconds. The clock
+/// stops before the result is dropped: tearing down a large result is
+/// not the work timed.
+pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
-    let result = f();
-    let elapsed = start.elapsed().as_secs_f64();
-    drop(std::hint::black_box(result));
-    elapsed
+    let result = std::hint::black_box(f());
+    (result, start.elapsed().as_secs_f64())
 }
 
 /// Time `rounds` calls of `f` (at least one), passing each its round
 /// index so a mutating workload can take a fresh input every round.
 pub fn sample<T>(rounds: usize, mut f: impl FnMut(usize) -> T) -> Stats {
-    let samples: Vec<f64> = (0..rounds.max(1)).map(|round| timed(|| f(round))).collect();
+    let samples: Vec<f64> = (0..rounds.max(1)).map(|round| timed(|| f(round)).1).collect();
     stats(&samples)
 }
 
@@ -81,11 +83,11 @@ pub fn compare<T, U>(
     let (mut sa, mut sb) = (Vec::new(), Vec::new());
     for round in 0..rounds.max(1) {
         if round % 2 == 0 {
-            sa.push(timed(|| a(round)));
-            sb.push(timed(|| b(round)));
+            sa.push(timed(|| a(round)).1);
+            sb.push(timed(|| b(round)).1);
         } else {
-            sb.push(timed(|| b(round)));
-            sa.push(timed(|| a(round)));
+            sb.push(timed(|| b(round)).1);
+            sa.push(timed(|| a(round)).1);
         }
     }
     let ratio: Vec<f64> = sa.iter().zip(&sb).map(|(x, y)| x / y.max(1e-12)).collect();
@@ -156,6 +158,8 @@ pub struct Stats {
     pub median: f64,
     /// Arithmetic mean.
     pub mean: f64,
+    /// Sum of the series (a side's seconds over all its rounds).
+    pub total: f64,
     /// 95th percentile (nearest rank).
     pub p95: f64,
     /// Maximum.
@@ -171,6 +175,7 @@ pub fn stats(series: &[f64]) -> Stats {
         min: sorted[0],
         median: sorted[sorted.len() / 2],
         mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
+        total: sorted.iter().sum(),
         p95: sorted[(sorted.len() * 95).div_ceil(100) - 1],
         max: *sorted.last().expect("non-empty"),
     }
@@ -240,37 +245,24 @@ impl Json {
         self.obj(key, sides)
     }
 
-    /// Render as text (`indent` `None`: on one line). An object of
-    /// numbers only stays on one line; any other spans lines.
-    fn render(&self, indent: Option<usize>) -> String {
+    /// Render as text nested `depth` levels deep: one field per line.
+    fn render(&self, depth: usize) -> String {
+        let pad = "  ".repeat(depth + 1);
         let field = |(k, v): &(String, Value)| {
             let value = match v {
                 Value::Num(x) => number(*x),
                 Value::Str(s) => quote(s),
-                Value::Obj(o) => o.render(indent.map(|i| i + 1)),
+                Value::Obj(o) => o.render(depth + 1),
                 Value::Rows(rows) => {
-                    let pad =
-                        indent.map_or(" ".to_owned(), |i| format!("\n{}", "  ".repeat(i + 2)));
-                    let items: Vec<String> = rows
-                        .iter()
-                        .map(|r| format!("{pad}{}", r.render(indent.map(|i| i + 2))))
-                        .collect();
-                    let end =
-                        indent.map_or(" ".to_owned(), |i| format!("\n{}", "  ".repeat(i + 1)));
-                    format!("[{}{end}]", items.join(","))
+                    let items: Vec<String> =
+                        rows.iter().map(|r| format!("{pad}  {}", r.render(depth + 2))).collect();
+                    format!("[\n{}\n{pad}]", items.join(",\n"))
                 }
             };
-            format!("{}: {value}", quote(k))
+            format!("{pad}{}: {value}", quote(k))
         };
         let fields: Vec<String> = self.0.iter().map(field).collect();
-        let flat = self.0.iter().all(|(_, v)| matches!(v, Value::Num(_)));
-        match indent {
-            Some(i) if !flat || i == 0 => {
-                let pad = "  ".repeat(i + 1);
-                format!("{{\n{pad}{}\n{}}}", fields.join(&format!(",\n{pad}")), "  ".repeat(i))
-            }
-            _ => format!("{{ {} }}", fields.join(", ")),
-        }
+        format!("{{\n{}\n{}}}", fields.join(",\n"), "  ".repeat(depth))
     }
 
     /// The full `BENCH_<name>.json` text: `host_parallelism` first, then
@@ -280,7 +272,7 @@ impl Json {
         for (key, value) in self.0 {
             top = top.put(&key, value);
         }
-        top.render(Some(0)) + "\n"
+        top.render(0) + "\n"
     }
 
     /// Write `BENCH_<name>.json` at the [`workspace_root`], returning its
@@ -375,6 +367,9 @@ mod tests {
                 std::thread::sleep(Duration::from_millis(50));
             }
         }
+        let (kept, secs) = timed(|| SlowDrop);
+        drop(kept);
+        assert!(secs < 0.025, "{secs}");
         let s = sample(2, |_| SlowDrop);
         assert!(s.max < 0.025, "{s:?}");
         let c = compare(1, |_| SlowDrop, |_| ());
@@ -473,5 +468,6 @@ mod tests {
         let s = stats(&[3.0, 1.0, 2.0]);
         assert_eq!((s.min, s.median, s.max), (1.0, 2.0, 3.0));
         assert!((s.mean - 2.0).abs() < 1e-12);
+        assert_eq!(s.total, 6.0);
     }
 }
