@@ -42,6 +42,9 @@ use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 
 use sbml_compose::{ComposeOptions, WorkerPool};
+use sbml_match::{scope_keys, MatchSemantics};
+use sbml_model::Model;
+use sbml_serve::cache::Scope;
 use sbml_serve::metrics::Metrics;
 use sbml_serve::protocol::{ErrKind, Request, Response};
 use sbml_serve::server::serve_frames;
@@ -50,7 +53,7 @@ use sbml_serve::snapshot::{preset_options, semantics_from_token, semantics_token
 use sbml_serve::wire::{PartialCandidates, PartialMatches};
 
 use crate::link::{RetryPolicy, ShardLink};
-use crate::merge::{merge_candidates, merge_matches};
+use crate::merge::{merge_candidates, merge_match_rows};
 
 /// Tunables applied at [`Coordinator::bind`] time. The `top_k`,
 /// `max_steps` and `deadline_ms` knobs must match the shard daemons'
@@ -102,6 +105,9 @@ struct WriteState {
 
 struct CoordState {
     service: Service,
+    /// The match semantics of the service's options, which cache scope
+    /// keys are derived under.
+    semantics: MatchSemantics,
     links: Vec<ShardLink>,
     /// Scatter pool, one lane per shard.
     pool: WorkerPool,
@@ -242,6 +248,7 @@ impl Coordinator {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let state = Arc::new(CoordState {
+            semantics: MatchSemantics::from_options(&options),
             service: Service::new(
                 options,
                 config.threads,
@@ -313,20 +320,21 @@ where
 }
 
 /// `MATCH` and `QUERY`: scatter the shard-internal half of `verb`
-/// (`partial_verb`), decode each survivor's binary partial, and merge.
-/// No survivors is `ERR budget`. A dead shard degrades the answer: the
-/// merge over the survivors, prefixed with one `dead shard …` line per
-/// missing shard, under the partial exit code, and never cached.
+/// (`partial_verb`), decode each survivor's binary partial, and merge
+/// into the rendered answer and its cache scope. No survivors is
+/// `ERR budget`. A dead shard degrades the answer: the merge over the
+/// survivors, prefixed with one `dead shard …` line per missing shard,
+/// under the partial exit code, and never cached.
 fn scatter_read<P: Send>(
     state: &CoordState,
     verb: &str,
     query_xml: String,
     partial_verb: fn(String) -> Request,
     decode: fn(&[u8]) -> Result<P, String>,
-    merge: impl FnOnce(&[P]) -> (u8, String),
+    merge: impl FnOnce(&Model, &[P]) -> ((u8, String), Scope),
 ) -> Arc<[u8]> {
     let service = &state.service;
-    service.read(verb, query_xml, |_, query_xml| {
+    service.read(verb, query_xml, |query, query_xml| {
         let request = partial_verb(query_xml);
         let (mut parts, mut dead) = (Vec::new(), Vec::new());
         for result in scatter(state, |link| {
@@ -342,9 +350,9 @@ fn scatter_read<P: Send>(
             let message = dead.into_iter().next().unwrap_or_else(|| "no shards".into());
             return Err(service.reject(ErrKind::Budget, message));
         }
-        let (code, text) = merge(&parts);
+        let ((code, text), scope) = merge(&query, &parts);
         if dead.is_empty() {
-            return Ok(ok(code, text));
+            return Ok((ok(code, text), scope));
         }
         Metrics::bump(&service.metrics.budget_cuts);
         let mut body: String = dead.iter().map(|detail| format!("dead {detail}\n")).collect();
@@ -382,7 +390,12 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
                 query_xml,
                 |query_xml| Request::PartialMatch { query_xml },
                 PartialMatches::decode,
-                |parts| merge_matches(parts, state.top_k),
+                |query, parts| {
+                    // The query's scope keys are derived here, on a miss.
+                    let rows = merge_match_rows(parts, state.top_k);
+                    let keys = scope_keys(query, &state.semantics, &service.options);
+                    (rows.render(), Scope::of_query(query, keys, rows.ids()))
+                },
             )
         }
         Request::Query { query_xml } => {
@@ -393,7 +406,7 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
                 query_xml,
                 |query_xml| Request::PartialQuery { query_xml },
                 PartialCandidates::decode,
-                merge_candidates,
+                |_, parts| (merge_candidates(parts), Scope::corpus_wide()),
             )
         }
         Request::Compose { models_xml } => service.compose(&models_xml),
@@ -441,7 +454,7 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
             write.live = write.live + 1 - evicted - u64::from(replaced_on_target);
             let rank = write.live - 1;
             drop(write);
-            service.invalidate();
+            service.evict(&model.id, || scope_keys(&model, &state.semantics, &service.options));
             match failure {
                 // The write is half applied and cannot be rolled back:
                 // say so, or the answer reads like a refused write.
@@ -463,7 +476,7 @@ fn respond(state: &CoordState, request: Request, shutdown: &mut bool) -> Arc<[u8
             write.live -= hits.min(write.live);
             drop(write);
             if hits > 0 {
-                service.invalidate();
+                service.evict(&model_id, Vec::new);
             }
             match failure {
                 // The live shards' removals stand and cannot be rolled

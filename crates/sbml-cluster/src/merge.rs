@@ -34,6 +34,11 @@ use sbml_serve::{format_candidates, MatchRows, Witness};
 /// coordinator hands both out of one config). Returns the CLI exit
 /// code (0 hit, 1 miss, 4 partial) and the report text.
 pub fn merge_matches(parts: &[PartialMatches], top_k: usize) -> (u8, String) {
+    merge_match_rows(parts, top_k).render()
+}
+
+/// [`merge_matches`] before rendering: the cluster-wide rows.
+pub(crate) fn merge_match_rows(parts: &[PartialMatches], top_k: usize) -> MatchRows<'_> {
     let mut exact: Vec<&ExactEntry> = parts.iter().flat_map(|p| p.exact.iter()).collect();
     let mut truncated: Vec<&SlotEntry> =
         parts.iter().flat_map(|p| p.truncated.iter()).collect();
@@ -64,7 +69,6 @@ pub fn merge_matches(parts: &[PartialMatches], top_k: usize) -> (u8, String) {
             .map(|a| ((&a.id[..], &a.id[..]), [a.score, a.jaccard, a.mapped_fraction]))
             .collect(),
     }
-    .render()
 }
 
 /// Merge shard `PQUERY` answers and render the cluster-wide `QUERY`
@@ -213,7 +217,6 @@ mod tests {
         // merged answer must contain no approx lines at all.
         let parts = vec![
             PartialMatches {
-                live: 2,
                 approximate: vec![ApproxEntry {
                     slot: 0,
                     id: "m0".into(),
@@ -224,7 +227,6 @@ mod tests {
                 ..PartialMatches::default()
             },
             PartialMatches {
-                live: 2,
                 exact: vec![ExactEntry {
                     slot: 1,
                     id: "m1".into(),

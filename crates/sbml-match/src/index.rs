@@ -266,6 +266,13 @@ pub struct PreparedQuery {
     content_keys: FastSet<Arc<str>>,
 }
 
+impl PreparedQuery {
+    /// The query's [`scope_keys`], from this analysis.
+    pub fn scope_keys(&self) -> Vec<u64> {
+        hash_scope(self.node_keys.iter().chain(&self.edge_keys).chain(&self.participant_keys))
+    }
+}
+
 /// The serialisable skeleton of one [`IndexShard`]: its generation, the
 /// slots it owns (live members and tombstones), and its posting lists —
 /// **scrubbed**: tombstoned slots are filtered out of the lists at
@@ -653,6 +660,65 @@ fn species_label_keys<'m>(
             (s.id.as_str(), semantics.node_key_shared(s.name.as_deref().unwrap_or(&s.id)))
         })
         .collect()
+}
+
+/// A model's match keys, analysed the way a query is: its match graph
+/// (heavy edge keys computed from the model's reactions), the distinct
+/// node and edge keys of that graph, sorted, and one participant key per
+/// reaction (positional). The three families are exactly what the
+/// posting lists invert, so candidate generation and ranking probe these
+/// keys and nothing else.
+struct MatchKeys {
+    graph: MatchGraph,
+    node_keys: Vec<Arc<str>>,
+    edge_keys: Vec<Arc<str>>,
+    participant_keys: Vec<Arc<str>>,
+}
+
+fn match_keys(model: &Model, semantics: &MatchSemantics, options: &ComposeOptions) -> MatchKeys {
+    let graph = MatchGraph::build(model, semantics, options, None);
+    let mut node_keys: Vec<Arc<str>> =
+        graph.node_key_groups().map(|(k, _)| Arc::clone(k)).collect();
+    node_keys.sort_unstable();
+    let mut edge_keys: Vec<Arc<str>> = graph.edge_keys().cloned().collect();
+    edge_keys.sort_unstable();
+    let label_of = species_label_keys(model, semantics);
+    let participant_keys = model
+        .reactions
+        .iter()
+        .map(|r| Arc::<str>::from(participant_key(&label_of, r).as_str()))
+        .collect();
+    MatchKeys { graph, node_keys, edge_keys, participant_keys }
+}
+
+/// The 64-bit hash a cache scope stores for a match key or a model id.
+/// Deterministic within a process; two strings may collide, which can
+/// only make a scope look wider than it is.
+pub fn scope_hash(key: &str) -> u64 {
+    use std::hash::BuildHasher;
+    sbml_compose::index::FxBuildHasher::default().hash_one(key)
+}
+
+/// Sorted, distinct [`scope_hash`]es of a key set.
+fn hash_scope<'k>(keys: impl Iterator<Item = &'k Arc<str>>) -> Vec<u64> {
+    let mut hashes: Vec<u64> = keys.map(|k| scope_hash(k)).collect();
+    hashes.sort_unstable();
+    hashes.dedup();
+    hashes
+}
+
+/// The *scope keys* of a model: the sorted, distinct [`scope_hash`]es of
+/// its node, edge and participant keys — the keys
+/// [`MatchIndex::insert`] posts the model under, and the keys candidate
+/// generation intersects and approximate ranking pools on when the model
+/// is a query. A query's answer can change only through a model that
+/// shares one of its scope keys (or that the answer names): an exact hit
+/// carries every query node and edge key, and only models sharing a key
+/// are ranked. This is the one derivation of those keys, for queries
+/// ([`PreparedQuery::scope_keys`]) and for written models alike.
+pub fn scope_keys(model: &Model, semantics: &MatchSemantics, options: &ComposeOptions) -> Vec<u64> {
+    let keys = match_keys(model, semantics, options);
+    hash_scope(keys.node_keys.iter().chain(&keys.edge_keys).chain(&keys.participant_keys))
 }
 
 /// Everything one model contributes to the index, derived once per
@@ -1272,18 +1338,8 @@ impl MatchIndex {
     /// ranking scores against. Reuse the result across any number of
     /// candidate/query calls against this index.
     pub fn prepare_query(&self, query: &Model) -> PreparedQuery {
-        let graph = MatchGraph::build(query, &self.semantics, &self.options, None);
-        let mut node_keys: Vec<Arc<str>> =
-            graph.node_key_groups().map(|(k, _)| Arc::clone(k)).collect();
-        node_keys.sort_unstable();
-        let mut edge_keys: Vec<Arc<str>> = graph.edge_keys().cloned().collect();
-        edge_keys.sort_unstable();
-        let label_of = species_label_keys(query, &self.semantics);
-        let participant_keys = query
-            .reactions
-            .iter()
-            .map(|r| Arc::<str>::from(participant_key(&label_of, r).as_str()))
-            .collect();
+        let MatchKeys { graph, node_keys, edge_keys, participant_keys } =
+            match_keys(query, &self.semantics, &self.options);
         // Node i of the graph is query.species[i].
         let ids = QueryIds {
             species: query.species.iter().map(|s| s.id.clone()).collect(),
@@ -1297,6 +1353,12 @@ impl MatchIndex {
             content_keys: content_key_set(query, &self.options),
             graph,
         }
+    }
+
+    /// [`scope_keys`] of `model` under this index's semantics and
+    /// options.
+    pub fn scope_keys(&self, model: &Model) -> Vec<u64> {
+        scope_keys(model, &self.semantics, &self.options)
     }
 
     /// Candidate generation: models whose posting lists contain *every*

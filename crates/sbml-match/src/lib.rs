@@ -93,8 +93,8 @@ pub mod vf2;
 
 pub use graph::{MatchGraph, RawGraph};
 pub use index::{
-    ApproxHit, CorpusHit, CorpusMatches, Embedding, IndexShard, MatchIndex, PreparedQuery,
-    RawIndex, RawShard, DEFAULT_BUDGET, DEFAULT_COMPACTION_THRESHOLD,
+    scope_hash, scope_keys, ApproxHit, CorpusHit, CorpusMatches, Embedding, IndexShard,
+    MatchIndex, PreparedQuery, RawIndex, RawShard, DEFAULT_BUDGET, DEFAULT_COMPACTION_THRESHOLD,
 };
 pub use lazy::{IdDirectory, LazyModel, ModelIds, ModelImage, Stored};
 pub use semantics::MatchSemantics;

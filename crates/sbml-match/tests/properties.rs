@@ -284,3 +284,48 @@ fn approximate_ranking_is_deterministic() {
         }
     }
 }
+
+/// Scope-key agreement: the keys a response cache derives from a written
+/// [`Model`] ([`sbml_match::scope_keys`], the path a coordinator takes
+/// from a parsed UPSERT) are exactly the node, edge and participant
+/// posting keys [`MatchIndex::insert`] adds for its preparation, at every
+/// semantics level — so a write's evictions and the ranking pool cannot
+/// drift apart. Heavy semantics is the interesting case: the index takes
+/// edge keys from the preparation's cached reaction content keys, the
+/// model path computes them afresh.
+#[test]
+fn scope_keys_equal_the_posting_keys_insert_adds() {
+    let mut models = biomodels_corpus::corpus_187();
+    models.extend(biomodels_corpus::corpus_scale(500));
+    for options in levels() {
+        let semantics = sbml_match::MatchSemantics::from_options(&options);
+        let batch = BatchComposer::new(Composer::new(options.clone()));
+        let mut index = MatchIndex::build(&[], &options);
+        for prepared in batch.prepare_corpus(&models) {
+            index.insert(prepared);
+        }
+        // Slot s holds models[s]: invert the postings back per model.
+        let mut posted: Vec<BTreeSet<u64>> = vec![BTreeSet::new(); models.len()];
+        for shard in &index.to_raw().shards {
+            let families =
+                [&shard.node_postings, &shard.edge_postings, &shard.participant_postings];
+            for (key, slots) in families.into_iter().flatten() {
+                for &slot in slots {
+                    posted[slot as usize].insert(sbml_match::scope_hash(key));
+                }
+            }
+        }
+        for (model, posted) in models.iter().zip(&posted) {
+            let derived = sbml_match::scope_keys(model, &semantics, &options);
+            assert!(derived.windows(2).all(|w| w[0] < w[1]), "sorted and distinct");
+            assert_eq!(
+                derived,
+                posted.iter().copied().collect::<Vec<u64>>(),
+                "{:?} under {:?}: model-derived scope keys differ from the posted keys",
+                model.id,
+                options.semantics,
+            );
+            assert_eq!(derived, index.scope_keys(model), "the index derives the same keys");
+        }
+    }
+}

@@ -30,6 +30,8 @@ pub struct Metrics {
     pub cache_hits: AtomicU64,
     /// Cacheable requests that had to be computed.
     pub cache_misses: AtomicU64,
+    /// Cached answers a corpus write evicted.
+    pub cache_evictions: AtomicU64,
     /// Requests cut short by the per-request budget or deadline.
     pub budget_cuts: AtomicU64,
     /// Requests rejected as unparseable or malformed.
@@ -54,6 +56,8 @@ pub struct MetricsReport {
     pub cache_hits: u64,
     /// Cache misses.
     pub cache_misses: u64,
+    /// Cached answers evicted by writes.
+    pub cache_evictions: u64,
     /// Budget/deadline cuts.
     pub budget_cuts: u64,
     /// Malformed or unparseable requests.
@@ -110,6 +114,7 @@ impl Metrics {
             ],
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
             cache_misses: self.cache_misses.load(Ordering::Relaxed),
+            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
             budget_cuts: self.budget_cuts.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             p50_us,
@@ -119,7 +124,12 @@ impl Metrics {
 
     /// Bump a counter by one.
     pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+        Metrics::add(counter, 1);
+    }
+
+    /// Add `n` to a counter.
+    pub fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
     }
 }
 
@@ -129,7 +139,7 @@ impl MetricsReport {
     pub fn render(&self, cache_entries: usize, models: usize, threads: usize) -> String {
         format!(
             "requests {}\nmatch {}\nquery {}\ncompose {}\nupsert {}\nremove {}\nstats {}\n\
-             cache_hits {}\ncache_misses {}\ncache_entries {cache_entries}\n\
+             cache_hits {}\ncache_misses {}\ncache_entries {cache_entries}\ncache_evictions {}\n\
              budget_cuts {}\nerrors {}\np50_us {}\np99_us {}\n\
              models {models}\nthreads {threads}\n",
             self.requests,
@@ -141,6 +151,7 @@ impl MetricsReport {
             self.by_verb[5],
             self.cache_hits,
             self.cache_misses,
+            self.cache_evictions,
             self.budget_cuts,
             self.errors,
             self.p50_us,

@@ -41,6 +41,13 @@ pub enum Witness<'a> {
 }
 
 impl MatchRows<'_> {
+    /// The model id of every row, in display order.
+    pub fn ids(&self) -> impl Iterator<Item = &str> + '_ {
+        let rows = self.truncated.iter().chain(&self.failed).copied();
+        let rows = rows.chain(self.exact.iter().map(|(row, _)| *row));
+        rows.chain(self.approximate.iter().map(|(row, _)| *row)).map(|(_, id)| id)
+    }
+
     /// Render as report text plus the CLI exit code.
     pub fn render(&self) -> (u8, String) {
         let mut out = String::new();

@@ -13,16 +13,17 @@
 //!          the first answer
 //!        → miss: query/compose under the per-request guard::Budget
 //!          (ExecError → ERR budget; the daemon keeps serving)
-//!        → Response::encode → frame write → cache fill → metrics
+//!        → Response::encode → cache fill (under the answer's scope)
+//!        → frame write → metrics
 //! ```
 //!
 //! Every worker shares one `ServeState`: the index (which owns the live
 //! corpus) sits behind an `RwLock` — queries take read locks and run
 //! concurrently; `UPSERT`/`REMOVE` take the write lock, mutate the index
-//! in place (no rebuild) and clear the response cache; the cache sits
-//! behind a `Mutex`, the counters are atomics. `SHUTDOWN` flips a flag
-//! and pokes the listener with a loopback connection so the accept loop
-//! observes it.
+//! in place (no rebuild), then evict the cached answers the write can
+//! change ([`crate::cache`]); the cache sits behind a `Mutex`, the
+//! counters are atomics. `SHUTDOWN` flips a flag and pokes the listener
+//! with a loopback connection so the accept loop observes it.
 //!
 //! Connections are **multiplexed round-robin** over the bounded pool: a
 //! worker takes a connection off the shared queue, polls it for at most
@@ -43,6 +44,7 @@ use sbml_compose::{BatchComposer, ComposeOptions, Composer};
 use sbml_match::{CorpusMatches, MatchIndex};
 use sbml_model::Model;
 
+use crate::cache::Scope;
 use crate::metrics::Metrics;
 use crate::protocol::{write_frame, ErrKind, Request, MAX_FRAME};
 use crate::report::{format_candidates, format_matches};
@@ -451,24 +453,30 @@ fn write_indexed(state: &ServeState) -> RwLockWriteGuard<'_, Indexed> {
 }
 
 /// The daemon's reads: parse → cache key → cached compute over the
-/// read-locked index.
+/// read-locked index; `compute` returns the answer and its cache scope.
 fn read(
     state: &ServeState,
     verb: &str,
     query_xml: String,
-    compute: impl FnOnce(&Indexed, &Model) -> Arc<[u8]>,
+    compute: impl FnOnce(&Indexed, &Model) -> (Arc<[u8]>, Scope),
 ) -> Arc<[u8]> {
     state.service.read(verb, query_xml, |query, _| Ok(compute(&read_indexed(state), &query)))
 }
 
 /// Run the full corpus search, counting a budget cut when any candidate
-/// went undecided.
-fn query_corpus(state: &ServeState, ix: &Indexed, query: &Model) -> CorpusMatches {
-    let result = ix.index.query_corpus(query);
+/// went undecided. Returns the result with its cache scope: the prepared
+/// query's scope keys and every model a row names.
+fn query_corpus(state: &ServeState, ix: &Indexed, query: &Model) -> (CorpusMatches, Scope) {
+    let prepared = ix.index.prepare_query(query);
+    let result = ix.index.query_corpus_prepared(&prepared);
     if !result.truncated.is_empty() {
         Metrics::bump(&state.service.metrics.budget_cuts);
     }
-    result
+    let named = result.exact.iter().map(|hit| hit.model);
+    let named = named.chain(result.approximate.iter().map(|hit| hit.model));
+    let named = named.chain(result.truncated.iter().chain(&result.failed).copied());
+    let scope = Scope::of_query(query, prepared.scope_keys(), named.map(|m| ix.ids[m].as_str()));
+    (result, scope)
 }
 
 /// Serve one decoded request. Returns the fully encoded response
@@ -480,9 +488,9 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
         Request::Match { query_xml } => {
             Metrics::bump(&metrics.match_requests);
             read(state, "MATCH", query_xml, |ix, query| {
-                let result = query_corpus(state, ix, query);
+                let (result, scope) = query_corpus(state, ix, query);
                 let (code, text) = format_matches(&result, &ix.ids, &ix.ids);
-                ok(code, text)
+                (ok(code, text), scope)
             })
         }
         Request::Query { query_xml } => {
@@ -491,21 +499,22 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
                 let candidates = ix.index.candidates(query);
                 let ids = candidates.iter().map(|&m| ix.ids[m].as_str());
                 let (code, text) = format_candidates(ids, ix.index.len() as u64);
-                ok(code, text)
+                (ok(code, text), Scope::corpus_wide())
             })
         }
         Request::PartialMatch { query_xml } => {
             Metrics::bump(&metrics.match_requests);
             read(state, "PMATCH", query_xml, |ix, query| {
-                let result = query_corpus(state, ix, query);
-                ok(0, PartialMatches::from_result(&result, &ix.ids, &ix.slots).encode())
+                let (result, scope) = query_corpus(state, ix, query);
+                (ok(0, PartialMatches::from_result(&result, &ix.ids, &ix.slots).encode()), scope)
             })
         }
         Request::PartialQuery { query_xml } => {
             Metrics::bump(&metrics.query_requests);
             read(state, "PQUERY", query_xml, |ix, query| {
                 let candidates = ix.index.candidates(query);
-                ok(0, PartialCandidates::from_candidates(&candidates, &ix.ids, &ix.slots).encode())
+                let part = PartialCandidates::from_candidates(&candidates, &ix.ids, &ix.slots);
+                (ok(0, part.encode()), Scope::corpus_wide())
             })
         }
         Request::Compose { models_xml } => service.compose(&models_xml),
@@ -560,7 +569,7 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
             ix.slots.push(global);
             ix.universe = global + 1;
             drop(ix);
-            service.invalidate();
+            service.evict(&model.id, || read_indexed(state).index.scope_keys(&model));
             upserted(replaced.is_some(), &model.id, rank as u64)
         }
         Request::Remove { model_id } => {
@@ -573,7 +582,7 @@ fn respond(state: &ServeState, request: Request, shutdown: &mut bool) -> Arc<[u8
             ix.ids.remove(rank);
             ix.slots.remove(rank);
             drop(ix);
-            service.invalidate();
+            service.evict(&model_id, Vec::new);
             removed(true, &model_id)
         }
         Request::Stats => {

@@ -11,7 +11,7 @@ use std::time::Instant;
 use sbml_compose::{Budget, ComposeOptions, CompositionSession, WorkerPool};
 use sbml_model::{parse_sbml, write_sbml, Model};
 
-use crate::cache::{self, QueryCache};
+use crate::cache::{self, QueryCache, Scope};
 use crate::metrics::Metrics;
 use crate::protocol::{ErrKind, Request, Response};
 use crate::server::{cache_key, FrameHandler, FrameOutcome};
@@ -109,12 +109,13 @@ impl Service {
     /// A cacheable read: parse the query, key it by `verb` and its
     /// content keys, and answer from the cache or from `compute`, which
     /// gets the parsed query and its text. `compute`'s `Ok` answers fill
-    /// the cache; its `Err` answers (failed or degraded) never do.
+    /// the cache under their [`Scope`]; its `Err` answers (failed or
+    /// degraded) never do.
     pub fn read(
         &self,
         verb: &str,
         xml: String,
-        compute: impl FnOnce(Model, String) -> Result<Arc<[u8]>, Arc<[u8]>>,
+        compute: impl FnOnce(Model, String) -> Result<(Arc<[u8]>, Scope), Arc<[u8]>>,
     ) -> Arc<[u8]> {
         let query = match self.parse(&xml) {
             Ok(query) => query,
@@ -124,9 +125,15 @@ impl Service {
         cache::cached(&self.cache, &self.metrics, key, || compute(query, xml))
     }
 
-    /// A corpus write happened: clear the cache.
-    pub fn invalidate(&self) {
-        cache::invalidate(&self.cache);
+    /// A write of model `id` was applied to the corpus: evict the cached
+    /// answers it can change — the corpus-wide ones, the ones naming
+    /// `id`, and the ones sharing a scope key with the written model.
+    /// `keys` derives the [`sbml_match::scope_keys`] of the model an
+    /// `UPSERT` stored (none for a `REMOVE`); it runs only when the cache
+    /// holds an entry. Call it after the mutation; see [`crate::cache`]
+    /// for why the rule is sound.
+    pub fn evict(&self, id: &str, keys: impl FnOnce() -> Vec<u64>) {
+        cache::evict(&self.cache, &self.metrics, id, keys);
     }
 
     /// Answer a `COMPOSE`: parse every document, push each into one

@@ -71,9 +71,6 @@ pub struct ApproxEntry {
 /// approximate list as soon as any shard reports an exact hit.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PartialMatches {
-    /// Live models this shard serves (summed by the coordinator into the
-    /// cluster-wide corpus size).
-    pub live: u64,
     /// Exact embeddings, slot-ascending.
     pub exact: Vec<ExactEntry>,
     /// Candidates whose refinement ran out of budget/deadline.
@@ -144,7 +141,6 @@ impl PartialMatches {
     pub fn from_result(result: &CorpusMatches, ids: &[String], slots: &[u64]) -> PartialMatches {
         let entry = |m: usize| SlotEntry { slot: slots[m], id: ids[m].clone() };
         PartialMatches {
-            live: slots.len() as u64,
             exact: result
                 .exact
                 .iter()
@@ -174,7 +170,6 @@ impl PartialMatches {
     /// Encode as a response body.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.u64(self.live);
         w.count(self.exact.len());
         for e in &self.exact {
             w.u64(e.slot);
@@ -199,7 +194,6 @@ impl PartialMatches {
     /// [`PartialMatches::encode`]. Trailing bytes are an error.
     pub fn decode(bytes: &[u8]) -> Result<PartialMatches, String> {
         let mut r = Reader::new(bytes);
-        let live = r.u64("partial live count")?;
         let n = r.count(20, "exact hits")?;
         let mut exact = Vec::with_capacity(n);
         for _ in 0..n {
@@ -226,7 +220,7 @@ impl PartialMatches {
         if !r.is_done() {
             return Err(format!("partial match body: {} trailing byte(s)", r.remaining()));
         }
-        Ok(PartialMatches { live, exact, truncated, failed, approximate })
+        Ok(PartialMatches { exact, truncated, failed, approximate })
     }
 }
 
@@ -268,7 +262,6 @@ mod tests {
 
     fn sample_matches() -> PartialMatches {
         PartialMatches {
-            live: 7,
             exact: vec![ExactEntry {
                 slot: 4,
                 id: "BIOMD4".into(),
@@ -294,7 +287,7 @@ mod tests {
         assert_eq!(PartialMatches::decode(&bytes).as_ref(), Ok(&part));
         // Empty answers round-trip too (the common "this shard has
         // nothing" frame).
-        let empty = PartialMatches { live: 3, ..PartialMatches::default() };
+        let empty = PartialMatches::default();
         assert_eq!(PartialMatches::decode(&empty.encode()).as_ref(), Ok(&empty));
     }
 
@@ -337,7 +330,6 @@ mod tests {
         let ids = vec!["m0".to_owned(), "m1".to_owned()];
         let slots = vec![2u64, 5u64];
         let part = PartialMatches::from_result(&result, &ids, &slots);
-        assert_eq!(part.live, 2);
         assert_eq!(part.exact[0].slot, 5);
         assert_eq!(part.exact[0].id, "m1");
         assert_eq!(part.truncated[0].slot, 2);

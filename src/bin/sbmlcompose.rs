@@ -71,7 +71,8 @@
 //! with an LRU result cache keyed by canonical content keys and every
 //! request under the same budget flags as the one-shot commands.
 //! `UPSERT` and `REMOVE` mutate the live index in place (append /
-//! tombstone — no rebuild, no restart) and clear the result cache.
+//! tombstone — no rebuild, no restart) and evict the cached answers the
+//! write can change.
 //! `client` sends one request and exits with the code the one-shot
 //! command would have used (`ERR budget` → 4, `ERR parse` → 3,
 //! `ERR proto` → 2).

@@ -104,16 +104,17 @@ impl Cluster {
     }
 }
 
-/// Bind a single-process daemon over `index` — the oracle the cluster
-/// must be indistinguishable from.
-fn spawn_oracle(
+/// Bind a single-process daemon over `index` with a `cache_capacity`
+/// entry cache (0: uncached, the oracle the cluster must be
+/// indistinguishable from).
+fn spawn_daemon(
     index: MatchIndex,
     options: &ComposeOptions,
     cache_capacity: usize,
 ) -> (SocketAddr, thread::JoinHandle<()>) {
     let config = ServerConfig { threads: 2, cache_capacity, ..ServerConfig::default() };
     let server = Server::bind("127.0.0.1:0", index, options.clone(), config)
-        .expect("bind oracle daemon");
+        .expect("bind daemon");
     let addr = server.local_addr();
     let handle = thread::spawn(move || {
         let _ = server.run();
@@ -148,62 +149,76 @@ fn stats_models(coord: &mut Client) -> (u64, Vec<Option<u64>>) {
     (own.expect("coordinator models line"), shards)
 }
 
-/// Send `request` to both daemons and require byte-identical frames —
-/// response header, exit code, and body all at once.
-fn lockstep(oracle: &mut Client, cluster: &mut Client, request: &Request, what: &str) {
-    let want = oracle.roundtrip_raw(request).expect("oracle roundtrip");
-    let got = cluster.roundtrip_raw(request).expect("cluster roundtrip");
-    assert_eq!(
-        got,
-        want,
-        "{what}: coordinator answer diverged from the single-process daemon\n\
-         oracle:  {:?}\ncluster: {:?}",
-        String::from_utf8_lossy(&want),
-        String::from_utf8_lossy(&got),
-    );
+/// Send `request` to the uncached oracle (`peers[0]`) and to every
+/// other peer, and require byte-identical frames — response header,
+/// exit code, and body all at once.
+fn lockstep(peers: &mut [(&str, Client)], request: &Request, what: &str) {
+    let (oracle, others) = peers.split_first_mut().expect("an oracle");
+    let want = oracle.1.roundtrip_raw(request).expect("oracle roundtrip");
+    for (name, peer) in others {
+        let got = peer.roundtrip_raw(request).expect("peer roundtrip");
+        assert_eq!(
+            got,
+            want,
+            "{what}: the {name} diverged from the uncached single-process daemon\n\
+             oracle: {:?}\n{name}: {:?}",
+            String::from_utf8_lossy(&want),
+            String::from_utf8_lossy(&got),
+        );
+    }
 }
 
-/// The core property: at shard counts 1, 2 and 4, a freshly carved
-/// cluster answers every read bit-identically, stays bit-identical
-/// through a randomized UPSERT/REMOVE interleaving, and the writes
-/// themselves echo the same bytes.
+/// MATCH and QUERY of every query, in lockstep.
+fn reread(peers: &mut [(&str, Client)], queries: &[String], what: &str) {
+    for (i, xml) in queries.iter().enumerate() {
+        let request = Request::Match { query_xml: xml.clone() };
+        lockstep(peers, &request, &format!("{what}, MATCH query {i}"));
+        let request = Request::Query { query_xml: xml.clone() };
+        lockstep(peers, &request, &format!("{what}, QUERY query {i}"));
+    }
+}
+
+/// The core property, and the oracle for caching: at shard counts 1, 2
+/// and 4, a freshly carved cached cluster and a cached standalone daemon
+/// answer every read bit-identically to an *uncached* daemon, stay so
+/// through a randomized UPSERT/REMOVE interleaving with every query
+/// re-read after every write, and the writes themselves echo the same
+/// bytes. A cached answer a write should have evicted shows up as a
+/// divergence from the oracle.
 fn bit_identity_under_interleaving(options: ComposeOptions, seed: u64) {
     let models = corpus_slice(58..70);
     let prepared = prepare(&options, &models);
-    let queries: Vec<Model> = (0..4)
+    let mut queries: Vec<Model> = (0..4)
         .map(|i| query_fragment(&models[(i * 3) % models.len()], i, 1 + i % 2))
         .collect();
+    // Fragments of models a fresh UPSERT may insert (their answers gain
+    // a hit), and a query without species (it embeds everywhere, so
+    // every write changes its answer).
+    queries.push(query_fragment(&scale_model(200), 0, 1));
+    queries.push(query_fragment(&scale_model(203), 1, 1));
+    queries.push(Model::new("no_species"));
+    let queries: Vec<String> = queries.iter().map(write_sbml).collect();
 
     for shards in [1usize, 2, 4] {
         let index = MatchIndex::build_sharded(&prepared, &options, 2, shards);
-        let oracle_index = MatchIndex::build_sharded(&prepared, &options, 2, shards);
         let cluster = Cluster::spawn(&index, &options, RetryPolicy::default(), 16);
-        let (oracle_addr, oracle_handle) = spawn_oracle(oracle_index, &options, 16);
-        let mut oracle = Client::connect(oracle_addr).expect("connect oracle");
-        let mut coord = Client::connect(cluster.coordinator).expect("connect coordinator");
-
-        for (i, query) in queries.iter().enumerate() {
-            let xml = write_sbml(query);
-            lockstep(
-                &mut oracle,
-                &mut coord,
-                &Request::Match { query_xml: xml.clone() },
-                &format!("{shards} shard(s), MATCH query {i}"),
-            );
-            lockstep(
-                &mut oracle,
-                &mut coord,
-                &Request::Query { query_xml: xml },
-                &format!("{shards} shard(s), QUERY query {i}"),
-            );
-        }
+        let oracle_index = MatchIndex::build_sharded(&prepared, &options, 2, shards);
+        let (oracle_addr, oracle_handle) = spawn_daemon(oracle_index, &options, 0);
+        let daemon_index = MatchIndex::build_sharded(&prepared, &options, 2, shards);
+        let (daemon_addr, daemon_handle) = spawn_daemon(daemon_index, &options, 16);
+        let mut peers = [
+            ("oracle", Client::connect(oracle_addr).expect("connect oracle")),
+            ("cached daemon", Client::connect(daemon_addr).expect("connect daemon")),
+            ("coordinator", Client::connect(cluster.coordinator).expect("connect coordinator")),
+        ];
+        reread(&mut peers, &queries, &format!("{shards} shard(s)"));
 
         // A randomized write interleaving, replayed in lockstep. Fresh
         // inserts, same-id replacements, removals of live and absent
-        // ids — reads re-checked after every write.
+        // ids — every query re-read after every write.
         let mut rng = seed ^ shards as u64;
         let mut ids: Vec<String> = models.iter().map(|m| m.id.clone()).collect();
-        for step in 0..10 {
+        for step in 0..16 {
             let what = format!("{shards} shard(s), step {step}");
             match lcg(&mut rng) % 4 {
                 0 => {
@@ -211,43 +226,34 @@ fn bit_identity_under_interleaving(options: ComposeOptions, seed: u64) {
                     ids.push(fresh.id.clone());
                     let request =
                         Request::Upsert { model_xml: write_sbml(&fresh), slot: None };
-                    lockstep(&mut oracle, &mut coord, &request, &(what + ", fresh UPSERT"));
+                    lockstep(&mut peers, &request, &format!("{what}, fresh UPSERT"));
                 }
                 1 => {
                     let target = &models[lcg(&mut rng) as usize % models.len()];
                     let request =
                         Request::Upsert { model_xml: write_sbml(target), slot: None };
-                    lockstep(&mut oracle, &mut coord, &request, &(what + ", replace UPSERT"));
+                    lockstep(&mut peers, &request, &format!("{what}, replace UPSERT"));
                 }
                 2 if !ids.is_empty() => {
                     let id = ids.remove(lcg(&mut rng) as usize % ids.len());
                     let request = Request::Remove { model_id: id };
-                    lockstep(&mut oracle, &mut coord, &request, &(what + ", REMOVE"));
+                    lockstep(&mut peers, &request, &format!("{what}, REMOVE"));
                 }
                 _ => {
                     let request = Request::Remove { model_id: "no_such_model".into() };
-                    lockstep(&mut oracle, &mut coord, &request, &(what + ", miss REMOVE"));
+                    lockstep(&mut peers, &request, &format!("{what}, miss REMOVE"));
                 }
             }
-            let query = write_sbml(&queries[step % queries.len()]);
-            lockstep(
-                &mut oracle,
-                &mut coord,
-                &Request::Match { query_xml: query.clone() },
-                &format!("{shards} shard(s), step {step}, MATCH after write"),
-            );
-            lockstep(
-                &mut oracle,
-                &mut coord,
-                &Request::Query { query_xml: query },
-                &format!("{shards} shard(s), step {step}, QUERY after write"),
-            );
+            reread(&mut peers, &queries, &format!("{what}, after the write"));
         }
 
-        if let Ok(mut client) = Client::connect(oracle_addr) {
-            let _ = client.roundtrip(&Request::Shutdown);
+        drop(peers);
+        for (addr, handle) in [(oracle_addr, oracle_handle), (daemon_addr, daemon_handle)] {
+            if let Ok(mut client) = Client::connect(addr) {
+                let _ = client.roundtrip(&Request::Shutdown);
+            }
+            let _ = handle.join();
         }
-        let _ = oracle_handle.join();
         cluster.shutdown();
     }
 }

@@ -134,12 +134,12 @@ fn heavy_read_answers_are_pinned() {
     assert_line_kinds(&text);
     assert_eq!(
         full,
-        [0x278996b9d333953c, 0x6f75271c56c790a0, 0xb71fc2057418c5cd, 0xe23b9e8c27f83f33],
+        [0x278996b9d333953c, 0x6f75271c56c790a0, 0xce423b9e472198e4, 0xe23b9e8c27f83f33],
         "unbudgeted",
     );
     assert_eq!(
         truncated,
-        [0x12e71c1c434483f4, 0x6f75271c56c790a0, 0xad4a73daa3540c06, 0xe23b9e8c27f83f33],
+        [0x12e71c1c434483f4, 0x6f75271c56c790a0, 0x01defbcf37fb6a0f, 0xe23b9e8c27f83f33],
         "max_steps 1",
     );
 }
@@ -150,12 +150,12 @@ fn light_read_answers_are_pinned() {
     assert_line_kinds(&text);
     assert_eq!(
         full,
-        [0x278996b9d333953c, 0x02ca979775607578, 0xb71fc2057418c5cd, 0xf9f339b85b7e4988],
+        [0x278996b9d333953c, 0x02ca979775607578, 0xce423b9e472198e4, 0xf9f339b85b7e4988],
         "unbudgeted",
     );
     assert_eq!(
         truncated,
-        [0x3c7086914e2a6ea9, 0x02ca979775607578, 0x8d53d6ee46bde7c5, 0xf9f339b85b7e4988],
+        [0x3c7086914e2a6ea9, 0x02ca979775607578, 0x7c5d6a081ef43114, 0xf9f339b85b7e4988],
         "max_steps 1",
     );
 }
@@ -166,12 +166,12 @@ fn none_read_answers_are_pinned() {
     assert_line_kinds(&text);
     assert_eq!(
         full,
-        [0xa40d7c25f13d8621, 0xb81fd864bcb17fbe, 0x0510c6c9a588d042, 0xda9caa37678060c5],
+        [0xa40d7c25f13d8621, 0xb81fd864bcb17fbe, 0xac88eef163633d03, 0xda9caa37678060c5],
         "unbudgeted",
     );
     assert_eq!(
         truncated,
-        [0x73acfc6c7bfa8790, 0xb81fd864bcb17fbe, 0xc54c5eb0868da194, 0xda9caa37678060c5],
+        [0x73acfc6c7bfa8790, 0xb81fd864bcb17fbe, 0x95781f135e2db9c9, 0xda9caa37678060c5],
         "max_steps 1",
     );
 }

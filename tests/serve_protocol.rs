@@ -12,6 +12,7 @@ use sbmlcompose::compose::{
 };
 use sbmlcompose::corpus::{corpus_slice, query_fragment};
 use sbmlcompose::matching::MatchIndex;
+use sbmlcompose::model::builder::ModelBuilder;
 use sbmlcompose::model::{write_sbml, Model};
 use sbmlcompose::serve::{format_matches, Client, ErrKind, Request, Response, Server, ServerConfig};
 
@@ -184,6 +185,104 @@ fn upsert_and_remove_mutate_the_live_index_without_a_restart() {
         }
         other => panic!("expected a miss, got {other:?}"),
     }
+    shut_down(addr, handle);
+}
+
+/// One `STATS` counter.
+fn stat(client: &mut Client, key: &str) -> u64 {
+    let body = match client.roundtrip(&Request::Stats).expect("stats") {
+        Response::Ok { code: 0, body } => String::from_utf8(body).expect("utf-8 stats"),
+        other => panic!("stats failed: {other:?}"),
+    };
+    let line = body.lines().find_map(|line| line.strip_prefix(&format!("{key} ")));
+    line.and_then(|n| n.parse().ok()).unwrap_or_else(|| panic!("no {key} in {body}"))
+}
+
+/// A one-step model `from -> to` with mass-action kinetics.
+fn step(id: &str, from: &str, to: &str) -> Model {
+    ModelBuilder::new(id)
+        .compartment("cell", 1.0)
+        .species(from, 1.0)
+        .species(to, 0.0)
+        .parameter("k", 0.5)
+        .reaction(&format!("{id}_r"), &[from], &[to], &format!("k*{from}"))
+        .build()
+}
+
+#[test]
+fn writes_evict_only_the_cached_answers_they_can_change() {
+    let options = ComposeOptions::heavy();
+    // `near` shares the glc node key with the query but cannot embed it.
+    let corpus = [step("host", "glc", "g6p"), step("near", "glc", "citrate")];
+    let prepared = BatchComposer::new(Composer::new(options.clone())).prepare_corpus(&corpus);
+    let server = Server::bind(
+        "127.0.0.1:0",
+        MatchIndex::build(&prepared, &options),
+        options,
+        ServerConfig { threads: 2, ..ServerConfig::default() },
+    )
+    .expect("bind ephemeral port");
+    let addr = server.local_addr();
+    let handle = thread::spawn(move || server.run().expect("server run"));
+    let mut client = Client::connect(addr).expect("connect");
+
+    let query = write_sbml(&step("q", "glc", "g6p"));
+    let read = |client: &mut Client, request: Request| -> (String, u64, u64) {
+        let body = match client.roundtrip(&request).expect("read") {
+            Response::Ok { body, .. } => String::from_utf8(body).expect("utf-8 body"),
+            other => panic!("read failed: {other:?}"),
+        };
+        (body, stat(client, "cache_hits"), stat(client, "cache_evictions"))
+    };
+    let matching = || Request::Match { query_xml: query.clone() };
+    let write = |client: &mut Client, request: Request| match client.roundtrip(&request) {
+        Ok(Response::Ok { code: 0, .. }) => {}
+        other => panic!("write failed: {other:?}"),
+    };
+
+    let (first, hits, evictions) = read(&mut client, matching());
+    assert!(first.starts_with("exact host (host)"), "{first}");
+    assert_eq!((hits, evictions), (0, 0));
+
+    // No shared key, not named: the entry stays.
+    let far = step("far", "zz_a", "zz_b");
+    write(&mut client, Request::Upsert { model_xml: write_sbml(&far), slot: None });
+    let (answer, hits, evictions) = read(&mut client, matching());
+    assert_eq!((answer.as_str(), hits, evictions), (first.as_str(), 1, 0), "kept across UPSERT");
+
+    // `near` shares a key but the answer does not name it: removing it
+    // changes nothing, so the entry stays.
+    write(&mut client, Request::Remove { model_id: "near".into() });
+    let (answer, hits, evictions) = read(&mut client, matching());
+    assert_eq!((answer.as_str(), hits, evictions), (first.as_str(), 2, 0), "kept across REMOVE");
+
+    // A write sharing a key evicts, and the next read recomputes.
+    write(&mut client, Request::Upsert {
+        model_xml: write_sbml(&step("twin", "glc", "g6p")),
+        slot: None,
+    });
+    let (answer, hits, evictions) = read(&mut client, matching());
+    assert_eq!((hits, evictions), (2, 1), "evicted by a shared key");
+    assert!(answer.contains("exact twin (twin)"), "{answer}");
+
+    // Removing a model the answer names evicts it.
+    write(&mut client, Request::Remove { model_id: "host".into() });
+    let (answer, hits, evictions) = read(&mut client, matching());
+    assert_eq!((hits, evictions), (2, 2), "evicted by a named removal");
+    assert!(!answer.contains("host"), "{answer}");
+
+    // QUERY prints the live count: every write evicts it, even one the
+    // MATCH entry survives.
+    let candidates = || Request::Query { query_xml: query.clone() };
+    let (counted, hits, _) = read(&mut client, candidates());
+    assert!(counted.starts_with("candidates 1/2\n"), "{counted}");
+    assert_eq!(hits, 2);
+    write(&mut client, Request::Remove { model_id: "far".into() });
+    let (counted, hits, evictions) = read(&mut client, candidates());
+    assert!(counted.starts_with("candidates 1/1\n"), "{counted}");
+    assert_eq!((hits, evictions), (2, 3), "QUERY evicted by an unrelated write");
+    let (_, hits, _) = read(&mut client, matching());
+    assert_eq!(hits, 3, "the MATCH entry outlived the unrelated write");
     shut_down(addr, handle);
 }
 
